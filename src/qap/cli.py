@@ -64,6 +64,11 @@ def _guard(command: str, p: int) -> None:
         raise SystemExit2(f"{command} is guarded to 1 <= p <= {GUARDS[command]}")
 
 
+def _require_trials(n: int) -> None:
+    if n < 1:
+        raise SystemExit2(f"--n must be at least 1, got {n}")
+
+
 class SystemExit2(Exception):
     """Usage error carrying its message to stderr."""
 
@@ -125,6 +130,8 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
         key = (int(b_part.split(":")[1]), int(e_part.split(":")[1]))
     except (ValueError, IndexError):
         raise SystemExit2(f"cannot parse cell {cell!r}; expected B:<i>/eps:<0|1>")
+    if key not in q.cells:
+        raise SystemExit2(f"no cell {cell!r} at p={c.p}; expected 0 <= i < {1 << c.p}, eps 0 or 1")
     view = partition.coquotient_view(q, key)
     lines = [f"center {cell_label(view.center)}"]
     lines.append(
@@ -141,6 +148,7 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     _guard("verify", cfg.p)
+    _require_trials(cfg.n)
     if cfg.p <= 3:
         members = list(enumerate_all(cfg.p).members())
     else:
@@ -188,6 +196,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_connect(cfg: RunConfig) -> int:
     _guard("connect", cfg.p)
+    _require_trials(cfg.n)
     atlas = enumerate_all(cfg.p)
     members = list(atlas.members())
     rng = random.Random(cfg.seed)

@@ -149,3 +149,34 @@ def test_out_flag(tmp_path, capsys):
     code, out = run(capsys, "table", "C_[00]", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8").startswith("C_[00]")
+
+
+def test_verify_p3_stdout_is_pinned(capsys):
+    code, out = run(capsys, "verify", "--p", "3")
+    assert code == 0
+    assert out == "verify pass: 135 partitions at p=3, 136080 anti-commuting pairs checked\n"
+
+
+@pytest.mark.parametrize("cell", ["B:9/eps:1", "B:1/eps:2", "B:-1/eps:0", "B:8/eps:0"])
+def test_coqa_unknown_cell_is_usage_error(capsys, cell):
+    code = main(["coqa", "C_[000]", "--cell", cell])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--p", "4", "--n", "0"),
+        ("verify", "--p", "2", "--n", "-3"),
+        ("connect", "--p", "2", "--n", "0"),
+    ],
+)
+def test_trial_count_below_one_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --n must be at least 1")
+    assert captured.out == ""

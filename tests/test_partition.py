@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import random
+import re
 
 import pytest
 
-from conftest import qap_of
+from conftest import atlas, qap_of
 from qap.partition import (
+    CellKey,
+    ClosureReport,
     DecompositionSequence,
     QAPartition,
     build_qap,
@@ -25,6 +30,7 @@ from qap.subalgebra import (
     intrinsic_cartan,
     keys_commute,
     parse_label,
+    spinor_of_key,
 )
 
 S = Spinor.make
@@ -228,6 +234,257 @@ def test_abelianness_characterizes_the_coset_rule(atlas3):
                 (x ^ y) in b for x, y in itertools.combinations(subset, 2)
             )
             assert abelian == coset_rule
+
+
+# -- the array sweep against the reference pair loop -------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def anti_commuting(p: int) -> tuple[frozenset[int], ...]:
+    n = 1 << (2 * p)
+    return tuple(
+        frozenset(y for y in range(n) if not keys_commute(x, y, p)) for x in range(n)
+    )
+
+
+def witness(ka: CellKey, kb: CellKey, x: int, y: int, target: CellKey, p: int) -> str:
+    return (
+        f"[{cell_label(ka)}, {cell_label(kb)}]: "
+        f"{spinor_of_key(x, p)} x {spinor_of_key(y, p)} -> "
+        f"{spinor_of_key(x ^ y, p)} not in {cell_label(target)}"
+    )
+
+
+def reference_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
+    """The pure-Python pair loop that verify_closure replaced: every cell
+    pair once, then the conjugate-partition inclusions against the center.
+    Commutation is read from a keys_commute table instead of recomputed."""
+    p = q.p
+    anti = anti_commuting(p)
+    checked = 0
+    failures: list[str] = []
+
+    def fail(msg: str) -> bool:
+        failures.append(msg)
+        return len(failures) >= max_failures
+
+    keys = sorted(q.cells)
+    for a_pos, ka in enumerate(keys):
+        ia, ea = ka
+        cell_a = q.cells[ka]
+        for kb in keys[a_pos:]:
+            ib, eb = kb
+            cell_b = q.cells[kb]
+            target = q.cells[(ia ^ ib, ea ^ eb)]
+            for x in cell_a.keys:
+                for y in cell_b.keys & anti[x]:
+                    checked += 1
+                    if (x ^ y) not in target.keys:
+                        if fail(witness(ka, kb, x, y, (ia ^ ib, ea ^ eb), p)):
+                            return ClosureReport(False, checked, failures)
+
+    center = q.cells[(0, 1)]
+    for i in range(1, 1 << p):
+        w, w_hat = q.cells[(i, 1)], q.cells[(i, 0)]
+        for src, other, tgt in ((w, center, w_hat), (w_hat, center, w), (w, w_hat, center)):
+            for x in src.keys:
+                for y in other.keys & anti[x]:
+                    if (x ^ y) not in tgt.keys:
+                        if fail(f"conjugate-partition violation at B_{i}"):
+                            return ClosureReport(False, checked, failures)
+    return ClosureReport(not failures, checked, failures)
+
+
+WITNESS = re.compile(
+    r"\[(B:\d+/eps:[01]), (B:\d+/eps:[01])\]: (S\[[01]+\|[01]+\]) x (S\[[01]+\|[01]+\]) "
+    r"-> (S\[[01]+\|[01]+\]) not in (B:\d+/eps:[01])"
+)
+
+
+def parse_witness(line: str) -> tuple[CellKey, CellKey, int, int, CellKey]:
+    """(cell of x, cell of y, x, y, target cell) from a closure-law witness."""
+    m = WITNESS.fullmatch(line)
+    assert m, line
+    ka, kb, x, y, prod, target = m.groups()
+    (x,), (y,), (prod,) = (SpinorSet.parse([s]).keys for s in (x, y, prod))
+    assert prod == x ^ y, line
+    cell = lambda text: tuple(int(part.split(":")[1]) for part in text.split("/"))
+    return cell(ka), cell(kb), x, y, cell(target)
+
+
+def assert_genuine(q: QAPartition, line: str) -> None:
+    """The witness names an anti-commuting pair, its true cells, and a
+    target cell that misses the product."""
+    ka, kb, x, y, target = parse_witness(line)
+    assert ka <= kb and q.cell_of(x) == ka and q.cell_of(y) == kb, line
+    assert not keys_commute(x, y, q.p), line
+    assert target == (ka[0] ^ kb[0], ka[1] ^ kb[1]), line
+    assert (x ^ y) not in q.cells[target].keys, line
+
+
+def within_cell_anti_pairs(q: QAPartition) -> int:
+    """Unordered anti-commuting pairs inside one cell: the reference loop
+    counts each of them twice, the sweep once."""
+    anti = anti_commuting(q.p)
+    return sum(len(cell.keys & anti[x]) for cell in q.cells.values() for x in cell.keys) // 2
+
+
+def injections(q: QAPartition, rng: random.Random):
+    """Every single flip, then one moved key and one dropped key.  The
+    identity key 0 commutes with everything, so moving or dropping it
+    breaks no closure triple; it is never picked."""
+    for i in range(1, 1 << q.p):
+        cells = dict(q.cells)
+        cells[(i, 0)], cells[(i, 1)] = cells[(i, 1)], cells[(i, 0)]
+        yield f"flip B:{i}", cells
+    occupied = sorted(k for k, cell in q.cells.items() if len(cell) > 0)
+    src = rng.choice(occupied)
+    dst = rng.choice([k for k in q.cells if k != src])
+    moved = rng.choice(sorted(q.cells[src].keys - {0}))
+    cells = dict(q.cells)
+    cells[src] = SpinorSet(q.p, q.cells[src].keys - {moved})
+    cells[dst] = SpinorSet(q.p, q.cells[dst].keys | {moved})
+    yield f"move {moved} {src}->{dst}", cells
+    src = rng.choice([k for k in occupied if k != (0, 1)])
+    dropped = rng.choice(sorted(q.cells[src].keys - {0}))
+    cells = dict(q.cells)
+    cells[src] = SpinorSet(q.p, q.cells[src].keys - {dropped})
+    yield f"drop {dropped} from {src}", cells
+
+
+def assert_sweep_matches_reference(q: QAPartition, what: str, full: bool = True) -> bool:
+    """ok always agrees and is returned; checked_pairs agrees on a pass.
+    A failing run stops at an order-dependent pair, so with `full` both
+    run to the end: the sweep reports every violating pair once, the loop
+    reports a pair inside one cell in both orders and counts it twice."""
+    fast, slow = verify_closure(q), reference_closure(q)
+    assert fast.ok == slow.ok, what
+    if fast.ok:
+        assert fast.checked_pairs == slow.checked_pairs, what
+        return True
+    assert len(fast.failures) == 1, what
+    assert_genuine(q, fast.failures[0])
+    if not full:
+        return False
+    everything = 1 << (4 * q.p)
+    fast, slow = verify_closure(q, everything), reference_closure(q, everything)
+    assert fast.checked_pairs == slow.checked_pairs - within_cell_anti_pairs(q), what
+    swept = set(fast.failures)
+    looped = {line for line in slow.failures if WITNESS.fullmatch(line)}
+    assert len(swept) == len(fast.failures) and swept <= looped, what
+    for line in looped - swept:  # the mirror of a pair inside one cell
+        ka, kb, x, y, target = parse_witness(line)
+        assert ka == kb and x > y, line
+        assert witness(ka, kb, y, x, target, q.p) in swept, line
+    return False
+
+
+def test_sweep_matches_reference_on_every_partition_to_p3():
+    rng = random.Random(3)
+    for p in (1, 2, 3):
+        for n, c in enumerate(atlas(p).members()):
+            q = qap_of(c)
+            assert assert_sweep_matches_reference(q, c.label)
+            if p == 3 and n % 27 == 0:
+                for what, cells in injections(q, rng):
+                    tampered = QAPartition(c, q.maxbi, cells)
+                    assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}")
+
+
+def test_sweep_matches_reference_on_p4_partitions_and_injections():
+    # 50 seeded partitions, each with all 15 single flips, one moved key and
+    # one dropped key; a flip makes thousands of witnesses at p = 4, so the
+    # run-to-the-end comparison of flips is left to the p = 3 test
+    rng = random.Random(4)
+    for c in rng.sample(list(atlas(4).members()), 50):
+        q = qap_of(c)
+        assert assert_sweep_matches_reference(q, c.label)
+        for what, cells in injections(q, rng):
+            tampered = QAPartition(c, q.maxbi, cells)
+            full = not what.startswith("flip")
+            assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}", full)
+
+
+def test_dropped_key_never_reads_as_the_degrade_cell():
+    # an uncovered spinor must fail as a product, not pass as cell (0,0)
+    q = qap_of(intrinsic_cartan(3))
+    for ck in sorted(q.cells):
+        for k in sorted(q.cells[ck].keys - {0}):
+            cells = dict(q.cells)
+            cells[ck] = SpinorSet(3, q.cells[ck].keys - {k})
+            report = verify_closure(QAPartition(q.cartan, q.maxbi, cells))
+            assert not report.ok
+            assert report.failures[0].endswith(f"-> {spinor_of_key(k, 3)} not in {cell_label(ck)}")
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_closed_form_pair_count_on_intrinsic_cartan(p):
+    report = verify_closure(build_qap(intrinsic_cartan(p), verify=False))
+    assert report.ok and not report.failures
+    assert report.checked_pairs == (4**p - 1) * 4**p // 4
+
+
+def test_exhaustive_closure_reaches_p6():
+    report = verify_closure(build_qap(parse_label("C_[000000]"), verify=False))
+    assert report.ok
+    assert report.checked_pairs == (4**6 - 1) * 4**6 // 4 == 4_193_280
+
+
+def test_conjugate_partition_inclusions_are_cells_of_the_sweep():
+    # [W,C] in W-hat, [W-hat,C] in W and [W,W-hat] in C are the cell pairs
+    # (i,1)x(0,1), (i,0)x(0,1) and (i,1)x(i,0), each with the XOR target
+    for p in (1, 2, 3, 4):
+        q = qap_of(intrinsic_cartan(p))
+        for i in range(1, 1 << p):
+            w, w_hat, center = (i, 1), (i, 0), (0, 1)
+            for a, b, target in ((w, center, w_hat), (w_hat, center, w), (w, w_hat, center)):
+                assert (a[0] ^ b[0], a[1] ^ b[1]) == target
+                assert any(
+                    not keys_commute(x, y, p) for x in q.cells[a].keys for y in q.cells[b].keys
+                )
+                assert commutator_lands_in(q, a, b, target)
+
+
+def test_conjugate_partition_faults_are_caught_by_the_sweep():
+    # move one spinor of W(B_i) into W-hat(B_i): it breaks an inclusion,
+    # and the sweep names a pair of cells from that inclusion
+    q = qap_of(intrinsic_cartan(3))
+    for i in range(1, 8):
+        moved = min(q.cells[(i, 1)].keys)
+        cells = dict(q.cells)
+        cells[(i, 1)] = SpinorSet(3, q.cells[(i, 1)].keys - {moved})
+        cells[(i, 0)] = SpinorSet(3, q.cells[(i, 0)].keys | {moved})
+        tampered = QAPartition(q.cartan, q.maxbi, cells)
+        looped = reference_closure(tampered, max_failures=99).failures
+        assert any(f.startswith("conjugate-partition") for f in looped)
+        report = verify_closure(tampered, max_failures=1 << 12)
+        assert not report.ok
+        named = {WITNESS.fullmatch(f).group(1, 2) for f in report.failures}
+        w, w_hat, center = cell_label((i, 1)), cell_label((i, 0)), cell_label((0, 1))
+        assert named & {(center, w), (center, w_hat), (w_hat, w_hat)}
+
+
+def test_failure_witness_format_and_limit():
+    c = parse_label("C^{110}_{[001,100]}")
+    q = qap_of(c)
+    cells = dict(q.cells)
+    cells[(5, 0)], cells[(5, 1)] = cells[(5, 1)], cells[(5, 0)]
+    tampered = QAPartition(c, q.maxbi, cells)
+    assert len(verify_closure(tampered).failures) == 1
+    report = verify_closure(tampered, max_failures=3)
+    assert not report.ok and len(report.failures) == 3
+    assert str(report).splitlines()[1:] == report.failures
+    for line in report.failures:
+        assert_genuine(tampered, line)
+    # a failing sweep stops at its last witness, in (x, y) order with x < y
+    last = tuple(sorted(parse_witness(report.failures[-1])[2:4]))
+    assert report.checked_pairs == sum(
+        1 for pair in itertools.combinations(range(64), 2)
+        if pair <= last and not keys_commute(*pair, 3)
+    )
+    assert report.failures[0] == (
+        "[B:1/eps:1, B:5/eps:1]: S[001|000] x S[100|011] -> S[101|011] not in B:4/eps:0"
+    )
 
 
 # -- co-quotient views --------------------------------------------------------
