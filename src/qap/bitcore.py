@@ -13,6 +13,11 @@ from typing import Iterable, Optional, Sequence
 MAX_WIDTH = 16
 
 
+class InvariantError(AssertionError):
+    """An internal invariant does not hold.  Raised explicitly, so the check
+    survives ``python -O``; the CLI maps it, as any AssertionError, to exit 1."""
+
+
 def _check_width(p: int) -> None:
     if not 1 <= p <= MAX_WIDTH:
         raise ValueError(f"word width must be in 1..{MAX_WIDTH}, got {p}")

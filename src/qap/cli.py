@@ -42,9 +42,12 @@ TABLE_ALIASES = {
 }
 
 
+DEFAULT_P = 3
+
+
 @dataclass
 class RunConfig:
-    p: int = 3
+    p: Optional[int] = DEFAULT_P  # None: a label command takes p from its label
     fmt: str = "text"
     seed: int = 0
     out: Optional[str] = None
@@ -73,8 +76,8 @@ class SystemExit2(Exception):
     """Usage error carrying its message to stderr."""
 
 
-def _resolve_label(text: str) -> CartanSubalgebra:
-    return parse_label(TABLE_ALIASES.get(text.replace(" ", ""), text))
+def _resolve_label(text: str, p: Optional[int]) -> CartanSubalgebra:
+    return parse_label(TABLE_ALIASES.get(text.replace(" ", ""), text), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +110,14 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 
 def cmd_table(cfg: RunConfig, label: str) -> int:
-    c = _resolve_label(label)
+    c = _resolve_label(label, cfg.p)
     _guard("table", c.p)
     _emit(cfg, render_table(build_qap(c)))
     return PASS
 
 
 def cmd_qap(cfg: RunConfig, label: str) -> int:
-    c = _resolve_label(label)
+    c = _resolve_label(label, cfg.p)
     _guard("qap", c.p)
     q = build_qap(c)
     _emit(cfg, qap_to_json(q) if cfg.fmt == "json" else render_table(q))
@@ -122,7 +125,7 @@ def cmd_qap(cfg: RunConfig, label: str) -> int:
 
 
 def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
-    c = _resolve_label(label)
+    c = _resolve_label(label, cfg.p)
     _guard("coqa", c.p)
     q = build_qap(c)
     try:
@@ -218,7 +221,7 @@ def cmd_connect(cfg: RunConfig) -> int:
 
 
 def cmd_lift(cfg: RunConfig, label: str) -> int:
-    c = _resolve_label(label)
+    c = _resolve_label(label, cfg.p)
     _guard("lift", c.p)
     circuit, lifted = extension.local_lift(c)
     payload = {
@@ -250,7 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         if label_arg:
             sp.add_argument("label", help="Cartan label, e.g. C^{110}_{[001,100]}")
-        sp.add_argument("--p", type=int, default=3)
+        sp.add_argument(
+            "--p",
+            type=int,
+            default=None,
+            help=f"word width (default {DEFAULT_P}); a label command checks it against the label",
+        )
         sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
@@ -277,7 +285,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return USAGE if exc.code not in (0, None) else PASS
-    cfg = RunConfig(p=args.p, fmt=args.fmt, seed=args.seed, out=args.out, n=args.n)
+    p = args.p if args.p is not None or "label" in args else DEFAULT_P
+    cfg = RunConfig(p=p, fmt=args.fmt, seed=args.seed, out=args.out, n=args.n)
     handlers: dict[str, Callable[[], int]] = {
         "count": lambda: cmd_count(cfg),
         "enumerate": lambda: cmd_enumerate(cfg),

@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .bitcore import BitWord, gf2_echelon, gf2_nullspace, gf2_reduce, maximal_subgroups
+from .bitcore import (
+    BitWord,
+    InvariantError,
+    gf2_echelon,
+    gf2_nullspace,
+    gf2_reduce,
+    maximal_subgroups,
+)
 from .partition import union_is_cartan
 from .subalgebra import (
     CartanSubalgebra,
@@ -64,7 +71,8 @@ def extend_shell(c: CartanSubalgebra) -> set[CartanSubalgebra]:
     for b, w, w_hat in _phase_pairs(c):
         for half in (w, w_hat):
             ext = CartanSubalgebra(SpinorSet(c.p, b | half), _trusted=True)
-            assert ext.kind == c.kind + 1
+            if ext.kind != c.kind + 1:
+                raise InvariantError(f"extension of {c.label} is not of the next kind")
             out.add(ext)
     return out
 
@@ -88,7 +96,8 @@ def _phase_pairs(c: CartanSubalgebra):
                 if v not in c_keys:
                     s0 = v
                     break
-            assert s0, "pair representative must exist"
+            if not s0:
+                raise InvariantError("pair representative must exist")
             b_set = frozenset(b_keys)
             t = s0 ^ next(iter(c_keys - b_set))
             w = frozenset(s0 ^ k for k in b_keys)

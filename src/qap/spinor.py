@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitWord, dot
+from .bitcore import BitWord, InvariantError, dot
 
 ORACLE_MAX_P = 6
 
@@ -42,7 +42,8 @@ class Spinor:
     def make(cls, zeta: str | int, alpha: str | int, p: int | None = None) -> "Spinor":
         if isinstance(zeta, str):
             return cls(BitWord.parse(zeta), BitWord.parse(str(alpha)))
-        assert p is not None
+        if p is None:
+            raise InvariantError("integer words need an explicit width p")
         return cls(BitWord(zeta, p), BitWord(int(alpha), p))
 
     @classmethod
@@ -208,6 +209,7 @@ def to_matrix(ps: PhasedSpinor | Spinor, hermitian_norm: bool = False) -> Gaussi
         a = (s.alpha.bits >> (p - pos)) & 1
         f = _FACTORS[(eps, a)]
         out = f if out is None else out.kron(f)
-    assert out is not None
+    if out is None:
+        raise InvariantError("a spinor has at least one tensor factor")
     k = ps.i_exp + (self_parity(s) if hermitian_norm else 0)
     return out.times_i_pow(k)

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .bitcore import (
     BitSubgroup,
     BitWord,
+    InvariantError,
     dot,
     gf2_echelon,
     gf2_nullspace,
@@ -244,7 +245,8 @@ class CartanSubalgebra:
         )
         for i in range(len(gens)):
             for j in range(len(gens)):
-                assert table[i][j] == table[j][i], "parity table must be symmetric"
+                if table[i][j] != table[j][i]:
+                    raise InvariantError("parity table must be symmetric")
         return table
 
     @property
@@ -386,7 +388,8 @@ def phase_type_maximal(
     """
     gen_keys = phase_type_generator_keys(c, kernel_sub, coset_choice)
     elements = SpinorSet(c.p, _span_keys(gen_keys))
-    assert len(elements) == 1 << (c.p - 1)
+    if len(elements) != 1 << (c.p - 1):
+        raise InvariantError(f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements")
     return BiSubalgebra(elements, c)
 
 
@@ -595,6 +598,8 @@ def parse_label(text: str, p: Optional[int] = None) -> CartanSubalgebra:
     parities, alpha_part = _scan_label(text.replace(" ", ""))
     alpha_words = [BitWord.parse(a) for a in alpha_part.split(",")]
     width = alpha_words[0].p
+    if any(a.p != width for a in alpha_words):
+        raise ValueError(f"alpha words {alpha_part} differ in width")
     if p is not None and p != width:
         raise ValueError(f"label width {width} does not match p={p}")
     if all(a.is_zero for a in alpha_words):

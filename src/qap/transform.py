@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitcore import BitWord, dot, solve_affine
+from .bitcore import BitWord, InvariantError, dot, solve_affine
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
     GaussianMatrix,
@@ -249,7 +249,8 @@ def build_E(current: Sequence[BitWord]) -> SymbolicCircuit:
                 if dot(shift, alphas[j]):
                     alphas[j] = alphas[j] ^ a ^ target
             circuit = circuit.then(step)
-        assert alphas[r] == target
+        if alphas[r] != target:
+            raise InvariantError(f"exchange step {r} did not place {target}")
         placed.append(target)
     return circuit
 

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import ast
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qap
 from qap.bitcore import (
     BitWord,
+    InvariantError,
     cosets,
     dot,
     maximal_subgroups,
@@ -162,3 +169,44 @@ def test_solve_affine_agrees_with_brute_force(case):
         assert got is None
     else:
         assert got is not None and got.bits == min(brute)
+
+
+PACKAGE = pathlib.Path(qap.__file__).parent
+
+
+def test_package_has_no_assert_statements():
+    """Invariants raise InvariantError, which python -O does not strip."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        (("oracle", "--p", "2"), "oracle pass: 768 exact matrix checks\n"),
+        (("verify", "--p", "2"), "verify pass: 15 partitions at p=2, 900 anti-commuting pairs checked\n"),
+    ],
+    ids=["oracle", "verify"],
+)
+def test_cli_under_python_O(argv, stdout):
+    proc = _run_optimized("-m", "qap", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
+def test_invariants_survive_python_O():
+    proc = _run_optimized("-c", "from qap.spinor import Spinor; Spinor.make(1, 1)")
+    assert proc.returncode == 1
+    assert "qap.bitcore.InvariantError: integer words need an explicit width p" in proc.stderr
+    assert issubclass(InvariantError, AssertionError)

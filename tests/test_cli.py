@@ -180,3 +180,36 @@ def test_trial_count_below_one_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.err.startswith("error: --n must be at least 1")
     assert captured.out == ""
+
+
+def test_mixed_width_label_is_usage_error(capsys):
+    code = main(["table", "C_[00,000]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: alpha words 00,000 differ in width\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "C_[000]"),
+        ("qap", "C^{0}_{[100]}", "--format", "json"),
+        ("coqa", "C_[000]", "--cell", "B:1/eps:1"),
+        ("lift", "C^{1}_{[100]}"),
+    ],
+)
+def test_label_commands_check_an_explicit_p(capsys, argv):
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--p", "3") == (0, plain)
+    for p in ("2", "9"):
+        code = main([*argv, "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: label width 3 does not match p={p}\n"
+
+
+def test_commands_without_a_label_default_to_p3(capsys):
+    assert run(capsys, "count") == (0, "1 14 56 64 | total 135\n")
+    assert run(capsys, "oracle") == (0, "oracle pass: 12288 exact matrix checks\n")

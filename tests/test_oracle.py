@@ -1,0 +1,198 @@
+"""The batched matrix oracle against a per-pair reference, clean and under
+injected faults in each rule it checks."""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+import qap.oracle as oracle
+from qap.bitcore import BitWord
+from qap.oracle import OracleReport, all_spinors, check_conjugations, check_products
+from qap.spinor import PhasedSpinor, Spinor
+from qap.transform import BasicTransform
+
+S = Spinor.parse
+
+
+# ---------------------------------------------------------------------------
+# reference: one pair at a time, every matrix rebuilt where it is used.  The
+# symbolic rules and the realization are read through the qap.oracle module,
+# so a fault patched there reaches both sides.
+
+
+def reference_products(p: int, max_failures: int = 1) -> OracleReport:
+    spinors = all_spinors(p)
+    mats = {s: oracle.to_matrix(s) for s in spinors}
+    checks = 0
+    failures: list[str] = []
+    for s, t in itertools.product(spinors, repeat=2):
+        checks += 1
+        lhs = mats[s] @ mats[t]
+        if lhs != oracle.to_matrix(oracle.product(s, t)):
+            failures.append(f"product mismatch at {s} * {t}")
+        st, ts = lhs, mats[t] @ mats[s]
+        if oracle.commutes(s, t) != (st - ts).is_zero:
+            failures.append(f"commutation mismatch at {s}, {t}")
+        if not oracle.commutes(s, t) and not (st + ts).is_zero:
+            failures.append(f"anti-commutator does not vanish at {s}, {t}")
+        if oracle.bi_add(s, t) != oracle.product(s, t).body:
+            failures.append(f"bi_add disagrees with the product body at {s}, {t}")
+        if len(failures) >= max_failures:
+            return OracleReport(False, checks, failures)
+    return OracleReport(not failures, checks, failures)
+
+
+def reference_conjugations(p: int, max_failures: int = 1) -> OracleReport:
+    spinors = all_spinors(p)
+    checks = 0
+    failures: list[str] = []
+    for hs in spinors:
+        h = BasicTransform(hs.zeta, hs.alpha)
+        hm = oracle.h_matrix(h)
+        hd = hm.dagger()
+        for s in spinors:
+            for factor in (h, h.inverted()):
+                checks += 1
+                out = oracle.conjugate(factor, PhasedSpinor(0, s))
+                m = oracle.to_matrix(s)
+                lhs = (hd @ m) @ hm if factor.inverse else (hm @ m) @ hd
+                if lhs != oracle.to_matrix(out).scaled(2):
+                    failures.append(f"conjugation mismatch: {factor} on {s}")
+                    if len(failures) >= max_failures:
+                        return OracleReport(False, checks, failures)
+    return OracleReport(not failures, checks, failures)
+
+
+# ---------------------------------------------------------------------------
+# faults: each corrupts one answer of one rule at width p
+
+
+def _pair(p: int) -> tuple[Spinor, Spinor]:
+    spinors = all_spinors(p)
+    return spinors[len(spinors) // 2 + 1], spinors[-2]
+
+
+def inject_product_phase(monkeypatch, s0: Spinor, t0: Spinor) -> None:
+    real = oracle.product
+
+    def product(s, t):
+        out = real(s, t)
+        return PhasedSpinor(out.i_exp + 1, out.body) if (s, t) == (s0, t0) else out
+
+    monkeypatch.setattr(oracle, "product", product)
+
+
+def inject_commutes_flip(monkeypatch, s0: Spinor) -> None:
+    """s0 reported to anti-commute with itself: both the commutator and the
+    anti-commutator check must object."""
+    real = oracle.commutes
+    monkeypatch.setattr(oracle, "commutes", lambda s, t: real(s, t) ^ (s == t == s0))
+
+
+def inject_bi_add_body(monkeypatch, s0: Spinor, t0: Spinor) -> None:
+    real = oracle.bi_add
+
+    def bi_add(s, t):
+        out = real(s, t)
+        return Spinor(out.zeta ^ BitWord(1, s.p), out.alpha) if (s, t) == (s0, t0) else out
+
+    monkeypatch.setattr(oracle, "bi_add", bi_add)
+
+
+def inject_conjugate_phase(monkeypatch, h0: Spinor, s0: Spinor) -> None:
+    """h'[h0] on s0 comes back with the wrong sign; h[h0] stays right."""
+    real = oracle.conjugate
+
+    def conjugate(h, s):
+        out = real(h, s)
+        hit = h.inverse and h.spinor == h0 and s.body == s0
+        return PhasedSpinor(out.i_exp + 2, out.body) if hit else out
+
+    monkeypatch.setattr(oracle, "conjugate", conjugate)
+
+
+def inject_matrix_entry(monkeypatch, target: Spinor) -> None:
+    """One entry of one spinor's matrix is off by one; a phased argument gets
+    i^k times the corrupted matrix, as the realization is linear in phase."""
+    real = oracle.to_matrix
+
+    def to_matrix(ps):
+        ps = ps if isinstance(ps, PhasedSpinor) else PhasedSpinor(0, ps)
+        m = real(ps.body)
+        if ps.body == target:
+            m.re[0, -1] += 1
+        return m.times_i_pow(ps.i_exp)
+
+    monkeypatch.setattr(oracle, "to_matrix", to_matrix)
+
+
+FAULTS = {
+    "product_phase": lambda mp, p: inject_product_phase(mp, *_pair(p)),
+    "commutes_flip": lambda mp, p: inject_commutes_flip(mp, _pair(p)[0]),
+    "bi_add_body": lambda mp, p: inject_bi_add_body(mp, *_pair(p)),
+    "conjugate_phase": lambda mp, p: inject_conjugate_phase(mp, *_pair(p)),
+    "matrix_entry": lambda mp, p: inject_matrix_entry(mp, _pair(p)[1]),
+}
+
+
+@pytest.mark.parametrize("max_failures", [1, 3])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+def test_batched_oracle_matches_reference(monkeypatch, fault, p, max_failures):
+    if fault is not None:
+        FAULTS[fault](monkeypatch, p)
+    got = (check_products(p, max_failures), check_conjugations(p, max_failures))
+    want = (reference_products(p, max_failures), reference_conjugations(p, max_failures))
+    assert got == want
+    products, conjugations = got
+    merged = products.merge(conjugations)
+    if fault is None:
+        assert merged.ok and merged.checks == 3 * 16**p and not merged.failures
+    else:
+        assert not merged.ok and merged.failures
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_each_fault_is_caught_by_the_right_check(monkeypatch, fault):
+    FAULTS[fault](monkeypatch, 2)
+    products, conjugations = check_products(2, 9), check_conjugations(2, 9)
+    if fault == "conjugate_phase":
+        assert products.ok and not conjugations.ok
+    elif fault == "matrix_entry":
+        assert not products.ok and not conjugations.ok
+    else:
+        assert not products.ok and conjugations.ok
+
+
+def test_p3_product_injection_names_its_first_witness(monkeypatch):
+    inject_product_phase(monkeypatch, S("S[001|011]"), S("S[010|101]"))
+    report = check_products(3)
+    # (alpha << 3 | zeta) is 25 for the left factor and 42 for the right one
+    assert report == OracleReport(
+        False, 25 * 64 + 42 + 1, ["product mismatch at S[001|011] * S[010|101]"]
+    )
+    assert str(report) == (
+        "oracle FAIL: 1643 exact matrix checks\nproduct mismatch at S[001|011] * S[010|101]"
+    )
+
+
+def test_p3_conjugation_injection_names_its_first_witness(monkeypatch):
+    inject_conjugate_phase(monkeypatch, S("S[011|110]"), S("S[101|001]"))
+    # h index 6 << 3 | 3 = 51, spinor index 1 << 3 | 5 = 13, inverted factor last
+    assert check_conjugations(3, max_failures=4) == OracleReport(
+        False, 2 * 16**3, ["conjugation mismatch: h'[011|110] on S[101|001]"]
+    )
+    assert check_conjugations(3) == OracleReport(
+        False, 51 * 128 + 2 * 13 + 2, ["conjugation mismatch: h'[011|110] on S[101|001]"]
+    )
+
+
+def test_fewer_failures_than_the_limit_still_fail(monkeypatch):
+    """A run that stops short of max_failures must not report a pass."""
+    inject_product_phase(monkeypatch, S("S[001|011]"), S("S[010|101]"))
+    report = check_products(3, max_failures=5)
+    assert report == OracleReport(False, 4096, ["product mismatch at S[001|011] * S[010|101]"])
+    assert str(report).startswith("oracle FAIL: 4096 exact matrix checks\n")
+    assert not report.merge(check_conjugations(3)).ok

@@ -320,6 +320,12 @@ def test_label_errors():
         parse_label("C^{1}_{[000]}")
 
 
+@pytest.mark.parametrize("label", ["C_[00,000]", "C^{101}_{[01,100]}", "C^{101}_{[100,01]}"])
+def test_label_with_mixed_width_alpha_words_is_rejected(label):
+    with pytest.raises(ValueError, match="differ in width"):
+        parse_label(label)
+
+
 def test_bisubalgebra_validation():
     c = intrinsic_cartan(2)
     with pytest.raises(ValueError):
