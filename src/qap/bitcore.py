@@ -188,10 +188,7 @@ class BitSubgroup:
 
     def members(self) -> list[BitWord]:
         """All 2^rank members in ascending order."""
-        vals = [0]
-        for b in self.basis:
-            vals += [v ^ b.bits for v in vals]
-        return [BitWord(v, self.p) for v in sorted(vals)]
+        return [BitWord(v, self.p) for v in self.member_bits()]
 
     def member_bits(self) -> list[int]:
         vals = [0]

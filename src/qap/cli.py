@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import extension, oracle, partition, transform
-from .extension import count_kind, count_total, enumerate_all
+from .extension import enumerate_all
 from .partition import build_qap, cell_label, qap_to_json, render_table, verify_closure
 from .subalgebra import CartanSubalgebra, parse_label
 
@@ -42,16 +42,16 @@ TABLE_ALIASES = {
 }
 
 
-DEFAULT_P = 3
+DEFAULT_P, DEFAULT_SEED, DEFAULT_N = 3, 0, 100
 
 
 @dataclass
 class RunConfig:
     p: Optional[int] = DEFAULT_P  # None: a label command takes p from its label
     fmt: str = "text"
-    seed: int = 0
+    seed: Optional[int] = None  # None: not given, a sampling command uses DEFAULT_SEED
     out: Optional[str] = None
-    n: int = 100
+    n: Optional[int] = None  # None: not given, a sampling command uses DEFAULT_N
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -67,9 +67,12 @@ def _guard(command: str, p: int) -> None:
         raise SystemExit2(f"{command} is guarded to 1 <= p <= {GUARDS[command]}")
 
 
-def _require_trials(n: int) -> None:
+def _trials(cfg: RunConfig) -> tuple[int, int]:
+    """(--n, --seed) with their defaults filled in; --n must be at least 1."""
+    n = DEFAULT_N if cfg.n is None else cfg.n
     if n < 1:
         raise SystemExit2(f"--n must be at least 1, got {n}")
+    return n, DEFAULT_SEED if cfg.seed is None else cfg.seed
 
 
 class SystemExit2(Exception):
@@ -88,10 +91,6 @@ def cmd_count(cfg: RunConfig) -> int:
     _guard("count", cfg.p)
     atlas = enumerate_all(cfg.p)  # raises if enumeration != closed form
     enumerated = [len(atlas.by_kind[k]) for k in range(cfg.p + 1)]
-    closed = [count_kind(cfg.p, k) for k in range(cfg.p + 1)]
-    if enumerated != closed or atlas.total != count_total(cfg.p):
-        _emit(cfg, f"count mismatch: enumerated {enumerated}, closed form {closed}")
-        return FAIL
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({"p": cfg.p, "by_kind": enumerated, "total": atlas.total}))
     elif cfg.fmt == "csv":
@@ -151,13 +150,12 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     _guard("verify", cfg.p)
-    _require_trials(cfg.n)
-    if cfg.p <= 3:
-        members = list(enumerate_all(cfg.p).members())
-    else:
-        atlas = enumerate_all(cfg.p)
-        pool = list(atlas.members())
-        members = random.Random(cfg.seed).sample(pool, min(cfg.n, len(pool)))
+    n, seed = _trials(cfg)
+    if cfg.p <= 3 and (cfg.n is not None or cfg.seed is not None):
+        raise SystemExit2("verify checks every partition at p <= 3; --n and --seed apply from p = 4")
+    members = list(enumerate_all(cfg.p).members())
+    if cfg.p > 3:
+        members = random.Random(seed).sample(members, min(n, len(members)))
     checked = 0
     for c in members:
         q = build_qap(c, verify=False)
@@ -199,13 +197,13 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_connect(cfg: RunConfig) -> int:
     _guard("connect", cfg.p)
-    _require_trials(cfg.n)
+    n, seed = _trials(cfg)
     atlas = enumerate_all(cfg.p)
     members = list(atlas.members())
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     qap_cache: dict[CartanSubalgebra, partition.QAPartition] = {}
     done = 0
-    for _ in range(cfg.n):
+    for _ in range(n):
         c = rng.choice(members)
         if c not in qap_cache:
             qap_cache[c] = build_qap(c)
@@ -216,7 +214,7 @@ def cmd_connect(cfg: RunConfig) -> int:
             _emit(cfg, f"connector FAILED after {done} sequences: {exc}")
             return FAIL
         done += 1
-    _emit(cfg, f"{done}/{cfg.n} sequences connected at p={cfg.p} (seed {cfg.seed})")
+    _emit(cfg, f"{done}/{n} sequences connected at p={cfg.p} (seed {seed})")
     return PASS
 
 
@@ -260,9 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"word width (default {DEFAULT_P}); a label command checks it against the label",
         )
         sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"seed of randomized audits (default {DEFAULT_SEED})")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--n", type=int, default=100, help="trial count for randomized audits")
+        sp.add_argument("--n", type=int, default=None,
+                        help=f"trial count for randomized audits (default {DEFAULT_N})")
         return sp
 
     add("count", "Cartan subalgebra counts by kind, enumeration vs closed form")

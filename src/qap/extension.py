@@ -10,21 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .bitcore import (
-    BitWord,
-    InvariantError,
-    gf2_echelon,
-    gf2_nullspace,
-    gf2_reduce,
-    maximal_subgroups,
-)
+from .bitcore import BitWord, InvariantError, gf2_echelon, gf2_reduce
 from .partition import union_is_cartan
 from .subalgebra import (
     CartanSubalgebra,
     SpinorSet,
-    commutant_rows,
+    conjugate_pair_keys,
+    coset_leaders,
     intrinsic_cartan,
-    phase_type_generator_keys,
+    keys_commute,
 )
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
@@ -79,30 +73,13 @@ def extend_shell(c: CartanSubalgebra) -> set[CartanSubalgebra]:
 
 def _phase_pairs(c: CartanSubalgebra):
     """(B keys, W keys, W-hat keys) for every phase-type maximal
-    bi-subalgebra of c, pairs computed by coset translation from one
-    commutant solve on the generator keys (no object construction, no
-    membership scans)."""
+    bi-subalgebra B of c: the cosets of c whose commutant in c misses a
+    diagonal element, that is, whose leader anti-commutes with one."""
     p = c.p
-    c_keys = c.elements.keys
-    for kernel in maximal_subgroups(c.diag_phase_group):
-        for choice in range(1 << c.kind):
-            gen_keys = phase_type_generator_keys(c, kernel, choice)
-            b_keys = [0]
-            for g in gen_keys:
-                b_keys += [v ^ g for v in b_keys]
-            rows = commutant_rows(gen_keys, p)
-            s0 = 0
-            for v in gf2_nullspace(rows, 2 * p):
-                if v not in c_keys:
-                    s0 = v
-                    break
-            if not s0:
-                raise InvariantError("pair representative must exist")
-            b_set = frozenset(b_keys)
-            t = s0 ^ next(iter(c_keys - b_set))
-            w = frozenset(s0 ^ k for k in b_keys)
-            w_hat = frozenset(t ^ k for k in b_keys)
-            yield b_set, w, w_hat
+    diag = gf2_echelon(k for k in c.elements.keys if k >> p == 0)
+    for leader in coset_leaders(c):
+        if not all(keys_commute(leader, d, p) for d in diag):
+            yield conjugate_pair_keys(c, leader)
 
 
 def extend_shell_via_qap(c: CartanSubalgebra) -> set[CartanSubalgebra]:
@@ -232,17 +209,6 @@ def class_connector(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalge
     return circuit, rep, mu
 
 
-def _mu_bit(mu: str, p: int, i: int, j: int) -> int:
-    """epsilon_ij from the row-major upper-triangle string, 0-based i<j."""
-    pos = 0
-    for a in range(p):
-        for b in range(a + 1, p):
-            if (a, b) == (i, j):
-                return int(mu[pos])
-            pos += 1
-    raise IndexError((i, j))
-
-
 def nonlocal_connector(
     c1: CartanSubalgebra, c2: CartanSubalgebra
 ) -> tuple[SymbolicCircuit, CartanSubalgebra]:
@@ -253,13 +219,13 @@ def nonlocal_connector(
     p = c1.p
     if c1.p != c2.p:
         raise ValueError("width mismatch")
-    se1, mu1 = mutual_parity(c1)
+    se1 = mutual_parity(c1).se
     se2, mu2 = mutual_parity(c2)
     flips = [0] * p
     factors = []
     for i in range(p):
         for j in range(i + 1, p):
-            if _mu_bit(mu1, p, i, j) != _mu_bit(mu2, p, i, j):
+            if c1.parity_table[i][j] != c2.parity_table[i][j]:
                 factors.append(
                     BasicTransform(BitWord((1 << i) | (1 << j), p), BitWord.zero(p))
                 )

@@ -1,9 +1,9 @@
 """Rank-zero quotient-algebra partitions and their verifiers.
 
 A partition holds 2^(p+1) conditioned subspaces keyed by (maximal
-bi-subalgebra index, epsilon).  Cell labels follow one global convention:
-the half of each conjugate pair containing the pair's smallest spinor is
-W^1.  The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is checked
+bi-subalgebra index, epsilon).  In each index-basis pair (index a power
+of two) the half holding the pair's smallest spinor is W^1; every other
+pair takes the labels the closure law forces.  The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is checked
 at build time on every anti-commuting spinor pair, by one vectorised numpy
 sweep that stays exhaustive; index arithmetic is XOR throughout.
 """
@@ -49,19 +49,14 @@ class ConjugatePair:
 
 
 def conjugate_pair_of(c: CartanSubalgebra, b: BiSubalgebra) -> ConjugatePair:
-    """Bisect the commutant coset of b; the half holding the smallest
-    spinor satisfies the coset rule into b and is returned as w."""
+    """The coset of c whose commutant in c is b, bisected by b; the half
+    holding the coset's smallest spinor is returned as w."""
     if b.parent != c:
         raise ValueError("bi-subalgebra does not belong to this Cartan subalgebra")
     if not b.is_maximal():
         raise ValueError("not a maximal bi-subalgebra")
-    if b.is_whole:
-        return ConjugatePair(b, c.elements, SpinorSet(c.p))
-    from .subalgebra import _pair_keys
-
-    leader = min(_pair_keys(c, b))
-    w = b.elements.translate(leader)
-    w_hat = (c.elements - b.elements).translate(leader)
+    maxbi = all_maximal(c)
+    w, w_hat = maxbi.halves[maxbi.index_of(b)]
     return ConjugatePair(b, w, w_hat)
 
 
@@ -100,52 +95,36 @@ class QAPartition:
 
 
 def build_qap(c: CartanSubalgebra, verify: bool = True) -> QAPartition:
-    """Assemble all conjugate pairs and label their halves.
+    """Label the halves of the 2^p conjugate pairs that c's cosets form.
 
-    The p index-basis pairs anchor the labeling (the half holding the
-    pair's smallest spinor is W^1); every composite pair inherits its
-    label from an actual commutator product out of already-labeled cells,
-    so the closure law holds by construction triple-by-triple.  Global
+    Pair i is the coset leaders[i] + c of MaxBiGroup, bisected into
+    W = leader + B_i and W-hat = leader + (c - B_i).  The index-basis
+    pairs anchor the labeling: W, the half holding the pair's smallest
+    spinor, is W^1.  A composite pair i takes its label from one
+    commutator product: x, the leader of the lowest index bit i1, lies in
+    W^1(B_i1), and the first y of pair i ^ i1 that anti-commutes with x
+    puts x ^ y in W^(1+e)(B_i), e the label of y's half.  Global
     consistency is then asserted by a full verification sweep.
     """
     maxbi = all_maximal(c)
     p = c.p
-    cells: dict[CellKey, SpinorSet] = {
-        (0, 1): c.elements,
-        (0, 0): SpinorSet(c.p),
-    }
-    for i in range(1, 1 << p):
-        b = maxbi.members[i]
-        leader = maxbi.leaders[i]
-        w = b.elements.translate(leader)
-        w_hat = (c.elements - b.elements).translate(leader)
-        if i & (i - 1) == 0:  # index-basis pair: lex-smallest spinor goes to W^1
+    cells: dict[CellKey, SpinorSet] = {}
+    for i, (w, w_hat) in enumerate(maxbi.halves):
+        if i & (i - 1) == 0:  # the center and the index-basis pairs
             cells[(i, 1)], cells[(i, 0)] = w, w_hat
             continue
         i1 = i & -i
-        i2 = i ^ i1
-        placed = False
-        for e1 in (1, 0):
-            for e2 in (1, 0):
-                for x in cells[(i1, e1)].keys:
-                    for y in cells[(i2, e2)].keys:
-                        if keys_commute(x, y, p):
-                            continue
-                        eps = e1 ^ e2
-                        if (x ^ y) in w.keys:
-                            cells[(i, eps)], cells[(i, 1 - eps)] = w, w_hat
-                        else:
-                            cells[(i, eps)], cells[(i, 1 - eps)] = w_hat, w
-                        placed = True
-                        break
-                    if placed:
-                        break
-                if placed:
-                    break
-            if placed:
-                break
-        if not placed:
+        x = maxbi.leaders[i1]
+        product = next(
+            ((e, x ^ y) for e in (1, 0) for y in cells[(i ^ i1, e)].keys
+             if not keys_commute(x, y, p)),
+            None,
+        )
+        if product is None:
             raise ClosureError(f"no anti-commuting product reaches pair {i}")
+        e, xy = product
+        eps = (1 ^ e) if xy in w.keys else e
+        cells[(i, eps)], cells[(i, 1 - eps)] = w, w_hat
     q = QAPartition(c, maxbi, cells)
     if verify:
         report = verify_closure(q)

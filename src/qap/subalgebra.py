@@ -19,10 +19,9 @@ from .bitcore import (
     gf2_echelon,
     gf2_nullspace,
     gf2_reduce,
-    maximal_subgroups,
     solve_affine,
 )
-from .spinor import Spinor, bi_add, commutes
+from .spinor import Spinor, commutes
 
 
 def pack(zeta_bits: int, alpha_bits: int, p: int) -> int:
@@ -75,9 +74,6 @@ class SpinorSet:
     def spinors(self) -> list[Spinor]:
         return [spinor_of_key(k, self.p) for k in sorted(self.keys)]
 
-    def translate(self, key: int) -> "SpinorSet":
-        return SpinorSet(self.p, (key ^ k for k in self.keys))
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -113,12 +109,6 @@ def _span_keys(gen_keys: Iterable[int]) -> frozenset[int]:
     for g in gf2_echelon(gen_keys):
         vals += [v ^ g for v in vals]
     return frozenset(vals)
-
-
-def is_closed_group(s: SpinorSet) -> bool:
-    if 0 not in s.keys:
-        return False
-    return _span_keys(s.keys) == s.keys
 
 
 def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
@@ -228,14 +218,6 @@ class CartanSubalgebra:
             z = self.phase_block(a.bits)[0]
             out.append(Spinor(BitWord(z, self.p), a))
         return tuple(out)
-
-    @cached_property
-    def group_generators(self) -> tuple[Spinor, ...]:
-        """p independent generators of the full set under bi-addition."""
-        diag = tuple(
-            Spinor(z, BitWord.zero(self.p)) for z in self.diag_phase_group.basis
-        )
-        return diag + self.generators
 
     @cached_property
     def parity_table(self) -> tuple[tuple[int, ...], ...]:
@@ -403,73 +385,84 @@ def sqcap(b1: BiSubalgebra, b2: BiSubalgebra) -> BiSubalgebra:
     return BiSubalgebra(SpinorSet(b1.p, inner | outer), b1.parent)
 
 
-def commutant_rows(gen_keys: Iterable[int], p: int) -> list[int]:
-    """Constraint rows whose GF(2) kernel is the commutant of the given keys."""
-    return [swap_key(k, p) for k in gen_keys]
+def commuting_keys(c: CartanSubalgebra, key: int) -> frozenset[int]:
+    """Keys of the elements of c that commute with the spinor key."""
+    # [x, y] is the parity of swap(x) & y, so one AND per element
+    swapped = swap_key(key, c.p)
+    return frozenset(k for k in c.elements.keys if (swapped & k).bit_count() & 1 == 0)
+
+
+def coset_leaders(c: CartanSubalgebra) -> list[int]:
+    """The smallest key of each of the 2^p cosets of c, by member index.
+
+    A leader has every pivot bit of c's reduced echelon basis clear, and
+    leader i spells i in its other p bits, read in ascending order; so
+    leaders[i] ^ leaders[j] == leaders[i ^ j] and leaders[0] == 0.
+    """
+    pivots = 0
+    for row in gf2_echelon(c.elements.keys):
+        pivots |= 1 << (row.bit_length() - 1)
+    leaders = [0]
+    for bit in range(2 * c.p):
+        if not (pivots >> bit) & 1:
+            leaders += [v | (1 << bit) for v in leaders]
+    return leaders
+
+
+def conjugate_pair_keys(
+    c: CartanSubalgebra, leader: int
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(B, W, W-hat) keys of the coset leader + c.
+
+    B, the elements of c that commute with the coset, is a maximal
+    bi-subalgebra of c, and the coset is its conjugate pair, bisected into
+    W = leader + B and W-hat = leader + (c - B).  The zero coset gives
+    (c, c, {}).
+    """
+    b = commuting_keys(c, leader)
+    w = frozenset(leader ^ k for k in b)
+    w_hat = frozenset(leader ^ k for k in c.elements.keys - b)
+    return b, w, w_hat
 
 
 class MaxBiGroup:
-    """The 2^p maximal bi-subalgebras of a Cartan subalgebra under sqcap.
+    """The 2^p maximal bi-subalgebras of a Cartan subalgebra under sqcap,
+    read off the cosets of the subalgebra.
 
-    Member indices are XOR-compatible: index(b1 sqcap b2) = index(b1) ^
-    index(b2), with index 0 the parent itself.  The index of a proper
-    member is assigned through the quotient of the full spinor group by
-    the parent: each conjugate-pair coset is led by its smallest spinor,
-    and a greedy basis over the coset leaders gets weights 1, 2, 4, ...
-    (For the intrinsic subalgebra this reproduces B_alpha -> alpha.)
+    A Cartan subalgebra c is a maximal isotropic subgroup of the 4^p
+    spinor keys, so its 2^p cosets v + c match its 2^p maximal
+    bi-subalgebras one to one: B_v = {x in c : [v, x] = 0}, and v + c is
+    B_v's conjugate pair.  Member i is B_v for v = leaders[i], the
+    smallest key of its coset (see coset_leaders), and halves[i] holds
+    (W, W-hat) of that pair.  Since the leaders are XOR-linear in i and
+    B_u sqcap B_v = B_(u+v), index(b1 sqcap b2) = index(b1) ^ index(b2),
+    with index 0 the parent itself.  (For the intrinsic subalgebra this
+    reproduces B_alpha -> alpha.)
     """
 
-    __slots__ = ("parent", "members", "leaders", "_index_by_keys")
+    __slots__ = ("parent", "members", "leaders", "halves", "_index_by_keys")
 
-    def __init__(self, parent, members, leaders, index_by_keys):
+    def __init__(self, parent, members, leaders, halves):
         self.parent = parent
         self.members = members
         self.leaders = leaders
-        self._index_by_keys = index_by_keys
+        self.halves = halves
+        self._index_by_keys = {b.elements.keys: i for i, b in enumerate(members)}
 
     @classmethod
     def build(cls, c: CartanSubalgebra) -> "MaxBiGroup":
         p = c.p
-        proper: list[BiSubalgebra] = []
-        if c.kind >= 1:
-            for sub in maximal_subgroups(c.alpha_group):
-                proper.append(bit_type_maximal(c, sub))
-        diag = c.diag_phase_group
-        for kernel in maximal_subgroups(diag):
-            for choice in range(1 << c.kind):
-                proper.append(phase_type_maximal(c, kernel, choice))
-        seen = {}
-        for b in proper:
-            seen.setdefault(b.elements.keys, b)
-        proper = list(seen.values())
-        if len(proper) != (1 << p) - 1:
-            raise AssertionError(
-                f"expected {(1 << p) - 1} proper maximal bi-subalgebras, got {len(proper)}"
-            )
-
-        c_rows = gf2_echelon(c.elements.keys)
-        with_leaders = sorted(
-            (min(_pair_keys(c, b)), b) for b in proper
-        )
-        rep_to_index = {0: 0}
-        basis_weight = 1
-        indexed: dict[int, BiSubalgebra] = {}
-        leader_by_index: dict[int, int] = {0: 0}
-        for leader, b in with_leaders:
-            rep = gf2_reduce(leader, c_rows)
-            if rep not in rep_to_index:
-                w = basis_weight
-                basis_weight <<= 1
-                rep_to_index.update(
-                    {gf2_reduce(r ^ rep, c_rows): i | w for r, i in rep_to_index.items()}
+        leaders = coset_leaders(c)
+        members, halves = [], []
+        for i, leader in enumerate(leaders):
+            b, w, w_hat = conjugate_pair_keys(c, leader)
+            if i and len(b) != 1 << (p - 1):
+                raise InvariantError(
+                    f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements"
                 )
-            idx = rep_to_index[rep]
-            indexed[idx] = b
-            leader_by_index[idx] = leader
-        members = [BiSubalgebra(c.elements, c)] + [indexed[i] for i in range(1, 1 << p)]
-        leaders = [leader_by_index[i] for i in range(1 << p)]
-        index_by_keys = {b.elements.keys: i for i, b in enumerate(members)}
-        return cls(c, members, leaders, index_by_keys)
+            members.append(BiSubalgebra(SpinorSet(p, b), c))
+            halves.append((SpinorSet(p, w), SpinorSet(p, w_hat)))
+        return cls(c, members, leaders, halves)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -480,42 +473,15 @@ class MaxBiGroup:
     def index_of(self, b: BiSubalgebra) -> int:
         return self._index_by_keys[b.elements.keys]
 
-    def sqcap_index(self, i: int, j: int) -> int:
-        return i ^ j
-
-
-def _pair_keys(c: CartanSubalgebra, b: BiSubalgebra) -> list[int]:
-    """Packed keys of the conjugate-pair subspace determined by b.
-
-    Solved constructively: the commutant of b's generators is a subgroup
-    of dimension p+1 containing c; the pair is its complement in that
-    subgroup (never a scan over all 4^p spinors).
-    """
-    p = c.p
-    gen_rows = commutant_rows(gf2_echelon(b.elements.keys), p)
-    null_basis = gf2_nullspace(gen_rows, 2 * p)
-    sols = [0]
-    for v in null_basis:
-        sols += [s ^ v for s in sols]
-    return [k for k in sols if k not in c.elements.keys]
-
 
 def all_maximal(c: CartanSubalgebra) -> MaxBiGroup:
     return MaxBiGroup.build(c)
 
 
 def commuting_bisubalgebra(s: Spinor, c: CartanSubalgebra) -> BiSubalgebra:
-    """The unique maximal bi-subalgebra of c commuting with s, built from a
-    generator cut rather than a membership scan."""
-    gens = c.group_generators
-    anti = [g for g in gens if not commutes(s, g)]
-    if not anti:
-        return BiSubalgebra(c.elements, c)
-    head = anti[0]
-    cut = [g for g in gens if commutes(s, g)]
-    cut += [bi_add(head, a) for a in anti[1:]]
-    keys = _span_keys(key_of(g) for g in cut) if cut else frozenset([0])
-    return BiSubalgebra(SpinorSet(c.p, keys), c)
+    """The unique maximal bi-subalgebra of c commuting with s: the kernel
+    of the commutation form with s on c."""
+    return BiSubalgebra(SpinorSet(c.p, commuting_keys(c, key_of(s))), c)
 
 
 # ---------------------------------------------------------------------------

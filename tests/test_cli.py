@@ -59,10 +59,10 @@ def test_guard_violations_are_usage_errors(capsys):
 
 def test_invariant_failures_exit_1(capsys, monkeypatch):
     import qap.cli
+    import qap.extension
 
-    monkeypatch.setattr(qap.cli, "count_kind", lambda p, k: 0)
-    code, out = run(capsys, "count", "--p", "2")
-    assert code == 1 and "mismatch" in out
+    monkeypatch.setattr(qap.extension, "count_kind", lambda p, k: 0)
+    assert run(capsys, "count", "--p", "2")[0] == 1
 
     from qap.oracle import OracleReport
 
@@ -155,6 +155,24 @@ def test_verify_p3_stdout_is_pinned(capsys):
     code, out = run(capsys, "verify", "--p", "3")
     assert code == 0
     assert out == "verify pass: 135 partitions at p=3, 136080 anti-commuting pairs checked\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--p", "3", "--n", "5", "--seed", "9"),
+        ("verify", "--p", "3", "--n", "5"),
+        ("verify", "--p", "1", "--seed", "0"),
+        ("verify", "--n", "100"),
+    ],
+)
+def test_verify_rejects_sampling_flags_where_it_checks_every_partition(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: verify checks every partition at p <= 3; --n and --seed apply from p = 4\n"
+    )
 
 
 @pytest.mark.parametrize("cell", ["B:9/eps:1", "B:1/eps:2", "B:-1/eps:0", "B:8/eps:0"])
