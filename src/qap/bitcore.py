@@ -74,28 +74,6 @@ def gf2_nullspace(rows: Sequence[int], width: int) -> list[int]:
     return out
 
 
-def gf2_solve(rows: Sequence[int], rhs: Sequence[int], width: int) -> Optional[int]:
-    """One solution of the affine system parity(x & row_i) = rhs_i, or None."""
-    work: list[tuple[int, int]] = []  # (row, rhs) with distinct leading bits
-    for row, b in zip(rows, rhs):
-        b &= 1
-        for wr, wb in work:
-            if row ^ wr < row:
-                row ^= wr
-                b ^= wb
-        if row:
-            work.append((row, b))
-            work.sort(reverse=True)
-        elif b:
-            return None
-    x = 0
-    for row, b in sorted(work):  # smallest pivot upward
-        piv = row.bit_length() - 1
-        if ((x & row).bit_count() + b) & 1:
-            x ^= 1 << piv
-    return x
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -249,28 +227,29 @@ def cosets(h: BitSubgroup, g: BitSubgroup) -> list[Coset]:
     return out
 
 
-def solve_affine(constraints: Sequence[tuple[BitWord, int]], p: int) -> Optional[BitWord]:
-    """Lexicographically smallest x with dot(x, w_i) = b_i, or None.
+def solve_affine(constraints: Sequence[tuple[int, int]], p: int) -> Optional[int]:
+    """Lexicographically smallest p-bit x with parity(x & row_i) = b_i, or None.
 
-    Greedy from the most significant bit: each bit is pinned to 0 unless
-    that makes the system inconsistent.
+    Each row is eliminated on its lowest set bit, so a pivot bit depends
+    only on higher bits.  Fixing bits from the most significant down, every
+    free bit is then 0 and every pivot bit is forced, which is the minimum.
     """
     _check_width(p)
-    rows = []
-    rhs = []
-    for w, b in constraints:
-        if w.p != p:
-            raise ValueError(f"width mismatch: {w.p} vs {p}")
-        rows.append(w.bits)
-        rhs.append(b & 1)
-    if gf2_solve(rows, rhs, p) is None:
-        return None
-    bits = 0
-    for j in range(p - 1, -1, -1):  # j = bit position, MSB first
-        rows.append(1 << j)
-        rhs.append(0)
-        if gf2_solve(rows, rhs, p) is None:
-            rows[-1] = 1 << j
-            rhs[-1] = 1
-            bits |= 1 << j
-    return BitWord(bits, p)
+    pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (row, rhs)
+    for row, b in constraints:
+        if not 0 <= row < (1 << p):
+            raise ValueError(f"row {row:#x} out of range for width {p}")
+        b &= 1
+        while row and (row & -row) in pivots:
+            prow, pb = pivots[row & -row]
+            row, b = row ^ prow, b ^ pb
+        if row:
+            pivots[row & -row] = (row, b)
+        elif b:
+            return None
+    x = 0
+    for low in sorted(pivots, reverse=True):
+        row, b = pivots[low]
+        if ((x & row).bit_count() + b) & 1:
+            x |= low
+    return x

@@ -55,11 +55,15 @@ class RunConfig:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not cfg.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit2(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from None
 
 
 def _guard(command: str, p: int) -> None:
@@ -80,7 +84,11 @@ class SystemExit2(Exception):
 
 
 def _resolve_label(text: str, p: Optional[int]) -> CartanSubalgebra:
-    return parse_label(TABLE_ALIASES.get(text.replace(" ", ""), text), p=p)
+    """The subalgebra a label names; a label that names none is a usage error."""
+    try:
+        return parse_label(TABLE_ALIASES.get(text.replace(" ", ""), text), p=p)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,8 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
         raise SystemExit2(f"cannot parse cell {cell!r}; expected B:<i>/eps:<0|1>")
     if key not in q.cells:
         raise SystemExit2(f"no cell {cell!r} at p={c.p}; expected 0 <= i < {1 << c.p}, eps 0 or 1")
+    if key[0] == 0:
+        raise SystemExit2(f"cell {cell!r} is degrade; a co-quotient view needs B:<i> with i >= 1")
     view = partition.coquotient_view(q, key)
     lines = [f"center {cell_label(view.center)}"]
     lines.append(
@@ -304,10 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:  # a ValueError here is a library fault
         print(f"invariant failure: {exc}", file=sys.stderr)
         return FAIL
 

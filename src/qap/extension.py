@@ -12,13 +12,13 @@ from typing import Iterator, NamedTuple, Optional
 
 from .bitcore import BitWord, InvariantError, gf2_echelon, gf2_reduce
 from .partition import union_is_cartan
+from .spinor import key_text, keys_commute
 from .subalgebra import (
     CartanSubalgebra,
     SpinorSet,
     conjugate_pair_keys,
     coset_leaders,
     intrinsic_cartan,
-    keys_commute,
 )
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
@@ -154,7 +154,6 @@ def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     factors, one new independent partitioning direction per factor."""
     p = c.p
     factors = []
-    lifted = c
     span_rows = [w.bits for w in c.alpha_group.basis]
     for _ in range(p - c.kind):
         unit = next(
@@ -263,7 +262,7 @@ def atlas_jsonl(atlas: CartanAtlas) -> str:
                     "kind": k,
                     "eps_se": se,
                     "eps_mu": mu,
-                    "elements": [str(s) for s in c.elements.spinors()],
+                    "elements": [key_text(k, c.p) for k in sorted(c.elements.keys)],
                 },
                 sort_keys=True,
             )

@@ -21,6 +21,7 @@ from .spinor import (
     Spinor,
     bi_add,
     commutes,
+    key_of,
     product,
     to_matrix,
 )
@@ -68,9 +69,9 @@ def _realize(spinors: list[Spinor]) -> GaussianMatrix:
     return GaussianMatrix(np.stack([m.re for m in mats]), np.stack([m.im for m in mats]))
 
 
-def _gather(stack: GaussianMatrix, results: list[PhasedSpinor], p: int) -> GaussianMatrix:
+def _gather(stack: GaussianMatrix, results: list[PhasedSpinor]) -> GaussianMatrix:
     """i^k times the stacked matrix of each result's body, in result order."""
-    idx = np.array([(r.body.alpha.bits << p) | r.body.zeta.bits for r in results])
+    idx = np.array([key_of(r.body) for r in results])
     k = np.array([r.i_exp for r in results])
     c, s = _I_RE[k][:, None, None], _I_IM[k][:, None, None]
     re, im = stack.re[idx], stack.im[idx]
@@ -99,7 +100,7 @@ def check_products(p: int, max_failures: int = 1) -> OracleReport:
             [bi_add(s, t) == pr.body for t, pr in zip(spinors, prods)], dtype=bool
         )
         st, ts = m @ stack, stack @ m
-        prod_ok = _equal(st, _gather(stack, prods, p))
+        prod_ok = _equal(st, _gather(stack, prods))
         comm_bad = comm != _is_zero(st - ts)
         anti_bad = ~comm & ~_is_zero(st + ts)
         for j in map(int, np.flatnonzero(~prod_ok | comm_bad | anti_bad | ~sums_ok)):
@@ -135,7 +136,7 @@ def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
         ok = np.empty((len(spinors), 2), dtype=bool)
         for f, (factor, lhs) in enumerate(zip(factors, sandwiches)):
             outs = [conjugate(factor, PhasedSpinor(0, s)) for s in spinors]
-            ok[:, f] = _equal(lhs, _gather(stack, outs, p).scaled(2))
+            ok[:, f] = _equal(lhs, _gather(stack, outs).scaled(2))
         for flat in map(int, np.flatnonzero(~ok)):
             j, f = divmod(flat, 2)
             failures.append(f"conjugation mismatch: {factors[f]} on {spinors[j]}")

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .spinor import Spinor
+from .spinor import Spinor, key_of, key_text, keys_commute
 from .subalgebra import (
     BiSubalgebra,
     CartanSubalgebra,
@@ -24,8 +23,6 @@ from .subalgebra import (
     SpinorSet,
     all_maximal,
     is_cartan,
-    keys_commute,
-    spinor_of_key,
 )
 
 CellKey = tuple[int, int]  # (bi-subalgebra index in MaxBiGroup, epsilon)
@@ -80,8 +77,6 @@ class QAPartition:
         return self.cartan.p
 
     def cell_of(self, s: Spinor | int) -> CellKey:
-        from .subalgebra import key_of
-
         return self._cell_of_key[s if isinstance(s, int) else key_of(s)]
 
     def pair(self, index: int) -> ConjugatePair:
@@ -176,8 +171,8 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
             pair = (int(xs[h // ys.size, 0]), int(ys[h % ys.size]))
             (ka, x), (kb, y) = sorted((divmod(int(cid[k]), 2), k) for k in pair)
             failures.append(
-                f"[{cell_label(ka)}, {cell_label(kb)}]: {spinor_of_key(x, p)} x "
-                f"{spinor_of_key(y, p)} -> {spinor_of_key(x ^ y, p)} not in "
+                f"[{cell_label(ka)}, {cell_label(kb)}]: {key_text(x, p)} x "
+                f"{key_text(y, p)} -> {key_text(x ^ y, p)} not in "
                 f"{cell_label((ka[0] ^ kb[0], ka[1] ^ kb[1]))}"
             )
         if len(failures) >= max_failures:
@@ -250,7 +245,7 @@ def split_by_commutation(w1: SpinorSet, w2: SpinorSet) -> tuple[SpinorSet, Spino
             flags = {keys_commute(y, x, p) for x in half}
             if len(flags) > 1:
                 raise ValueError(
-                    f"{spinor_of_key(y, p)} relates non-uniformly to a sub-coset; "
+                    f"{key_text(y, p)} relates non-uniformly to a sub-coset; "
                     "inputs are not conditioned subspaces of one partition"
                 )
     return SpinorSet(p, aligned), SpinorSet(p, rest)
@@ -299,22 +294,22 @@ class DecompositionSequence:
 # table emission
 
 
-def _render_cell(cell: Iterable[Spinor]) -> str:
-    return ", ".join(s.display(hermitian_norm=True) for s in cell)
+def _render_cell(cell: SpinorSet) -> str:
+    return ", ".join(key_text(k, cell.p, hermitian_norm=True) for k in sorted(cell.keys))
 
 
 def render_table(q: QAPartition) -> str:
     """Text table: center header, one row per conjugate pair, then the
     complete maximal-bi-subalgebra list."""
-    lines = [q.cartan.label, "  " + _render_cell(q.cartan.elements.spinors()), ""]
+    lines = [q.cartan.label, "  " + _render_cell(q.cartan.elements), ""]
     n = 1 << q.p
     for i in range(1, n):
-        w = _render_cell(q.cells[(i, 1)].spinors())
-        w_hat = _render_cell(q.cells[(i, 0)].spinors())
+        w = _render_cell(q.cells[(i, 1)])
+        w_hat = _render_cell(q.cells[(i, 0)])
         lines.append(f"B_{i} | W: {w} | Ŵ: {w_hat}")
     lines.append("")
     for i in range(1, n):
-        b = _render_cell(q.maxbi.members[i].elements.spinors())
+        b = _render_cell(q.maxbi.members[i].elements)
         lines.append(f"B_{i} = {{ {b} }}")
     return "\n".join(lines) + "\n"
 
@@ -325,11 +320,11 @@ def qap_to_json(q: QAPartition) -> str:
         "p": q.p,
         "kind": q.cartan.kind,
         "cells": {
-            cell_label(key): [str(s) for s in cell.spinors()]
+            cell_label(key): [key_text(k, q.p) for k in sorted(cell.keys)]
             for key, cell in sorted(q.cells.items())
         },
         "maximal": {
-            f"B:{i}": [str(s) for s in q.maxbi.members[i].elements.spinors()]
+            f"B:{i}": [key_text(k, q.p) for k in sorted(q.maxbi.members[i].elements.keys)]
             for i in range(1 << q.p)
         },
     }

@@ -17,6 +17,47 @@ from .bitcore import BitWord, InvariantError, dot
 ORACLE_MAX_P = 6
 
 
+# ---------------------------------------------------------------------------
+# packed keys: S[zeta|alpha] is the int (alpha << p) | zeta, so numeric order
+# on keys is the canonical (alpha, zeta) order and bi-addition is plain XOR
+
+
+def pack(zeta_bits: int, alpha_bits: int, p: int) -> int:
+    return (alpha_bits << p) | zeta_bits
+
+
+def key_of(s: Spinor) -> int:
+    return (s.alpha.bits << s.p) | s.zeta.bits
+
+
+def spinor_of_key(key: int, p: int) -> Spinor:
+    mask = (1 << p) - 1
+    return Spinor(BitWord(key & mask, p), BitWord(key >> p, p))
+
+
+def swap_key(key: int, p: int) -> int:
+    """Exchange the zeta and alpha halves of a packed key."""
+    mask = (1 << p) - 1
+    return ((key & mask) << p) | (key >> p)
+
+
+def keys_commute(k1: int, k2: int, p: int) -> bool:
+    """The commutation rule: True iff the pair commutes, False iff it
+    anti-commutes, read off the parity of eta.alpha + zeta.beta."""
+    mask = (1 << p) - 1
+    a1, z1 = k1 >> p, k1 & mask
+    a2, z2 = k2 >> p, k2 & mask
+    return ((z2 & a1).bit_count() + (z1 & a2).bit_count()) & 1 == 0
+
+
+def key_text(key: int, p: int, hermitian_norm: bool = False) -> str:
+    """S[zeta|alpha], with the i-prefix of odd self parity when
+    hermitian_norm is set."""
+    zeta, alpha = key & ((1 << p) - 1), key >> p
+    text = f"S[{zeta:0{p}b}|{alpha:0{p}b}]"
+    return f"i·{text}" if hermitian_norm and (zeta & alpha).bit_count() & 1 else text
+
+
 @dataclass(frozen=True, order=False)
 class Spinor:
     """Generator with phase string zeta and binary partitioning alpha."""
@@ -31,12 +72,8 @@ class Spinor:
     def p(self) -> int:
         return self.alpha.p
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.alpha.bits, self.zeta.bits)
-
     def __lt__(self, other: "Spinor") -> bool:
-        return self.key < other.key
+        return key_of(self) < key_of(other)
 
     @classmethod
     def make(cls, zeta: str | int, alpha: str | int, p: int | None = None) -> "Spinor":
@@ -57,12 +94,10 @@ class Spinor:
         return cls(BitWord.parse(z), BitWord.parse(a))
 
     def __str__(self) -> str:
-        return f"S[{self.zeta}|{self.alpha}]"
+        return key_text(key_of(self), self.p)
 
     def display(self, hermitian_norm: bool = False) -> str:
-        if hermitian_norm and self_parity(self):
-            return f"i·{self}"
-        return str(self)
+        return key_text(key_of(self), self.p, hermitian_norm)
 
     @property
     def is_identity(self) -> bool:
@@ -106,7 +141,8 @@ def phased_product(s: PhasedSpinor, t: PhasedSpinor) -> PhasedSpinor:
 
 def commutes(s: Spinor, t: Spinor) -> bool:
     """True iff the pair commutes; False means it anti-commutes."""
-    return (dot(t.zeta, s.alpha) ^ dot(s.zeta, t.alpha)) == 0
+    s.alpha._match(t.alpha)
+    return keys_commute(key_of(s), key_of(t), s.p)
 
 
 def self_parity(s: Spinor) -> int:

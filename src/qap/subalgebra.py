@@ -1,8 +1,8 @@
 """Cartan subalgebras of every kind, bi-subalgebras, and the group G(C).
 
-Element sets are held as frozensets of packed integer keys; a spinor
-S[zeta|alpha] packs to (alpha << p) | zeta, so numeric order on keys is the
-canonical (alpha, zeta) order and bi-addition is plain XOR on keys.
+Element sets are held as frozensets of packed integer keys (see spinor);
+numeric order on keys is the canonical (alpha, zeta) order and bi-addition
+is plain XOR on keys.
 """
 
 from __future__ import annotations
@@ -21,33 +21,7 @@ from .bitcore import (
     gf2_reduce,
     solve_affine,
 )
-from .spinor import Spinor, commutes
-
-
-def pack(zeta_bits: int, alpha_bits: int, p: int) -> int:
-    return (alpha_bits << p) | zeta_bits
-
-
-def key_of(s: Spinor) -> int:
-    return (s.alpha.bits << s.p) | s.zeta.bits
-
-
-def spinor_of_key(key: int, p: int) -> Spinor:
-    mask = (1 << p) - 1
-    return Spinor(BitWord(key & mask, p), BitWord(key >> p, p))
-
-
-def swap_key(key: int, p: int) -> int:
-    """Exchange the zeta and alpha halves of a packed key."""
-    mask = (1 << p) - 1
-    return ((key & mask) << p) | (key >> p)
-
-
-def keys_commute(k1: int, k2: int, p: int) -> bool:
-    mask = (1 << p) - 1
-    a1, z1 = k1 >> p, k1 & mask
-    a2, z2 = k2 >> p, k2 & mask
-    return ((z2 & a1).bit_count() + (z1 & a2).bit_count()) & 1 == 0
+from .spinor import Spinor, commutes, key_of, keys_commute, pack, spinor_of_key, swap_key
 
 
 class SpinorSet:
@@ -589,10 +563,10 @@ def parse_label(text: str, p: Optional[int] = None) -> CartanSubalgebra:
             eps[r][s] = eps[s][r] = int(next(it))
     gens = []
     for i, a in enumerate(alpha_words):
-        constraints = [(alpha_words[j], eps[i][j]) for j in range(k)]
+        constraints = [(alpha_words[j].bits, eps[i][j]) for j in range(k)]
         z = solve_affine(constraints, width)
         if z is None:
             raise ValueError("inconsistent parity superscript")
-        gens.append(Spinor(z, a))
+        gens.append(Spinor(BitWord(z, width), a))
     c = CartanSubalgebra.from_generators(gens)
     return c

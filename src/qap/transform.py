@@ -13,17 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitcore import BitWord, InvariantError, dot, solve_affine
+from .bitcore import BitWord, InvariantError, dot, gf2_rank, solve_affine
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
     GaussianMatrix,
     PhasedSpinor,
     Spinor,
-    commutes,
-    self_parity,
+    key_of,
+    keys_commute,
+    pack,
+    spinor_of_key,
     to_matrix,
 )
-from .subalgebra import CartanSubalgebra, SpinorSet
+from .subalgebra import CartanSubalgebra, SpinorSet, intrinsic_cartan
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,10 @@ class BasicTransform:
         return Spinor(self.zeta, self.alpha)
 
     @property
+    def key(self) -> int:
+        return pack(self.zeta.bits, self.alpha.bits, self.p)
+
+    @property
     def is_local(self) -> bool:
         """Acts on a single tensor factor: one-bit alpha, or a diagonal
         rotation with one-bit zeta."""
@@ -66,15 +72,14 @@ def conjugate(h: BasicTransform, s: PhasedSpinor | Spinor) -> PhasedSpinor:
     if isinstance(s, Spinor):
         s = PhasedSpinor(0, s)
     body = s.body
-    if commutes(h.spinor, body):
+    h.alpha._match(body.alpha)
+    k = key_of(body)
+    if keys_commute(h.key, k, h.p):
         return s
     # exact coefficient i (-i)^(zeta.alpha) (-1)^(eta.alpha); the inverse
     # direction differs by a sign (h' s h = -(h s h'))
     extra = (3 if h.inverse else 1) + 3 * dot(h.zeta, h.alpha) + 2 * dot(body.zeta, h.alpha)
-    return PhasedSpinor(
-        s.i_exp + extra,
-        Spinor(body.zeta ^ h.zeta, body.alpha ^ h.alpha),
-    )
+    return PhasedSpinor(s.i_exp + extra, spinor_of_key(k ^ h.key, h.p))
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,15 @@ def conjugate_by_circuit(q: SymbolicCircuit, s: PhasedSpinor | Spinor) -> Phased
 
 def apply_circuit(q: SymbolicCircuit, x: SpinorSet) -> SpinorSet:
     """Elementwise conjugation with phases dropped (set identity is
-    phase-free)."""
-    if not len(x):
-        return x
-    out = x
+    phase-free): each factor h moves the keys that anti-commute with its
+    key by XOR and fixes the rest."""
+    p, keys = x.p, x.keys
     for f in q.factors:
-        out = SpinorSet.from_spinors(conjugate(f, s).body for s in out.spinors())
-    return out
+        if f.p != p:
+            raise ValueError("factor width mismatch")
+        hk = f.key
+        keys = [k if keys_commute(hk, k, p) else k ^ hk for k in keys]
+    return SpinorSet(p, keys)
 
 
 def apply_to_cartan(q: SymbolicCircuit, c: CartanSubalgebra) -> CartanSubalgebra:
@@ -159,29 +166,29 @@ def circuit_matrix(q: SymbolicCircuit, p: int) -> tuple[GaussianMatrix, int]:
 def build_R(c: CartanSubalgebra) -> SymbolicCircuit:
     """Diagonalizer: one factor per canonical generator S[xi_i|alpha_i],
     with phases solved from xi_i.alpha_j + zeta_j.alpha_i = delta_ij."""
-    gens = c.generators
+    p = c.p
+    gens = [(g.zeta.bits, g.alpha.bits) for g in c.generators]
     factors = []
-    for j, gj in enumerate(gens):
+    for j, (_, aj) in enumerate(gens):
         constraints = [
-            (gi.alpha, (1 if i == j else 0) ^ dot(gi.zeta, gj.alpha))
-            for i, gi in enumerate(gens)
+            (ai, (i == j) ^ ((zi & aj).bit_count() & 1)) for i, (zi, ai) in enumerate(gens)
         ]
-        z = solve_affine(constraints, c.p)
+        z = solve_affine(constraints, p)
         if z is None:
             raise AssertionError("diagonalizer system must be solvable")
-        factors.append(BasicTransform(z, gj.alpha))
+        factors.append(BasicTransform(BitWord(z, p), BitWord(aj, p)))
     return SymbolicCircuit(tuple(factors))
 
 
-def _cell_signature(cell: SpinorSet) -> tuple[BitWord, int]:
+def _cell_signature(cell: SpinorSet) -> tuple[int, int]:
     """(common binary partitioning, sigma) of a diagonal-partition cell
     W^sigma_alpha = {S[zeta|alpha] : zeta.alpha = 1 + sigma}."""
-    spinors = cell.spinors()
-    alpha = spinors[0].alpha
-    parities = {self_parity(s) for s in spinors}
-    if any(s.alpha != alpha for s in spinors) or len(parities) != 1:
+    p = cell.p
+    alphas = {k >> p for k in cell.keys}
+    parities = {(k & (k >> p)).bit_count() & 1 for k in cell.keys}
+    if len(alphas) != 1 or len(parities) != 1:
         raise ValueError("not a conditioned subspace of the diagonal subalgebra")
-    return alpha, 1 ^ parities.pop()
+    return alphas.pop(), 1 ^ parities.pop()
 
 
 def build_P(images: Sequence[SpinorSet]) -> SymbolicCircuit:
@@ -190,22 +197,18 @@ def build_P(images: Sequence[SpinorSet]) -> SymbolicCircuit:
     if not images:
         raise ValueError("need at least one image cell")
     p = images[0].p
-    constraints = []
-    for cell in images:
-        alpha, sigma = _cell_signature(cell)
-        constraints.append((alpha, sigma))
-    eta = solve_affine(constraints, p)
+    eta = solve_affine([_cell_signature(cell) for cell in images], p)
     if eta is None:
         raise AssertionError("parity system must be solvable for independent alphas")
-    return SymbolicCircuit.of(BasicTransform(eta, BitWord.zero(p)))
+    return SymbolicCircuit.of(BasicTransform(BitWord(eta, p), BitWord.zero(p)))
 
 
 def build_exchange_step(
-    src: BitWord, dst: BitWord, frozen: Sequence[BitWord] = ()
+    src: int, dst: int, p: int, frozen: Sequence[int] = ()
 ) -> SymbolicCircuit:
     """e = h[zeta|src+dst] h[eta|src+dst] moving W^eps_src onto W^eps_dst
     while leaving W^eps_f untouched for every frozen f and fixing the
-    diagonal subalgebra as a set.
+    diagonal subalgebra as a set; all words are p-bit ints.
 
     (eta, zeta) is the lexicographically smallest admissible pair, eta
     first; the parity rules are zeta.d = eta.d = (zeta+eta).src = 1 and
@@ -213,59 +216,53 @@ def build_exchange_step(
     """
     if src == dst:
         raise ValueError("exchange endpoints must differ")
-    p = src.p
     d = src ^ dst
-    for eta_bits in range(1 << p):
-        eta = BitWord(eta_bits, p)
-        if dot(eta, d) != 1:
+    for eta in range(1 << p):
+        if not (eta & d).bit_count() & 1:
             continue
-        constraints = [(d, 1), (src, 1 ^ dot(eta, src))]
-        constraints += [(f, dot(eta, f)) for f in frozen]
+        constraints = [(d, 1), (src, 1 ^ ((eta & src).bit_count() & 1))]
+        constraints += [(f, (eta & f).bit_count() & 1) for f in frozen]
         zeta = solve_affine(constraints, p)
         if zeta is not None:
+            dw = BitWord(d, p)
             return SymbolicCircuit.of(
-                BasicTransform(eta, d), BasicTransform(zeta, d)
+                BasicTransform(BitWord(eta, p), dw), BasicTransform(BitWord(zeta, p), dw)
             )
     raise ValueError("frozen constraints exhaust the solver's freedom")
 
 
-def build_E(current: Sequence[BitWord]) -> SymbolicCircuit:
-    """Exchange pipeline: step r moves the r-th cell partitioning onto the
-    unit word with bit r, freezing the already placed units."""
-    if not current:
+def build_E(alphas: Sequence[int], p: int) -> SymbolicCircuit:
+    """Exchange pipeline over p-bit int partitionings: step r moves the
+    r-th cell partitioning onto the unit word with printed bit r, freezing
+    the already placed units."""
+    if not alphas:
         raise ValueError("need at least one partitioning")
-    p = current[0].p
-    alphas = list(current)
-    placed: list[BitWord] = []
+    alphas = list(alphas)
+    placed: list[int] = []
     circuit = SymbolicCircuit()
     for r in range(len(alphas)):
-        target = BitWord.unit(p, r + 1)
+        target = 1 << (p - 1 - r)
         a = alphas[r]
         if a != target:
-            step = build_exchange_step(a, target, placed)
-            zeta, eta = step.factors[1].zeta, step.factors[0].zeta
-            shift = zeta ^ eta
+            step = build_exchange_step(a, target, p, placed)
+            shift = step.factors[0].zeta.bits ^ step.factors[1].zeta.bits
             for j in range(r, len(alphas)):
-                if dot(shift, alphas[j]):
-                    alphas[j] = alphas[j] ^ a ^ target
+                if (shift & alphas[j]).bit_count() & 1:
+                    alphas[j] ^= a ^ target
             circuit = circuit.then(step)
         if alphas[r] != target:
-            raise InvariantError(f"exchange step {r} did not place {target}")
+            raise InvariantError(f"exchange step {r} did not place {target:0{p}b}")
         placed.append(target)
     return circuit
 
 
 def referential_cell(p: int, r: int) -> SpinorSet:
-    """W^0 at the unit partitioning with bit r: odd-self-parity spinors."""
-    beta = BitWord.unit(p, r)
-    return SpinorSet(
-        p,
-        (
-            (beta.bits << p) | z
-            for z in range(1 << p)
-            if (z & beta.bits).bit_count() & 1
-        ),
-    )
+    """W^0 at the unit partitioning with printed bit r: odd-self-parity
+    spinors."""
+    if not 1 <= r <= p:
+        raise ValueError(f"position {r} out of 1..{p}")
+    beta = 1 << (p - r)
+    return SpinorSet(p, ((beta << p) | z for z in range(1 << p) if z & beta))
 
 
 def connect(seq: DecompositionSequence) -> SymbolicCircuit:
@@ -277,18 +274,14 @@ def connect(seq: DecompositionSequence) -> SymbolicCircuit:
     r_circ = build_R(center)
     images = [apply_circuit(r_circ, cell) for cell in seq.steps]
     p_circ = build_P(images)
-    after_p = [apply_circuit(p_circ, img) for img in images]
     alphas = []
-    for cell in after_p:
-        alpha, sigma = _cell_signature(cell)
+    for img in images:
+        alpha, sigma = _cell_signature(apply_circuit(p_circ, img))
         if sigma != 0:
             raise AssertionError("parity correction failed to set sigma = 0")
         alphas.append(alpha)
-    e_circ = build_E(alphas)
+    e_circ = build_E(alphas, p)
     q = r_circ.then(p_circ).then(e_circ)
-
-    from .subalgebra import intrinsic_cartan
-
     if apply_to_cartan(q, center) != intrinsic_cartan(p):
         raise AssertionError("connector does not map the center onto the diagonal")
     for r, cell in enumerate(seq.steps, start=1):
@@ -300,8 +293,6 @@ def connect(seq: DecompositionSequence) -> SymbolicCircuit:
 def random_sequence(qap: QAPartition, rng) -> DecompositionSequence:
     """Seeded random valid sequence: p distinct, group-generating
     determinants with random halves."""
-    from .bitcore import gf2_rank
-
     p = qap.p
     while True:
         idx = rng.sample(range(1, 1 << p), p)

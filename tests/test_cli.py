@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qap.cli import main
 
@@ -231,3 +235,84 @@ def test_label_commands_check_an_explicit_p(capsys, argv):
 def test_commands_without_a_label_default_to_p3(capsys):
     assert run(capsys, "count") == (0, "1 14 56 64 | total 135\n")
     assert run(capsys, "oracle") == (0, "oracle pass: 12288 exact matrix checks\n")
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    for argv in (
+        ("count", "--p", "2", "--out", str(tmp_path / "missing" / "x.txt")),
+        ("table", "C^{1}_{[1]}", "--out", str(tmp_path)),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {argv[-1]}: ")
+        assert "Traceback" not in captured.err
+
+
+def test_coqa_degrade_center_is_usage_error(capsys):
+    for cell in ("B:0/eps:0", "B:0/eps:1"):
+        code = main(["coqa", "C_[000]", "--cell", cell])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cell '{cell}' is degrade")
+
+
+def test_library_value_error_is_an_invariant_failure(capsys, monkeypatch):
+    import qap.cli
+
+    def broken(q):
+        raise ValueError("broken renderer")
+
+    monkeypatch.setattr(qap.cli, "render_table", broken)
+    code = main(["table", "C_[00]"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "invariant failure: broken renderer\n"
+
+
+def _bits(min_size: int, max_size: int):
+    return st.text(alphabet="01", min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def _near_labels(draw) -> str:
+    """Labels from the grammar's pieces: alpha words of one width <= 4 (now
+    and then one of another width), a superscript of the right length or
+    of any length, with or without braces."""
+    width = draw(st.integers(1, 4))
+    words = draw(st.lists(_bits(width, width), min_size=1, max_size=width))
+    if draw(st.integers(0, 4)) == 0:
+        words.append(draw(_bits(1, 4)))
+    n = len(words) * (len(words) + 1) // 2
+    parities = draw(st.one_of(_bits(n, n), _bits(0, 7)))
+    if draw(st.booleans()):
+        return f"C^{{{parities}}}_{{[{','.join(words)}]}}"
+    return f"C^{parities}_[{','.join(words)}]"
+
+
+_LABELS = st.one_of(
+    st.text(alphabet="C^_{}[],01", max_size=24),
+    st.text(max_size=12),
+    _near_labels(),
+    st.builds(lambda w: f"C_[{w}]", _bits(1, 4)),
+)
+
+_CELLS = st.one_of(
+    st.text(alphabet="B:eps/-0123456789", max_size=12),
+    st.builds(lambda i, e: f"B:{i}/eps:{e}", st.integers(-2, 17), st.integers(-1, 2)),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(["table", "qap", "lift", "coqa"]),
+    _LABELS,
+    _CELLS,
+)
+def test_label_and_cell_fuzz_never_escapes(command, label, cell):
+    argv = [command, label] + (["--cell", cell] if command == "coqa" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

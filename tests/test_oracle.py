@@ -8,9 +8,10 @@ import itertools
 import pytest
 
 import qap.oracle as oracle
+import qap.spinor
 from qap.bitcore import BitWord
 from qap.oracle import OracleReport, all_spinors, check_conjugations, check_products
-from qap.spinor import PhasedSpinor, Spinor
+from qap.spinor import PhasedSpinor, Spinor, key_of
 from qap.transform import BasicTransform
 
 S = Spinor.parse
@@ -164,6 +165,20 @@ def test_each_fault_is_caught_by_the_right_check(monkeypatch, fault):
         assert not products.ok and not conjugations.ok
     else:
         assert not products.ok and conjugations.ok
+
+
+def test_a_fault_in_the_shared_commutation_rule_is_caught(monkeypatch):
+    """commutes reads qap.spinor.keys_commute, the rule that build_qap and
+    the connector use, so one flipped pair there fails the product check."""
+    s0, t0 = _pair(2)
+    pair = (key_of(s0), key_of(t0))
+    real = qap.spinor.keys_commute
+    monkeypatch.setattr(
+        qap.spinor, "keys_commute", lambda k1, k2, p: real(k1, k2, p) ^ ((k1, k2) == pair)
+    )
+    report = check_products(2)
+    assert not report.ok
+    assert report.failures[0] == f"commutation mismatch at {s0}, {t0}"
 
 
 def test_p3_product_injection_names_its_first_witness(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -107,6 +108,37 @@ def test_apply_circuit_empty_and_cardinality():
     assert apply_circuit(SymbolicCircuit(), x) == x
     circ = SymbolicCircuit.of(H("011", "010"), H("101", "100"))
     assert len(apply_circuit(circ, x)) == len(x)
+    with pytest.raises(ValueError):
+        apply_circuit(SymbolicCircuit.of(H("01", "01")), x)
+    with pytest.raises(ValueError):
+        conjugate(H("01", "01"), S("000", "000"))
+
+
+def reference_apply_circuit(q: SymbolicCircuit, x: SpinorSet) -> SpinorSet:
+    """The per-spinor route: conjugate every spinor by every factor and
+    drop the phase."""
+    if not len(x):
+        return x
+    out = x
+    for f in q.factors:
+        out = SpinorSet.from_spinors(conjugate(f, s).body for s in out.spinors())
+    return out
+
+
+def test_apply_circuit_matches_per_spinor_reference():
+    rng = random.Random(20)
+    for p in (1, 2, 3, 4):
+        for trial in range(30):
+            circ = SymbolicCircuit(tuple(
+                BasicTransform(
+                    BitWord(rng.randrange(1 << p), p), BitWord(rng.randrange(1 << p), p),
+                    inverse=bool(rng.randrange(2)),
+                )
+                for _ in range(rng.randrange(7))
+            ))
+            size = 0 if trial == 0 else rng.randrange(1, min(16, 4**p) + 1)
+            x = SpinorSet(p, rng.sample(range(4**p), size))
+            assert apply_circuit(circ, x) == reference_apply_circuit(circ, x)
 
 
 def test_circuit_inversion_roundtrip():
@@ -177,7 +209,7 @@ def test_build_P_examples():
 
 
 def test_exchange_step_reference_case():
-    e = build_exchange_step(W("011"), W("001"), [W("100")])
+    e = build_exchange_step(W("011").bits, W("001").bits, 3, [W("100").bits])
     src = intrinsic_cell(3, "011", 0)
     dst = intrinsic_cell(3, "001", 0)
     assert apply_circuit(e, src) == dst
@@ -189,20 +221,20 @@ def test_exchange_step_reference_case():
 
 def test_exchange_step_rejects_equal_endpoints():
     with pytest.raises(ValueError):
-        build_exchange_step(W("011"), W("011"))
+        build_exchange_step(W("011").bits, W("011").bits, 3)
 
 
 def test_exchange_preserves_self_parity_class():
-    e = build_exchange_step(W("110"), W("010"), [])
+    e = build_exchange_step(W("110").bits, W("010").bits, 3, [])
     for sigma in (0, 1):
         src = intrinsic_cell(3, "110", sigma)
         assert apply_circuit(e, src) == intrinsic_cell(3, "010", sigma)
 
 
 def test_build_E_examples():
-    assert len(build_E([W("10"), W("01")])) == 0
+    assert len(build_E([W("10").bits, W("01").bits], 2)) == 0
 
-    circ = build_E([W("01"), W("11")])
+    circ = build_E([W("01").bits, W("11").bits], 2)
     for r, alpha in enumerate(("01", "11"), start=1):
         image = apply_circuit(circ, intrinsic_cell(2, alpha, 0))
         assert image == referential_cell(2, r)
@@ -218,7 +250,7 @@ def test_build_E_random_bookkeeping():
                 alphas = [BitWord(rng.randrange(1, 1 << p), p) for _ in range(p)]
                 if gf2_rank([a.bits for a in alphas]) == p:
                     break
-            circ = build_E(alphas)
+            circ = build_E([a.bits for a in alphas], p)
             for r, alpha in enumerate(alphas, start=1):
                 image = apply_circuit(circ, intrinsic_cell(p, str(alpha), 0))
                 assert image == referential_cell(p, r)
@@ -269,3 +301,45 @@ def test_connect_matrix_level_p2():
                 image = conjugate_by_circuit(circ, PhasedSpinor(0, s))
                 assert image.body in target
                 assert lhs == to_matrix(image).scaled(scale)
+
+
+def random_label(rng: random.Random, p: int) -> str:
+    """A label of random kind, independent alpha words and parities."""
+    k = rng.randrange(p + 1)
+    if k == 0:
+        return f"C_[{'0' * p}]"
+    words: list[int] = []
+    span = {0}
+    while len(words) < k:
+        w = rng.randrange(1, 1 << p)
+        if w not in span:
+            words.append(w)
+            span |= {x ^ w for x in span}
+    parities = "".join(str(rng.randrange(2)) for _ in range(k * (k + 1) // 2))
+    return f"C^{{{parities}}}_{{[{','.join(format(w, f'0{p}b') for w in words)}]}}"
+
+
+def seeded_connect_text(p: int, n: int) -> str:
+    """The text form of connect(seq) for n seeded sequences at width p."""
+    rng = random.Random(p)
+    circuits = []
+    for _ in range(n):
+        c = parse_label(random_label(rng, p))
+        circuits.append(str(connect(random_sequence(qap_of(c), rng))))
+    return "\n".join(circuits)
+
+
+# sha256 of seeded_connect_text(p, 20), pinned when every circuit was built
+# by conjugating each spinor of each cell separately
+CONNECT_TEXT_SHA256 = {
+    2: "75d963c7c8580143157fa30b6560ae3a7cc8389d74668bda549cd2f8265bcc2a",
+    3: "220eea3964b75639833663c590bb96eda5b8ec2f1d990d1c5b9b6d3442aef2ba",
+    4: "649d5000875025db7795dbef3f6ee3bc3d5379e41df5e08f9829a1a0ce3e5310",
+    5: "e5c31bb480059a81fa7eccb4871cce27c849981c03802eebcf1fb2d24b8342c4",
+}
+
+
+@pytest.mark.parametrize("p", sorted(CONNECT_TEXT_SHA256))
+def test_connect_text_is_pinned(p):
+    text = seeded_connect_text(p, 20)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONNECT_TEXT_SHA256[p]
