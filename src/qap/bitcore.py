@@ -28,14 +28,7 @@ def _check_width(p: int) -> None:
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
-    work: list[int] = []
-    for row in rows:
-        for piv in work:
-            row = min(row, row ^ piv)
-        if row:
-            work.append(row)
-            work.sort(reverse=True)
-    return len(work)
+    return len(gf2_echelon(rows))
 
 
 def gf2_reduce(vec: int, basis: Sequence[int]) -> int:
@@ -55,6 +48,15 @@ def gf2_echelon(rows: Iterable[int]) -> list[int]:
             basis.append(row)
             basis.sort(reverse=True)
     return basis
+
+
+def gf2_span(rows: Iterable[int]) -> list[int]:
+    """Every XOR combination of independent rows; entry i combines the
+    rows whose positions are the set bits of i."""
+    vals = [0]
+    for row in rows:
+        vals += [v ^ row for v in vals]
+    return vals
 
 
 def gf2_nullspace(rows: Sequence[int], width: int) -> list[int]:
@@ -169,11 +171,7 @@ class BitSubgroup:
         return [BitWord(v, self.p) for v in self.member_bits()]
 
     def member_bits(self) -> list[int]:
-        vals = [0]
-        for b in self.basis:
-            vals += [v ^ b.bits for v in vals]
-        vals.sort()
-        return vals
+        return sorted(gf2_span(b.bits for b in self.basis))
 
     def is_subgroup_of(self, other: BitSubgroup) -> bool:
         return self.p == other.p and all(b in other for b in self.basis)

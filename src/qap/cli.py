@@ -66,6 +66,16 @@ def _emit(cfg: RunConfig, text: str) -> None:
         raise SystemExit2(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work on an --out path that cannot be opened for
+    writing.  The probe appends nothing: an existing file keeps its text
+    until the output replaces it, and a missing one is created empty."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise SystemExit2(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
 def _guard(command: str, p: int) -> None:
     if not 1 <= p <= GUARDS[command]:
         raise SystemExit2(f"{command} is guarded to 1 <= p <= {GUARDS[command]}")
@@ -310,6 +320,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lift": lambda: cmd_lift(cfg, args.label),
     }
     try:
+        if cfg.out:
+            _check_out(cfg.out)
         return handlers[args.command]()
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,24 +1,22 @@
-"""Shell-by-shell generation of all Cartan subalgebras of su(2^p).
-
-Each shell extends every kind-k member through its phase-type maximal
-bi-subalgebras: B u W and B u W-hat are kind-(k+1) Cartan subalgebras.
-Closed-form counts guard the breadth-first sweep; a mismatch fails loudly.
+"""Every Cartan subalgebra of su(2^p), enumerated from its label
+C^{eps}_{[a_1...a_k]}: a reduced echelon alpha basis plus a symmetric
+parity matrix, walked directly with no search and no dedupe.  The paper's
+shell construction, B u W over phase-type B, stays as extend_shell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
-from .bitcore import BitWord, InvariantError, gf2_echelon, gf2_reduce
-from .partition import union_is_cartan
-from .spinor import key_text, keys_commute
+from .bitcore import BitWord, InvariantError, gf2_nullspace, gf2_span
+from .spinor import key_text, keys_commute, swap_key
 from .subalgebra import (
     CartanSubalgebra,
     SpinorSet,
     conjugate_pair_keys,
     coset_leaders,
-    intrinsic_cartan,
 )
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
@@ -46,7 +44,6 @@ class CartanAtlas:
 
     p: int
     by_kind: dict[int, list[CartanSubalgebra]]
-    class_index: Optional[dict[str, list[CartanSubalgebra]]] = field(default=None)
 
     @property
     def total(self) -> int:
@@ -76,55 +73,59 @@ def _phase_pairs(c: CartanSubalgebra):
     bi-subalgebra B of c: the cosets of c whose commutant in c misses a
     diagonal element, that is, whose leader anti-commutes with one."""
     p = c.p
-    diag = gf2_echelon(k for k in c.elements.keys if k >> p == 0)
+    diag = [r for r in c.basis_keys if not r >> p]
     for leader in coset_leaders(c):
         if not all(keys_commute(leader, d, p) for d in diag):
             yield conjugate_pair_keys(c, leader)
 
 
-def extend_shell_via_qap(c: CartanSubalgebra) -> set[CartanSubalgebra]:
-    """Reference route through the full partition machinery; used to
-    cross-check the coset-translation fast path."""
-    from .partition import build_qap
+def _shell(p: int, k: int) -> Iterator[frozenset[int]]:
+    """Element sets of the kind-k members, one per label.
 
-    q = build_qap(c)
-    out: set[CartanSubalgebra] = set()
-    for i in range(1, 1 << c.p):
-        b = q.maxbi.members[i]
-        if b.flavor != "phase_type":
-            continue
-        for eps in (0, 1):
-            out.add(union_is_cartan(b, q.cells[(i, eps)]))
-    return out
+    Alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.
+    As u_i = 2^b_i has u_i . a_j = delta_ij, parity matrix eps gives row j
+    the phase XOR_i eps_ij u_i; eps is walked in Gray-code order, an entry
+    and its mirror per step.  Each member, spanned with the rows' diagonal
+    kernel, must hold 2^p keys whose generators commute pairwise."""
+    upper = [(r, s) for r in range(k) for s in range(r, k)]
+    for pivots in itertools.combinations(range(p), k):
+        fills = [gf2_span([1 << j for j in range(b) if j not in pivots]) for b in pivots]
+        for low in itertools.product(*fills):
+            rows = [(1 << b) | f for b, f in zip(pivots, low)]
+            kernel = gf2_nullspace(rows, p)
+            phases = [0] * k
+            for step in range(1 << len(upper)):
+                if step:
+                    r, s = upper[(step & -step).bit_length() - 1]
+                    phases[r] ^= 1 << pivots[s]
+                    phases[s] ^= (r != s) << pivots[r]
+                gens = kernel + [(a << p) | z for a, z in zip(rows, phases)]
+                elements = frozenset(gf2_span(gens))
+                swapped = [swap_key(g, p) for g in gens]  # [g, h] = 0: swapped & h is even
+                if len(elements) != 1 << p or any(
+                    (sg & h).bit_count() & 1 for i, sg in enumerate(swapped) for h in gens[:i]
+                ):
+                    raise InvariantError(f"rows {rows}, phases {phases}: not a Cartan subalgebra")
+                yield elements
 
 
 def enumerate_all(p: int) -> CartanAtlas:
-    """Breadth-first subalgebra extension from the diagonal subalgebra,
-    deduplicated by canonical element sets; every shell is checked
-    against the closed-form count."""
+    """Every Cartan subalgebra of su(2^p) from its label, each shell sorted
+    by element list and checked against its closed-form count; the total
+    is checked against the product formula and for distinct members."""
     if not 1 <= p <= ENUMERATION_MAX_P:
         raise ValueError(f"enumeration guarded to p <= {ENUMERATION_MAX_P}")
-    by_kind: dict[int, list[CartanSubalgebra]] = {0: [intrinsic_cartan(p)]}
-    for k in range(p):
-        shell: dict[frozenset[int], CartanSubalgebra] = {}
-        for c in by_kind[k]:
-            for b_keys, w, w_hat in _phase_pairs(c):
-                for half in (w, w_hat):
-                    keys = b_keys | half
-                    if keys not in shell:
-                        shell[keys] = CartanSubalgebra(
-                            SpinorSet(p, keys), _trusted=True
-                        )
-        members = sorted(shell.values(), key=lambda c: tuple(sorted(c.elements.keys)))
-        expected = count_kind(p, k + 1)
-        if len(members) != expected:
-            raise AssertionError(
-                f"shell {k + 1}: enumerated {len(members)}, closed form {expected}"
-            )
-        by_kind[k + 1] = members
+    by_kind: dict[int, list[CartanSubalgebra]] = {}
+    seen: set[frozenset[int]] = set()
+    for k in range(p + 1):
+        shell = sorted(_shell(p, k), key=sorted)
+        if len(shell) != count_kind(p, k):
+            raise InvariantError(f"shell {k}: {len(shell)} members, not {count_kind(p, k)}")
+        seen.update(shell)
+        by_kind[k] = [CartanSubalgebra(SpinorSet(p, keys), _trusted=True) for keys in shell]
     atlas = CartanAtlas(p, by_kind)
-    if atlas.total != count_total(p):
-        raise AssertionError("total count does not match the closed form")
+    if atlas.total != count_total(p) or len(seen) != atlas.total:
+        raise InvariantError(f"{len(seen)} distinct of {atlas.total} members, not {count_total(p)}")
     return atlas
 
 
@@ -151,19 +152,13 @@ def mutual_parity(c: CartanSubalgebra) -> ParityStrings:
 
 def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     """Raise a kind-k subalgebra to the top kind with single-bit-alpha
-    factors, one new independent partitioning direction per factor."""
+    factors, one new independent partitioning direction per factor: the
+    unit words off the pivots of the reduced alpha basis, ascending."""
     p = c.p
-    factors = []
-    span_rows = [w.bits for w in c.alpha_group.basis]
-    for _ in range(p - c.kind):
-        unit = next(
-            BitWord(1 << j, p)
-            for j in range(p)
-            if gf2_reduce(1 << j, sorted(span_rows, reverse=True)) != 0
-        )
-        span_rows = gf2_echelon(span_rows + [unit.bits])
-        factors.append(BasicTransform(BitWord.zero(p), unit))
-    circuit = SymbolicCircuit(tuple(factors))
+    pivots = {(g >> p).bit_length() - 1 for g in c.generator_keys}
+    circuit = SymbolicCircuit(tuple(
+        BasicTransform(BitWord.zero(p), BitWord(1 << j, p)) for j in range(p) if j not in pivots
+    ))
     lifted = apply_to_cartan(circuit, c)
     if lifted.kind != p:
         raise AssertionError("local lift failed to reach the top kind")
@@ -190,7 +185,6 @@ def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
         _, lifted = local_lift(c)
         se, mu = mutual_parity(lifted)
         index.setdefault(mu, []).append(c)
-    atlas.class_index = index
     return index
 
 

@@ -155,12 +155,17 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     cid = np.full(1 << (2 * p), -1, dtype=np.int16)
     for (i, e), cell in q.cells.items():
         cid[list(cell.keys)] = (i << 1) | e
+    failures: list[str] = []
+    if cid[0] != 1:  # key 0 commutes with everything, so no pair below reaches it
+        where = cell_label(divmod(int(cid[0]), 2)) if cid[0] >= 0 else "no cell"
+        failures.append(f"identity {key_text(0, p)} lies in {where}, not in B:0/eps:1")
+        if max_failures == 1:
+            return ClosureReport(False, 0, failures)
     keys = np.flatnonzero(cid >= 0).astype(np.min_scalar_type(cid.size))
     alpha, zeta = keys >> p, keys & ((1 << p) - 1)
     # a parity table, not np.bitwise_count, which needs numpy >= 2.0
     parity = np.array([k.bit_count() & 1 for k in range(1 << p)], dtype=bool)
     checked = 0
-    failures: list[str] = []
     for r0 in range(0, len(keys), 32):
         rows, cols = slice(r0, r0 + 32), slice(r0 + 1, None)
         xs, ys = keys[rows, None], keys[cols]

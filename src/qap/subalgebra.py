@@ -15,10 +15,10 @@ from .bitcore import (
     BitSubgroup,
     BitWord,
     InvariantError,
-    dot,
     gf2_echelon,
     gf2_nullspace,
     gf2_reduce,
+    gf2_span,
     solve_affine,
 )
 from .spinor import Spinor, commutes, key_of, keys_commute, pack, spinor_of_key, swap_key
@@ -79,10 +79,7 @@ class SpinorSet:
 
 
 def _span_keys(gen_keys: Iterable[int]) -> frozenset[int]:
-    vals = [0]
-    for g in gf2_echelon(gen_keys):
-        vals += [v ^ g for v in vals]
-    return frozenset(vals)
+    return frozenset(gf2_span(gf2_echelon(gen_keys)))
 
 
 def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
@@ -150,33 +147,35 @@ class CartanSubalgebra:
         gen_keys = [key_of(g) for g in gens] + [pack(z, 0, p) for z in kernel]
         return cls(SpinorSet(p, _span_keys(gen_keys)), _trusted=True)
 
-    @classmethod
-    def from_elements(cls, spinors: Iterable[Spinor]) -> "CartanSubalgebra":
-        return cls(SpinorSet.from_spinors(spinors))
-
     # -- cached structure --------------------------------------------------
 
     @cached_property
-    def alpha_group(self) -> BitSubgroup:
-        alphas = {k >> self.p for k in self.elements.keys}
-        return BitSubgroup.span([BitWord(a, self.p) for a in alphas], self.p)
+    def basis_keys(self) -> list[int]:
+        """Fully reduced echelon basis of the element keys, descending: the
+        generator keys, then the basis of the diagonal phase group."""
+        return gf2_echelon(self.elements.keys)
 
     @cached_property
-    def zeta_group(self) -> BitSubgroup:
-        mask = (1 << self.p) - 1
-        zetas = {k & mask for k in self.elements.keys}
-        return BitSubgroup.span([BitWord(z, self.p) for z in zetas], self.p)
+    def generator_keys(self) -> tuple[int, ...]:
+        """One key per alpha-basis word, ascending.  The alpha parts form
+        the reduced echelon alpha basis; each phase, reduced against the
+        diagonal rows, is the lex-smallest of its block."""
+        return tuple(r for r in reversed(self.basis_keys) if r >> self.p)
+
+    @cached_property
+    def alpha_group(self) -> BitSubgroup:
+        p = self.p
+        return BitSubgroup(p, tuple(BitWord(g >> p, p) for g in self.generator_keys))
 
     @property
     def kind(self) -> int:
-        return self.alpha_group.rank
+        return len(self.generator_keys)
 
     @cached_property
     def diag_phase_group(self) -> BitSubgroup:
         p = self.p
-        mask = (1 << p) - 1
-        zetas = [BitWord(k & mask, p) for k in self.elements.keys if k >> p == 0]
-        return BitSubgroup.span(zetas, p)
+        rows = (r for r in reversed(self.basis_keys) if not r >> p)
+        return BitSubgroup(p, tuple(BitWord(r, p) for r in rows))
 
     def phase_block(self, alpha_bits: int) -> list[int]:
         """Sorted phase strings attached to one binary partitioning."""
@@ -187,20 +186,18 @@ class CartanSubalgebra:
     @cached_property
     def generators(self) -> tuple[Spinor, ...]:
         """One spinor per alpha-basis word (ascending), lex-smallest phase."""
-        out = []
-        for a in self.alpha_group.basis:
-            z = self.phase_block(a.bits)[0]
-            out.append(Spinor(BitWord(z, self.p), a))
-        return tuple(out)
+        return tuple(spinor_of_key(g, self.p) for g in self.generator_keys)
 
     @cached_property
     def parity_table(self) -> tuple[tuple[int, ...], ...]:
-        gens = self.generators
+        """Entry (i, j) is the parity of zeta_i . alpha_j over the generators."""
+        p, mask = self.p, (1 << self.p) - 1
+        gens = self.generator_keys
         table = tuple(
-            tuple(dot(gi.zeta, gj.alpha) for gj in gens) for gi in gens
+            tuple(((gi & mask) & (gj >> p)).bit_count() & 1 for gj in gens) for gi in gens
         )
         for i in range(len(gens)):
-            for j in range(len(gens)):
+            for j in range(i):
                 if table[i][j] != table[j][i]:
                     raise InvariantError("parity table must be symmetric")
         return table
@@ -325,11 +322,8 @@ def phase_type_generator_keys(
     # any diagonal phase outside the kernel flips a subcoset choice
     delta = next(z for z in diag.member_bits() if gf2_reduce(z, kernel_rows) != 0)
     gen_keys = [pack(b.bits, 0, p) for b in kernel_sub.basis]
-    for j, g in enumerate(c.generators):
-        z = g.zeta.bits
-        if (coset_choice >> j) & 1:
-            z ^= delta
-        gen_keys.append(pack(z, g.alpha.bits, p))
+    for j, g in enumerate(c.generator_keys):
+        gen_keys.append(g ^ delta if (coset_choice >> j) & 1 else g)
     return gen_keys
 
 
@@ -374,13 +368,9 @@ def coset_leaders(c: CartanSubalgebra) -> list[int]:
     leaders[i] ^ leaders[j] == leaders[i ^ j] and leaders[0] == 0.
     """
     pivots = 0
-    for row in gf2_echelon(c.elements.keys):
+    for row in c.basis_keys:
         pivots |= 1 << (row.bit_length() - 1)
-    leaders = [0]
-    for bit in range(2 * c.p):
-        if not (pivots >> bit) & 1:
-            leaders += [v | (1 << bit) for v in leaders]
-    return leaders
+    return gf2_span(1 << bit for bit in range(2 * c.p) if not (pivots >> bit) & 1)
 
 
 def conjugate_pair_keys(
@@ -471,14 +461,14 @@ class LabelError(ValueError):
 
 
 def format_label(c: CartanSubalgebra) -> str:
-    if c.kind == 0:
-        return f"C_[{BitWord.zero(c.p)}]"
+    p, k = c.p, c.kind
+    if k == 0:
+        return f"C_[{'0' * p}]"
     table = c.parity_table
-    k = c.kind
     parities = "".join(
         str(table[r][s]) for r in range(k) for s in range(r, k)
     )
-    alphas = ",".join(str(a) for a in c.alpha_group.basis)
+    alphas = ",".join(format(g >> p, f"0{p}b") for g in c.generator_keys)
     return f"C^{{{parities}}}_{{[{alphas}]}}"
 
 

@@ -166,8 +166,8 @@ def circuit_matrix(q: SymbolicCircuit, p: int) -> tuple[GaussianMatrix, int]:
 def build_R(c: CartanSubalgebra) -> SymbolicCircuit:
     """Diagonalizer: one factor per canonical generator S[xi_i|alpha_i],
     with phases solved from xi_i.alpha_j + zeta_j.alpha_i = delta_ij."""
-    p = c.p
-    gens = [(g.zeta.bits, g.alpha.bits) for g in c.generators]
+    p, mask = c.p, (1 << c.p) - 1
+    gens = [(g & mask, g >> p) for g in c.generator_keys]
     factors = []
     for j, (_, aj) in enumerate(gens):
         constraints = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -87,6 +88,22 @@ def test_enumerate_jsonl(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 15
     assert {r["kind"] for r in rows} == {0, 1, 2}
+
+
+# sha256 of `qap enumerate --p <p>` stdout: the atlas JSONL, member order
+# included, stays byte-identical
+ENUMERATE_SHA256 = {
+    2: "66114dd3582815296112e37558f23f8e3f08d6dd37c2ad7e5c41fc6e27bd0238",
+    3: "b0f28a076700c14d3639c6ea3d89fbe3f11491bcdf6d0d1ddfcbf5a5d751b830",
+    4: "9426423536fd88560195343920a2fa1e71620576a66111fe88a4ec98cfe9a98a",
+}
+
+
+@pytest.mark.parametrize("p", sorted(ENUMERATE_SHA256))
+def test_enumerate_stdout_is_pinned(capsys, p):
+    code, out = run(capsys, "enumerate", "--p", str(p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[p]
 
 
 def test_verify_and_oracle(capsys):
@@ -247,6 +264,46 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: cannot write --out {argv[-1]}: ")
         assert "Traceback" not in captured.err
+
+
+def test_out_is_checked_before_the_work(capsys, monkeypatch, tmp_path):
+    import qap.cli
+
+    def fail(p):
+        raise AssertionError("enumeration ran before --out was checked")
+
+    monkeypatch.setattr(qap.cli, "enumerate_all", fail)
+    bad = str(tmp_path / "missing" / "x.txt")
+    assert main(["count", "--p", "2", "--out", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {bad}: ")
+    good = tmp_path / "x.txt"
+    good.write_text("kept", encoding="utf-8")
+    assert main(["count", "--p", "2", "--out", str(good)]) == 1
+    assert "enumeration ran before" in capsys.readouterr().err
+    assert good.read_text(encoding="utf-8") == "kept"
+
+
+def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
+    # key 0 moved out of the center breaks no closure triple; verify must
+    # still fail, naming the cell that holds it
+    import qap.cli
+    from qap.partition import QAPartition
+    from qap.subalgebra import SpinorSet
+
+    def tampered_qap(c, verify=True):
+        q = qap.partition.build_qap(c, verify)
+        cells = dict(q.cells)
+        cells[(0, 1)] = SpinorSet(q.p, q.cells[(0, 1)].keys - {0})
+        cells[(1, 0)] = SpinorSet(q.p, q.cells[(1, 0)].keys | {0})
+        return QAPartition(q.cartan, q.maxbi, cells)
+
+    monkeypatch.setattr(qap.cli, "build_qap", tampered_qap)
+    code, out = run(capsys, "verify", "--p", "3")
+    assert code == 1
+    assert out == (
+        "closure FAILED for C_[000]: "
+        "['identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1']\n"
+    )
 
 
 def test_coqa_degrade_center_is_usage_error(capsys):

@@ -13,13 +13,14 @@ from qap.extension import (
     count_total,
     enumerate_all,
     extend_shell,
-    extend_shell_via_qap,
     local_lift,
     mutual_parity,
     nonlocal_connector,
 )
+from qap.partition import build_qap, union_is_cartan
 from qap.spinor import Spinor
 from qap.subalgebra import (
+    CartanSubalgebra,
     SpinorSet,
     intrinsic_cartan,
     is_cartan,
@@ -27,6 +28,32 @@ from qap.subalgebra import (
 )
 
 S = Spinor.make
+
+
+def extend_shell_via_qap(c: CartanSubalgebra) -> set[CartanSubalgebra]:
+    """Reference route through the full partition machinery: B u W for
+    every phase-type member B of the partition and both of its cells."""
+    q = build_qap(c)
+    out: set[CartanSubalgebra] = set()
+    for i in range(1, 1 << c.p):
+        b = q.maxbi.members[i]
+        if b.flavor != "phase_type":
+            continue
+        for eps in (0, 1):
+            out.add(union_is_cartan(b, q.cells[(i, eps)]))
+    return out
+
+
+def shells_by_bfs(p: int) -> list[list[frozenset[int]]]:
+    """The atlas grown from the diagonal subalgebra by extend_shell, shell
+    by shell, each shell deduplicated and sorted by element list."""
+    shells = [[intrinsic_cartan(p).elements.keys]]
+    members = [intrinsic_cartan(p)]
+    for _ in range(p):
+        nxt = {ext.elements.keys: ext for c in members for ext in extend_shell(c)}
+        members = [nxt[keys] for keys in sorted(nxt, key=sorted)]
+        shells.append([c.elements.keys for c in members])
+    return shells
 
 
 def test_closed_form_counts():
@@ -73,6 +100,22 @@ def test_enumerate_counts():
         assert a.total == count_total(p)
         for k in range(p + 1):
             assert len(a.by_kind[k]) == count_kind(p, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_label_route_matches_bfs_shell_by_shell(p):
+    # the direct route and the paper's shell construction give the same
+    # members in the same order, shell by shell
+    a = atlas(p)
+    assert [[c.elements.keys for c in a.by_kind[k]] for k in range(p + 1)] == shells_by_bfs(p)
+
+
+def test_label_route_at_p5():
+    a = enumerate_all(5)
+    assert [len(a.by_kind[k]) for k in range(6)] == [count_kind(5, k) for k in range(6)]
+    assert len({c.elements.keys for c in a.members()}) == count_total(5) == 75735
+    for c in random.Random(5).sample(list(a.members()), 12):
+        assert is_cartan(c.elements, scan=True), c.label
 
 
 def test_enumerate_guard():

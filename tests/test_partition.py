@@ -405,6 +405,32 @@ def test_sweep_matches_reference_on_p4_partitions_and_injections():
             assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}", full)
 
 
+def move_identity(q: QAPartition, dst: CellKey) -> QAPartition:
+    """The partition with key 0 moved from the center into cell dst."""
+    cells = dict(q.cells)
+    cells[(0, 1)] = SpinorSet(q.p, q.cells[(0, 1)].keys - {0})
+    cells[dst] = SpinorSet(q.p, q.cells[dst].keys | {0})
+    return QAPartition(q.cartan, q.maxbi, cells)
+
+
+def test_identity_outside_the_center_fails_with_its_cell():
+    # key 0 commutes with everything, so no anti-commuting pair reaches it;
+    # the sweep alone passes this partition with 1008 pairs checked
+    q = qap_of(parse_label("C^{0}_{[100]}"))
+    tampered = move_identity(q, (1, 0))
+    assert reference_closure(tampered).ok
+    report = verify_closure(tampered)
+    assert not report.ok and report.checked_pairs == 0
+    assert report.failures == ["identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"]
+    report = verify_closure(tampered, max_failures=5)
+    assert not report.ok and report.checked_pairs == 1008
+    assert report.failures == ["identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"]
+    cells = dict(q.cells)
+    cells[(0, 1)] = SpinorSet(3, q.cells[(0, 1)].keys - {0})
+    report = verify_closure(QAPartition(q.cartan, q.maxbi, cells))
+    assert report.failures == ["identity S[000|000] lies in no cell, not in B:0/eps:1"]
+
+
 def test_dropped_key_never_reads_as_the_degrade_cell():
     # an uncovered spinor must fail as a product, not pass as cell (0,0)
     q = qap_of(intrinsic_cartan(3))
