@@ -150,10 +150,10 @@ class CartanSubalgebra:
     # -- cached structure --------------------------------------------------
 
     @cached_property
-    def basis_keys(self) -> list[int]:
+    def basis_keys(self) -> tuple[int, ...]:
         """Fully reduced echelon basis of the element keys, descending: the
         generator keys, then the basis of the diagonal phase group."""
-        return gf2_echelon(self.elements.keys)
+        return tuple(gf2_echelon(self.elements.keys))
 
     @cached_property
     def generator_keys(self) -> tuple[int, ...]:

@@ -287,11 +287,11 @@ def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
     # key 0 moved out of the center breaks no closure triple; verify must
     # still fail, naming the cell that holds it
     import qap.cli
-    from qap.partition import QAPartition
+    from qap.partition import QAPartition, build_qap
     from qap.subalgebra import SpinorSet
 
     def tampered_qap(c, verify=True):
-        q = qap.partition.build_qap(c, verify)
+        q = build_qap(c, verify)
         cells = dict(q.cells)
         cells[(0, 1)] = SpinorSet(q.p, q.cells[(0, 1)].keys - {0})
         cells[(1, 0)] = SpinorSet(q.p, q.cells[(1, 0)].keys | {0})

@@ -405,29 +405,22 @@ def test_sweep_matches_reference_on_p4_partitions_and_injections():
             assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}", full)
 
 
-def move_identity(q: QAPartition, dst: CellKey) -> QAPartition:
-    """The partition with key 0 moved from the center into cell dst."""
-    cells = dict(q.cells)
-    cells[(0, 1)] = SpinorSet(q.p, q.cells[(0, 1)].keys - {0})
-    cells[dst] = SpinorSet(q.p, q.cells[dst].keys | {0})
-    return QAPartition(q.cartan, q.maxbi, cells)
-
-
 def test_identity_outside_the_center_fails_with_its_cell():
-    # key 0 commutes with everything, so no anti-commuting pair reaches it;
-    # the sweep alone passes this partition with 1008 pairs checked
+    # key 0 commutes with everything, so no anti-commuting pair reaches it:
+    # the pair law alone passes it moved to (1,0), with 1008 pairs checked
     q = qap_of(parse_label("C^{0}_{[100]}"))
-    tampered = move_identity(q, (1, 0))
-    assert reference_closure(tampered).ok
-    report = verify_closure(tampered)
-    assert not report.ok and report.checked_pairs == 0
-    assert report.failures == ["identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"]
-    report = verify_closure(tampered, max_failures=5)
-    assert not report.ok and report.checked_pairs == 1008
-    assert report.failures == ["identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"]
     cells = dict(q.cells)
     cells[(0, 1)] = SpinorSet(3, q.cells[(0, 1)].keys - {0})
-    report = verify_closure(QAPartition(q.cartan, q.maxbi, cells))
+    dropped = QAPartition(q.cartan, q.maxbi, dict(cells))
+    cells[(1, 0)] = SpinorSet(3, q.cells[(1, 0)].keys | {0})
+    moved = QAPartition(q.cartan, q.maxbi, cells)
+    assert reference_closure(moved).ok
+    witness = "identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"
+    report = verify_closure(moved)
+    assert (report.ok, report.checked_pairs, report.failures) == (False, 0, [witness])
+    report = verify_closure(moved, max_failures=5)
+    assert (report.ok, report.checked_pairs, report.failures) == (False, 1008, [witness])
+    report = verify_closure(dropped)
     assert report.failures == ["identity S[000|000] lies in no cell, not in B:0/eps:1"]
 
 
