@@ -2,11 +2,11 @@
 checkout and for this one.
 
 Usage:
-    python scripts/bench_record.py --parent DIR --out BENCH_<n>.json \
-        [--seeds 1 2 3 4 5] [--seconds 25] [--workloads atlas closure ...]
+    python scripts/bench_record.py --parent DIR --out BENCH_<n>.json
 
-For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
-each checkout, the side that goes first alternating from seed to seed.
+For every workload and each of the ten seeds, ``perfbench/run.py --trace 0``
+runs once in each checkout at its default length, the side that goes first
+alternating from seed to seed, so each workload gets ten pairs of runs.
 Each end-to-end metric is summarised per side as median, q1 and q3 over
 the seeds, with every run kept.  One ``--trace 1`` run of the first
 workload per side adds its per-layer metrics.  DIR is a second checkout
@@ -24,13 +24,13 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ("atlas", "closure", "connect", "oracle")
+SEEDS = tuple(range(1, 11))
 
 
-def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float,
-             trace: int) -> tuple[dict, dict]:
+def run_once(checkout: pathlib.Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """(env, result) of one benchmark process in the checkout."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
@@ -52,20 +52,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, type=pathlib.Path)
     parser.add_argument("--out", required=True, type=pathlib.Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
-    if len(args.seeds) < 2:
-        parser.error("quartiles need at least two seeds")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    runs = {side: {w: {} for w in args.workloads} for side in sides}
+    runs = {side: {w: {} for w in WORKLOADS} for side in sides}
     envs, units = {}, {}
-    for w in args.workloads:
-        for i, seed in enumerate(args.seeds):
+    for w in WORKLOADS:
+        for i, seed in enumerate(SEEDS):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                env, result = run_once(sides[side], w, seed, args.seconds, trace=0)
+                env, result = run_once(sides[side], w, seed, trace=0)
                 envs.setdefault(side, env)
                 for name, metric in result["metrics"].items():
                     runs[side][w].setdefault(name, []).append(metric["value"])
@@ -74,13 +69,13 @@ def main() -> int:
                       file=sys.stderr)
     traced = {}
     for side, checkout in sides.items():
-        _, result = run_once(checkout, args.workloads[0], args.seeds[0], args.seconds, trace=1)
+        _, result = run_once(checkout, WORKLOADS[0], SEEDS[0], trace=1)
         traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
     env = {k: v for k, v in envs["change"].items() if k not in ("workload", "seed", "commit")}
     record = {
         "harness": "perfbench/run.py --trace 0, one process per run",
-        "seconds": args.seconds,
-        "seeds": args.seeds,
+        "seconds": envs["change"].get("seconds"),
+        "seeds": list(SEEDS),
         "env": env,
         "commits": {side: envs[side].get("commit", "unknown") for side in sides},
         "units": units,
@@ -89,7 +84,7 @@ def main() -> int:
                    for w, by_name in by_workload.items()}
             for side, by_workload in runs.items()
         },
-        "traced": {"workload": args.workloads[0], "seed": args.seeds[0], **traced},
+        "traced": {"workload": WORKLOADS[0], "seed": SEEDS[0], **traced},
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -59,19 +60,16 @@ def _emit(cfg: RunConfig, text: str) -> None:
     if not cfg.out:
         sys.stdout.write(text)
         return
-    try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SystemExit2(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from None
+    with _open_out(cfg.out, "w") as fh:
+        fh.write(text)
 
 
-def _check_out(path: str) -> None:
-    """Fail before any work on an --out path that cannot be opened for
-    writing.  The probe appends nothing: an existing file keeps its text
-    until the output replaces it, and a missing one is created empty."""
+def _open_out(path: str, mode: str):
+    """The --out file opened in ``mode``; a path that cannot be opened is a
+    usage error.  ``main`` opens it with "a" before any work, which appends
+    nothing: an existing file keeps its text until the output replaces it."""
     try:
-        open(path, "a", encoding="utf-8").close()
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise SystemExit2(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
@@ -319,9 +317,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "connect": lambda: cmd_connect(cfg),
         "lift": lambda: cmd_lift(cfg, args.label),
     }
+    probed = bool(cfg.out) and not os.path.lexists(cfg.out)
     try:
         if cfg.out:
-            _check_out(cfg.out)
+            _open_out(cfg.out, "a").close()
         return handlers[args.command]()
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -329,6 +328,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AssertionError, ValueError) as exc:  # a ValueError here is a library fault
         print(f"invariant failure: {exc}", file=sys.stderr)
         return FAIL
+    finally:  # a file the probe made is still empty only if nothing was written
+        if probed and os.path.isfile(cfg.out) and not os.path.getsize(cfg.out):
+            os.remove(cfg.out)
 
 
 if __name__ == "__main__":

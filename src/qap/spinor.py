@@ -99,10 +99,6 @@ class Spinor:
     def display(self, hermitian_norm: bool = False) -> str:
         return key_text(key_of(self), self.p, hermitian_norm)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.zeta.is_zero and self.alpha.is_zero
-
 
 @dataclass(frozen=True)
 class PhasedSpinor:

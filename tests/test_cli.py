@@ -283,6 +283,22 @@ def test_out_is_checked_before_the_work(capsys, monkeypatch, tmp_path):
     assert good.read_text(encoding="utf-8") == "kept"
 
 
+def test_failed_command_leaves_no_new_out_file(capsys, tmp_path):
+    # the --out probe creates a missing file; a command that then fails
+    # before writing must not leave it behind
+    new = tmp_path / "new.txt"
+    for argv, code in (
+        (["table", "BADLABEL"], 2),
+        (["count", "--p", "9"], 2),
+        (["connect", "--p", "3", "--n", "0"], 2),
+    ):
+        assert main(argv + ["--out", str(new)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not new.exists()
+    assert main(["count", "--p", "2", "--out", str(new)]) == 0
+    assert new.read_text(encoding="utf-8") == "1 6 8 | total 15\n"
+
+
 def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
     # key 0 moved out of the center breaks no closure triple; verify must
     # still fail, naming the cell that holds it
