@@ -27,6 +27,19 @@ def _check_width(p: int) -> None:
 # int-level GF(2) helpers (rows are ints, bit j = variable j, LSB = var 0)
 
 
+def parity(x):
+    """Parity of the set bits of an int, or elementwise of a numpy integer
+    array.  Arrays are XOR-folded over their dtype width: np.bitwise_count
+    needs numpy >= 2.0, and int.bit_count is the faster path on one int."""
+    if isinstance(x, int):
+        return x.bit_count() & 1
+    shift = x.dtype.itemsize * 8
+    while shift > 1:
+        shift //= 2
+        x = x ^ (x >> shift)
+    return x & 1
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
     return len(gf2_echelon(rows))
 
@@ -128,7 +141,7 @@ class BitWord:
 def dot(a: BitWord, b: BitWord) -> int:
     """Parity of the bitwise AND: the Z_2 inner product of two words."""
     a._match(b)
-    return (a.bits & b.bits).bit_count() & 1
+    return parity(a.bits & b.bits)
 
 
 @dataclass(frozen=True)

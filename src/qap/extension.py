@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .bitcore import BitWord, InvariantError, gf2_nullspace, gf2_span
-from .spinor import key_text, keys_commute, swap_key
+from .spinor import key_text, omega
 from .subalgebra import (
     CartanSubalgebra,
     SpinorSet,
@@ -75,7 +75,7 @@ def _phase_pairs(c: CartanSubalgebra):
     p = c.p
     diag = [r for r in c.basis_keys if not r >> p]
     for leader in coset_leaders(c):
-        if not all(keys_commute(leader, d, p) for d in diag):
+        if any(omega(leader, d, p) for d in diag):
             yield conjugate_pair_keys(c, leader)
 
 
@@ -101,9 +101,8 @@ def _shell(p: int, k: int) -> Iterator[frozenset[int]]:
                     phases[s] ^= (r != s) << pivots[r]
                 gens = kernel + [(a << p) | z for a, z in zip(rows, phases)]
                 elements = frozenset(gf2_span(gens))
-                swapped = [swap_key(g, p) for g in gens]  # [g, h] = 0: swapped & h is even
                 if len(elements) != 1 << p or any(
-                    (sg & h).bit_count() & 1 for i, sg in enumerate(swapped) for h in gens[:i]
+                    omega(g, h, p) for i, g in enumerate(gens) for h in gens[:i]
                 ):
                     raise InvariantError(f"rows {rows}, phases {phases}: not a Cartan subalgebra")
                 yield elements

@@ -4,9 +4,11 @@ report carries the first witness.
 
 The realization of all 4^p spinors is built once per check and stacked
 into one Gaussian-integer matrix of shape (4^p, 2^p, 2^p), indexed by the
-packed key (alpha << p) | zeta.  Each check then multiplies one matrix
-against the whole stack, while the symbolic rules under test still run
-once per pair."""
+packed key (alpha << p) | zeta.  Each check multiplies one matrix against
+the whole stack, and the rules under test, spinor's own omega,
+key_product and key_conjugate, run once over the array of all 4^p keys:
+once per left spinor for products, once per h and direction for
+conjugations."""
 
 from __future__ import annotations
 
@@ -15,17 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitcore import BitWord
-from .spinor import (
-    GaussianMatrix,
-    PhasedSpinor,
-    Spinor,
-    bi_add,
-    commutes,
-    key_of,
-    product,
-    to_matrix,
-)
-from .transform import BasicTransform, conjugate, h_matrix
+from .spinor import GaussianMatrix, Spinor, key_conjugate, key_product, omega, to_matrix
+from .transform import BasicTransform, h_matrix
 
 ORACLE_GUARD_P = 3
 
@@ -69,12 +62,10 @@ def _realize(spinors: list[Spinor]) -> GaussianMatrix:
     return GaussianMatrix(np.stack([m.re for m in mats]), np.stack([m.im for m in mats]))
 
 
-def _gather(stack: GaussianMatrix, results: list[PhasedSpinor]) -> GaussianMatrix:
-    """i^k times the stacked matrix of each result's body, in result order."""
-    idx = np.array([key_of(r.body) for r in results])
-    k = np.array([r.i_exp for r in results])
-    c, s = _I_RE[k][:, None, None], _I_IM[k][:, None, None]
-    re, im = stack.re[idx], stack.im[idx]
+def _gather(stack: GaussianMatrix, e: np.ndarray, keys: np.ndarray) -> GaussianMatrix:
+    """i^e times the stacked matrix of each key, in key order."""
+    c, s = _I_RE[e % 4][:, None, None], _I_IM[e % 4][:, None, None]
+    re, im = stack.re[keys], stack.im[keys]
     return GaussianMatrix(c * re - s * im, s * re + c * im)
 
 
@@ -87,20 +78,20 @@ def _is_zero(a: GaussianMatrix) -> np.ndarray:
 
 
 def check_products(p: int, max_failures: int = 1) -> OracleReport:
-    """product/commutes/bi_add vs exact Kronecker matrices, all pairs."""
+    """key_product and omega vs exact Kronecker matrices, all pairs; the
+    product body must also be the bi-addition x ^ y."""
     spinors = all_spinors(p)
     stack = _realize(spinors)
+    keys = np.arange(len(spinors), dtype=np.int64)
     checks = 0
     failures: list[str] = []
-    for i, s in enumerate(spinors):
-        m = GaussianMatrix(stack.re[i], stack.im[i])
-        prods = [product(s, t) for t in spinors]
-        comm = np.array([commutes(s, t) for t in spinors], dtype=bool)
-        sums_ok = np.array(
-            [bi_add(s, t) == pr.body for t, pr in zip(spinors, prods)], dtype=bool
-        )
+    for x, s in enumerate(spinors):
+        m = GaussianMatrix(stack.re[x], stack.im[x])
+        e, body = key_product(x, keys, p)
+        comm = omega(x, keys, p) == 0
+        sums_ok = body == (x ^ keys)
         st, ts = m @ stack, stack @ m
-        prod_ok = _equal(st, _gather(stack, prods))
+        prod_ok = _equal(st, _gather(stack, e, body))
         comm_bad = comm != _is_zero(st - ts)
         anti_bad = ~comm & ~_is_zero(st + ts)
         for j in map(int, np.flatnonzero(~prod_ok | comm_bad | anti_bad | ~sums_ok)):
@@ -120,26 +111,28 @@ def check_products(p: int, max_failures: int = 1) -> OracleReport:
 
 
 def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
-    """h s h-dagger vs matrices for every basic transformation and spinor;
-    compared after scaling by 2 to stay within the Gaussian integers."""
+    """key_conjugate vs h s h-dagger for every basic transformation and
+    spinor, both directions; compared after scaling by 2 to stay within
+    the Gaussian integers."""
     spinors = all_spinors(p)
     stack = _realize(spinors)
+    keys = np.arange(len(spinors), dtype=np.int64)
     checks = 0
     failures: list[str] = []
-    for hs in spinors:
+    for hk, hs in enumerate(spinors):
         h = BasicTransform(hs.zeta, hs.alpha)
         hm = h_matrix(h)
         hd = hm.dagger()
-        factors = (h, h.inverted())
         sandwiches = ((hm @ stack) @ hd, (hd @ stack) @ hm)
-        # ok[j, f]: factor f conjugates spinor j as its matrix sandwich does
+        # ok[j, f]: direction f conjugates spinor j as its matrix sandwich does
         ok = np.empty((len(spinors), 2), dtype=bool)
-        for f, (factor, lhs) in enumerate(zip(factors, sandwiches)):
-            outs = [conjugate(factor, PhasedSpinor(0, s)) for s in spinors]
-            ok[:, f] = _equal(lhs, _gather(stack, outs).scaled(2))
+        for f, lhs in enumerate(sandwiches):
+            e, out = key_conjugate(hk, bool(f), keys, p)
+            ok[:, f] = _equal(lhs, _gather(stack, e, out).scaled(2))
         for flat in map(int, np.flatnonzero(~ok)):
             j, f = divmod(flat, 2)
-            failures.append(f"conjugation mismatch: {factors[f]} on {spinors[j]}")
+            factor = h.inverted() if f else h
+            failures.append(f"conjugation mismatch: {factor} on {spinors[j]}")
             if len(failures) >= max_failures:
                 return OracleReport(False, checks + flat + 1, failures)
         checks += ok.size

@@ -3,8 +3,10 @@
 A partition holds 2^(p+1) conditioned subspaces keyed by (maximal
 bi-subalgebra index, epsilon).  In each index-basis pair (index a power
 of two) the half holding the pair's smallest spinor is W^1; every other
-pair takes the labels the closure law forces.  The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is checked
-at build time on every anti-commuting spinor pair, by one vectorised numpy
+pair takes the labels the closure law forces, read in closed form from a
+quadratic refinement of the commutation form omega on the coset leaders.
+The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is checked at
+build time on every anti-commuting spinor pair, by one vectorised numpy
 sweep that stays exhaustive; index arithmetic is XOR throughout.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spinor import Spinor, key_of, key_text, keys_commute
+from .spinor import Spinor, key_of, key_text, omega
 from .subalgebra import (
     BiSubalgebra,
     CartanSubalgebra,
@@ -85,8 +87,13 @@ class QAPartition:
         )
 
     def is_partition(self) -> bool:
-        total = sum(len(cell) for cell in self.cells.values())
-        return total == 1 << (2 * self.p) and len(self._cell_of_key) == total
+        """Cell (0,1) is the center, cell (0,0) is empty, every other cell
+        holds 2^(p-1) keys, and the cells cover all 4^p keys once."""
+        p = self.p
+        sizes = {ck: len(cell) for ck, cell in self.cells.items()}
+        if sizes != {(i, e): 1 << (p - 1) if i else e << p for i in range(1 << p) for e in (0, 1)}:
+            return False
+        return self.cells[(0, 1)] == self.cartan.elements and len(self._cell_of_key) == 1 << (2 * p)
 
 
 def build_qap(c: CartanSubalgebra, verify: bool = True) -> QAPartition:
@@ -95,31 +102,21 @@ def build_qap(c: CartanSubalgebra, verify: bool = True) -> QAPartition:
     Pair i is the coset leaders[i] + c of MaxBiGroup, bisected into
     W = leader + B_i and W-hat = leader + (c - B_i).  The index-basis
     pairs anchor the labeling: W, the half holding the pair's smallest
-    spinor, is W^1.  A composite pair i takes its label from one
-    commutator product: x, the leader of the lowest index bit i1, lies in
-    W^1(B_i1), and the first y of pair i ^ i1 that anti-commutes with x
-    puts x ^ y in W^(1+e)(B_i), e the label of y's half.  Global
-    consistency is then asserted by a full verification sweep.
+    spinor, is W^1.  The closure law makes f = 1 - epsilon a quadratic
+    refinement of omega, f(x ^ y) = f(x) ^ f(y) ^ omega(x, y), and the
+    leaders are XOR-linear, so f[i] = f[i ^ i1] ^ omega(leaders[i1],
+    leaders[i ^ i1]) for i1 the lowest bit of i, and W of pair i is
+    W^(1 ^ f[i]).  A full verification sweep then asserts the labels.
     """
     maxbi = all_maximal(c)
-    p = c.p
+    p, leaders = c.p, maxbi.leaders
     cells: dict[CellKey, SpinorSet] = {}
+    f = [0] * (1 << p)
     for i, (w, w_hat) in enumerate(maxbi.halves):
-        if i & (i - 1) == 0:  # the center and the index-basis pairs
-            cells[(i, 1)], cells[(i, 0)] = w, w_hat
-            continue
         i1 = i & -i
-        x = maxbi.leaders[i1]
-        product = next(
-            ((e, x ^ y) for e in (1, 0) for y in cells[(i ^ i1, e)].keys
-             if not keys_commute(x, y, p)),
-            None,
-        )
-        if product is None:
-            raise ClosureError(f"no anti-commuting product reaches pair {i}")
-        e, xy = product
-        eps = (1 ^ e) if xy in w.keys else e
-        cells[(i, eps)], cells[(i, 1 - eps)] = w, w_hat
+        if i != i1:
+            f[i] = f[i ^ i1] ^ omega(leaders[i1], leaders[i ^ i1], p)
+        cells[(i, 1 ^ f[i])], cells[(i, f[i])] = w, w_hat
     q = QAPartition(c, maxbi, cells)
     if verify:
         report = verify_closure(q)
@@ -162,15 +159,10 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
         if max_failures == 1:
             return ClosureReport(False, 0, failures)
     keys = np.flatnonzero(cid >= 0).astype(np.min_scalar_type(cid.size))
-    alpha, zeta = keys >> p, keys & ((1 << p) - 1)
-    # a parity table, not np.bitwise_count, which needs numpy >= 2.0
-    parity = np.array([k.bit_count() & 1 for k in range(1 << p)], dtype=bool)
     checked = 0
     for r0 in range(0, len(keys), 32):
-        rows, cols = slice(r0, r0 + 32), slice(r0 + 1, None)
-        xs, ys = keys[rows, None], keys[cols]
-        anti = parity[(alpha[rows, None] & zeta[cols]) ^ (zeta[rows, None] & alpha[cols])]
-        anti &= xs < ys
+        xs, ys = keys[r0 : r0 + 32, None], keys[r0 + 1 :]
+        anti = (omega(xs, ys, p) == 1) & (xs < ys)
         bad = np.flatnonzero(anti & (cid[xs ^ ys] != (cid[xs] ^ cid[ys])))
         for h in bad[: max_failures - len(failures)]:
             pair = (int(xs[h // ys.size, 0]), int(ys[h % ys.size]))
@@ -247,7 +239,7 @@ def split_by_commutation(w1: SpinorSet, w2: SpinorSet) -> tuple[SpinorSet, Spino
     rest = w1.keys - aligned
     for y in w2.keys:
         for half in (aligned, rest):
-            flags = {keys_commute(y, x, p) for x in half}
+            flags = {omega(y, x, p) for x in half}
             if len(flags) > 1:
                 raise ValueError(
                     f"{key_text(y, p)} relates non-uniformly to a sub-coset; "

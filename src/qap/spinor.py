@@ -1,9 +1,10 @@
 """Spinor generators as (phase, binary-partitioning) word pairs.
 
-Products, commutation and self parity are pure GF(2) parity computations.
-A Kronecker-product matrix realization over exact Gaussian integers backs
-every rule as a test oracle; all matrix entries stay integral because the
-only scalars that ever appear are powers of i.
+The calculus is four GF(2) rules on packed keys, each written once for a
+Python int or a numpy integer array: omega, key_product, key_self_parity
+and key_conjugate.  A Kronecker-product matrix realization over exact
+Gaussian integers backs every rule as a test oracle; all matrix entries
+stay integral because the only scalars that ever appear are powers of i.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitWord, InvariantError, dot
+from .bitcore import BitWord, InvariantError, parity
 
 ORACLE_MAX_P = 6
 
@@ -41,21 +42,44 @@ def swap_key(key: int, p: int) -> int:
     return ((key & mask) << p) | (key >> p)
 
 
-def keys_commute(k1: int, k2: int, p: int) -> bool:
-    """The commutation rule: True iff the pair commutes, False iff it
-    anti-commutes, read off the parity of eta.alpha + zeta.beta."""
-    mask = (1 << p) - 1
-    a1, z1 = k1 >> p, k1 & mask
-    a2, z2 = k2 >> p, k2 & mask
-    return ((z2 & a1).bit_count() + (z1 & a2).bit_count()) & 1 == 0
+# ---------------------------------------------------------------------------
+# the rules: x >> p is alpha, and (x >> p) & y keeps alpha_x . zeta_y, since
+# alpha_x has no bits at or above p
+
+
+def omega(x, y, p: int):
+    """The commutation form: 1 where S_x and S_y anti-commute, 0 where they
+    commute; the parity of alpha_x . zeta_y + alpha_y . zeta_x."""
+    return parity(((x >> p) & y) ^ ((y >> p) & x))
+
+
+def key_product(x, y, p: int):
+    """S_x S_y = i^e S_(x ^ y), as (e, x ^ y): the sign is
+    (-1)^(alpha_x . zeta_y)."""
+    return 2 * parity((x >> p) & y), x ^ y
+
+
+def key_self_parity(x, p: int):
+    """zeta . alpha: S_x squares to (-1)^that, and the hermitian form of an
+    odd S_x carries a factor i."""
+    return parity((x >> p) & x)
+
+
+def key_conjugate(h, inverse: bool, x, p: int):
+    """h S_x h-dagger (h-dagger S_x h when inverse) for h = h[zeta|alpha] of
+    key h, as (e, key) with the result i^e S_key.  h fixes a commuting S_x
+    and sends an anti-commuting one to i (-i)^(zeta.alpha) S_h S_x; the
+    inverse direction differs by a sign."""
+    anti = omega(h, x, p)
+    e = key_product(h, x, p)[0]
+    return anti * (1 + 2 * inverse + 3 * key_self_parity(h, p) + e) % 4, x ^ anti * h
 
 
 def key_text(key: int, p: int, hermitian_norm: bool = False) -> str:
     """S[zeta|alpha], with the i-prefix of odd self parity when
     hermitian_norm is set."""
-    zeta, alpha = key & ((1 << p) - 1), key >> p
-    text = f"S[{zeta:0{p}b}|{alpha:0{p}b}]"
-    return f"i·{text}" if hermitian_norm and (zeta & alpha).bit_count() & 1 else text
+    text = f"S[{key & ((1 << p) - 1):0{p}b}|{key >> p:0{p}b}]"
+    return f"i·{text}" if hermitian_norm and key_self_parity(key, p) else text
 
 
 @dataclass(frozen=True, order=False)
@@ -115,10 +139,6 @@ class PhasedSpinor:
         return f"{prefix}{self.body}"
 
 
-def identity_spinor(p: int) -> Spinor:
-    return Spinor(BitWord.zero(p), BitWord.zero(p))
-
-
 def bi_add(s: Spinor, t: Spinor) -> Spinor:
     """The phase-free group law: componentwise XOR."""
     return Spinor(s.zeta ^ t.zeta, s.alpha ^ t.alpha)
@@ -126,23 +146,19 @@ def bi_add(s: Spinor, t: Spinor) -> Spinor:
 
 def product(s: Spinor, t: Spinor) -> PhasedSpinor:
     """Operator product; the sign is (-1)^(eta.alpha) for s=S[z|a], t=S[e|b]."""
-    sign = dot(t.zeta, s.alpha)
-    return PhasedSpinor(2 * sign, bi_add(s, t))
-
-
-def phased_product(s: PhasedSpinor, t: PhasedSpinor) -> PhasedSpinor:
-    base = product(s.body, t.body)
-    return PhasedSpinor(s.i_exp + t.i_exp + base.i_exp, base.body)
+    s.alpha._match(t.alpha)
+    e, key = key_product(key_of(s), key_of(t), s.p)
+    return PhasedSpinor(e, spinor_of_key(key, s.p))
 
 
 def commutes(s: Spinor, t: Spinor) -> bool:
     """True iff the pair commutes; False means it anti-commutes."""
     s.alpha._match(t.alpha)
-    return keys_commute(key_of(s), key_of(t), s.p)
+    return not omega(key_of(s), key_of(t), s.p)
 
 
 def self_parity(s: Spinor) -> int:
-    return dot(s.zeta, s.alpha)
+    return key_self_parity(key_of(s), s.p)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +177,6 @@ class GaussianMatrix:
     @classmethod
     def identity(cls, n: int) -> "GaussianMatrix":
         return cls(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, n: int) -> "GaussianMatrix":
-        z = np.zeros((n, n), dtype=np.int64)
-        return cls(z, z.copy())
 
     def __matmul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
         return GaussianMatrix(

@@ -21,7 +21,7 @@ from .bitcore import (
     gf2_span,
     solve_affine,
 )
-from .spinor import Spinor, commutes, key_of, keys_commute, pack, spinor_of_key, swap_key
+from .spinor import Spinor, commutes, key_of, key_product, omega, pack, spinor_of_key, swap_key
 
 
 class SpinorSet:
@@ -97,7 +97,7 @@ def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
     if len(basis) != p or _span_keys(basis) != s.keys:
         return False
     for k1, k2 in itertools.combinations(basis, 2):
-        if not keys_commute(k1, k2, p):
+        if omega(k1, k2, p):
             return False
     if scan is None:
         scan = p <= 4
@@ -105,7 +105,7 @@ def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
         for x in range(1 << (2 * p)):
             if x in s.keys:
                 continue
-            if all(keys_commute(x, b, p) for b in basis):
+            if not any(omega(x, b, p) for b in basis):
                 return False
     return True
 
@@ -190,12 +190,10 @@ class CartanSubalgebra:
 
     @cached_property
     def parity_table(self) -> tuple[tuple[int, ...], ...]:
-        """Entry (i, j) is the parity of zeta_i . alpha_j over the generators."""
-        p, mask = self.p, (1 << self.p) - 1
-        gens = self.generator_keys
-        table = tuple(
-            tuple(((gi & mask) & (gj >> p)).bit_count() & 1 for gj in gens) for gi in gens
-        )
+        """Entry (i, j) is the parity of zeta_i . alpha_j over the generators,
+        the sign of the product S_j S_i."""
+        p, gens = self.p, self.generator_keys
+        table = tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
         for i in range(len(gens)):
             for j in range(i):
                 if table[i][j] != table[j][i]:
@@ -355,9 +353,7 @@ def sqcap(b1: BiSubalgebra, b2: BiSubalgebra) -> BiSubalgebra:
 
 def commuting_keys(c: CartanSubalgebra, key: int) -> frozenset[int]:
     """Keys of the elements of c that commute with the spinor key."""
-    # [x, y] is the parity of swap(x) & y, so one AND per element
-    swapped = swap_key(key, c.p)
-    return frozenset(k for k in c.elements.keys if (swapped & k).bit_count() & 1 == 0)
+    return frozenset(k for k in c.elements.keys if not omega(key, k, c.p))
 
 
 def coset_leaders(c: CartanSubalgebra) -> list[int]:

@@ -13,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitcore import BitWord, InvariantError, dot, gf2_rank, solve_affine
+from .bitcore import BitWord, InvariantError, gf2_rank, solve_affine
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
     GaussianMatrix,
     PhasedSpinor,
     Spinor,
+    key_conjugate,
     key_of,
-    keys_commute,
+    key_self_parity,
+    omega,
     pack,
     spinor_of_key,
     to_matrix,
@@ -71,15 +73,9 @@ def conjugate(h: BasicTransform, s: PhasedSpinor | Spinor) -> PhasedSpinor:
     """h s h-dagger (or h-dagger s h for an inverted factor), exactly."""
     if isinstance(s, Spinor):
         s = PhasedSpinor(0, s)
-    body = s.body
-    h.alpha._match(body.alpha)
-    k = key_of(body)
-    if keys_commute(h.key, k, h.p):
-        return s
-    # exact coefficient i (-i)^(zeta.alpha) (-1)^(eta.alpha); the inverse
-    # direction differs by a sign (h' s h = -(h s h'))
-    extra = (3 if h.inverse else 1) + 3 * dot(h.zeta, h.alpha) + 2 * dot(body.zeta, h.alpha)
-    return PhasedSpinor(s.i_exp + extra, spinor_of_key(k ^ h.key, h.p))
+    h.alpha._match(s.body.alpha)
+    e, key = key_conjugate(h.key, h.inverse, key_of(s.body), h.p)
+    return PhasedSpinor(s.i_exp + e, spinor_of_key(key, h.p))
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ def apply_circuit(q: SymbolicCircuit, x: SpinorSet) -> SpinorSet:
         if f.p != p:
             raise ValueError("factor width mismatch")
         hk = f.key
-        keys = [k if keys_commute(hk, k, p) else k ^ hk for k in keys]
+        keys = [k ^ hk if omega(hk, k, p) else k for k in keys]
     return SpinorSet(p, keys)
 
 
@@ -144,7 +140,7 @@ def apply_to_cartan(q: SymbolicCircuit, c: CartanSubalgebra) -> CartanSubalgebra
 def h_matrix(h: BasicTransform) -> GaussianMatrix:
     """sqrt(2) times the unitary of h, exact over the Gaussian integers."""
     n = 1 << h.p
-    coeff = (1 + 3 * dot(h.zeta, h.alpha)) % 4  # i * (-i)^(zeta.alpha)
+    coeff = 1 + 3 * key_self_parity(h.key, h.p)  # i * (-i)^(zeta.alpha)
     m = GaussianMatrix.identity(n) + to_matrix(h.spinor).times_i_pow(coeff)
     return m.dagger() if h.inverse else m
 
@@ -166,14 +162,11 @@ def circuit_matrix(q: SymbolicCircuit, p: int) -> tuple[GaussianMatrix, int]:
 def build_R(c: CartanSubalgebra) -> SymbolicCircuit:
     """Diagonalizer: one factor per canonical generator S[xi_i|alpha_i],
     with phases solved from xi_i.alpha_j + zeta_j.alpha_i = delta_ij."""
-    p, mask = c.p, (1 << c.p) - 1
-    gens = [(g & mask, g >> p) for g in c.generator_keys]
+    p, table = c.p, c.parity_table
+    alphas = [g >> p for g in c.generator_keys]
     factors = []
-    for j, (_, aj) in enumerate(gens):
-        constraints = [
-            (ai, (i == j) ^ ((zi & aj).bit_count() & 1)) for i, (zi, ai) in enumerate(gens)
-        ]
-        z = solve_affine(constraints, p)
+    for j, aj in enumerate(alphas):
+        z = solve_affine([(ai, (i == j) ^ table[i][j]) for i, ai in enumerate(alphas)], p)
         if z is None:
             raise AssertionError("diagonalizer system must be solvable")
         factors.append(BasicTransform(BitWord(z, p), BitWord(aj, p)))
@@ -185,7 +178,7 @@ def _cell_signature(cell: SpinorSet) -> tuple[int, int]:
     W^sigma_alpha = {S[zeta|alpha] : zeta.alpha = 1 + sigma}."""
     p = cell.p
     alphas = {k >> p for k in cell.keys}
-    parities = {(k & (k >> p)).bit_count() & 1 for k in cell.keys}
+    parities = {key_self_parity(k, p) for k in cell.keys}
     if len(alphas) != 1 or len(parities) != 1:
         raise ValueError("not a conditioned subspace of the diagonal subalgebra")
     return alphas.pop(), 1 ^ parities.pop()

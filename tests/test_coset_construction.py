@@ -37,7 +37,7 @@ from qap.subalgebra import (
     commuting_bisubalgebra,
     intrinsic_cartan,
     key_of,
-    keys_commute,
+    omega,
     parse_label,
     phase_type_generator_keys,
     phase_type_maximal,
@@ -120,7 +120,7 @@ def ref_cells(c, members, leaders) -> dict[tuple[int, int], frozenset[int]]:
             for e2 in (1, 0):
                 for x in cells[(i1, e1)]:
                     for y in cells[(i2, e2)]:
-                        if keys_commute(x, y, p):
+                        if not omega(x, y, p):
                             continue
                         eps = e1 ^ e2
                         if (x ^ y) in w:

@@ -128,11 +128,11 @@ def test_completeness_by_independent_exhaustive_search():
     # containing the identity, found by brute force over generator pairs
     p = 2
     keys = list(range(1 << (2 * p)))
-    from qap.subalgebra import keys_commute
+    from qap.subalgebra import omega
 
     found = set()
     for a, b in itertools.combinations(keys[1:], 2):
-        if a ^ b in (a, b) or not keys_commute(a, b, p):
+        if a ^ b in (a, b) or omega(a, b, p):
             continue
         group = frozenset({0, a, b, a ^ b})
         if is_cartan(SpinorSet(p, group)):

@@ -9,18 +9,19 @@ import pytest
 
 import qap.oracle as oracle
 import qap.spinor
-from qap.bitcore import BitWord
+import qap.transform
 from qap.oracle import OracleReport, all_spinors, check_conjugations, check_products
-from qap.spinor import PhasedSpinor, Spinor, key_of
-from qap.transform import BasicTransform
+from qap.spinor import PhasedSpinor, Spinor, bi_add, commutes, key_of, product
+from qap.transform import BasicTransform, conjugate, h_matrix
 
 S = Spinor.parse
 
 
 # ---------------------------------------------------------------------------
 # reference: one pair at a time, every matrix rebuilt where it is used.  The
-# symbolic rules and the realization are read through the qap.oracle module,
-# so a fault patched there reaches both sides.
+# Spinor-level rules read the key rules of qap.spinor and qap.transform, and
+# the realization is read through the qap.oracle module, so a fault planted
+# there reaches both sides.
 
 
 def reference_products(p: int, max_failures: int = 1) -> OracleReport:
@@ -31,14 +32,14 @@ def reference_products(p: int, max_failures: int = 1) -> OracleReport:
     for s, t in itertools.product(spinors, repeat=2):
         checks += 1
         lhs = mats[s] @ mats[t]
-        if lhs != oracle.to_matrix(oracle.product(s, t)):
+        if lhs != oracle.to_matrix(product(s, t)):
             failures.append(f"product mismatch at {s} * {t}")
         st, ts = lhs, mats[t] @ mats[s]
-        if oracle.commutes(s, t) != (st - ts).is_zero:
+        if commutes(s, t) != (st - ts).is_zero:
             failures.append(f"commutation mismatch at {s}, {t}")
-        if not oracle.commutes(s, t) and not (st + ts).is_zero:
+        if not commutes(s, t) and not (st + ts).is_zero:
             failures.append(f"anti-commutator does not vanish at {s}, {t}")
-        if oracle.bi_add(s, t) != oracle.product(s, t).body:
+        if bi_add(s, t) != product(s, t).body:
             failures.append(f"bi_add disagrees with the product body at {s}, {t}")
         if len(failures) >= max_failures:
             return OracleReport(False, checks, failures)
@@ -51,12 +52,12 @@ def reference_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     failures: list[str] = []
     for hs in spinors:
         h = BasicTransform(hs.zeta, hs.alpha)
-        hm = oracle.h_matrix(h)
+        hm = h_matrix(h)
         hd = hm.dagger()
         for s in spinors:
             for factor in (h, h.inverted()):
                 checks += 1
-                out = oracle.conjugate(factor, PhasedSpinor(0, s))
+                out = conjugate(factor, PhasedSpinor(0, s))
                 m = oracle.to_matrix(s)
                 lhs = (hd @ m) @ hm if factor.inverse else (hm @ m) @ hd
                 if lhs != oracle.to_matrix(out).scaled(2):
@@ -67,7 +68,9 @@ def reference_conjugations(p: int, max_failures: int = 1) -> OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# faults: each corrupts one answer of one rule at width p
+# faults: each corrupts one answer of one rule at width p.  A key rule takes
+# an int or a numpy array of keys, so each fault adds a term that is nonzero
+# only at its pair, and is planted wherever a qap module binds the rule.
 
 
 def _pair(p: int) -> tuple[Spinor, Spinor]:
@@ -75,43 +78,60 @@ def _pair(p: int) -> tuple[Spinor, Spinor]:
     return spinors[len(spinors) // 2 + 1], spinors[-2]
 
 
+def plant(monkeypatch, name: str, make) -> None:
+    real = getattr(qap.spinor, name)
+    fake = make(real)
+    for module in (qap.spinor, qap.transform, oracle):
+        if vars(module).get(name) is real:
+            monkeypatch.setattr(module, name, fake)
+
+
+def at(x, y, x0: Spinor, y0: Spinor):
+    """1 where the keys (x, y) are the pair (x0, y0), for ints or arrays."""
+    return (x == key_of(x0)) & (y == key_of(y0))
+
+
 def inject_product_phase(monkeypatch, s0: Spinor, t0: Spinor) -> None:
-    real = oracle.product
+    def make(real):
+        def key_product(x, y, p):
+            e, key = real(x, y, p)
+            return e + at(x, y, s0, t0), key
 
-    def product(s, t):
-        out = real(s, t)
-        return PhasedSpinor(out.i_exp + 1, out.body) if (s, t) == (s0, t0) else out
+        return key_product
 
-    monkeypatch.setattr(oracle, "product", product)
+    plant(monkeypatch, "key_product", make)
 
 
 def inject_commutes_flip(monkeypatch, s0: Spinor) -> None:
     """s0 reported to anti-commute with itself: both the commutator and the
-    anti-commutator check must object."""
-    real = oracle.commutes
-    monkeypatch.setattr(oracle, "commutes", lambda s, t: real(s, t) ^ (s == t == s0))
+    anti-commutator check must object, and so must the conjugation check,
+    which reads the same omega for h[s0] on s0."""
+    plant(monkeypatch, "omega", lambda real: lambda x, y, p: real(x, y, p) ^ at(x, y, s0, s0))
 
 
 def inject_bi_add_body(monkeypatch, s0: Spinor, t0: Spinor) -> None:
-    real = oracle.bi_add
+    """The product body of (s0, t0) is off by one bit, so it is no longer
+    the bi-addition of the pair."""
+    def make(real):
+        def key_product(x, y, p):
+            e, key = real(x, y, p)
+            return e, key ^ at(x, y, s0, t0)
 
-    def bi_add(s, t):
-        out = real(s, t)
-        return Spinor(out.zeta ^ BitWord(1, s.p), out.alpha) if (s, t) == (s0, t0) else out
+        return key_product
 
-    monkeypatch.setattr(oracle, "bi_add", bi_add)
+    plant(monkeypatch, "key_product", make)
 
 
 def inject_conjugate_phase(monkeypatch, h0: Spinor, s0: Spinor) -> None:
     """h'[h0] on s0 comes back with the wrong sign; h[h0] stays right."""
-    real = oracle.conjugate
+    def make(real):
+        def key_conjugate(h, inverse, x, p):
+            e, key = real(h, inverse, x, p)
+            return e + 2 * (inverse & at(h, x, h0, s0)), key
 
-    def conjugate(h, s):
-        out = real(h, s)
-        hit = h.inverse and h.spinor == h0 and s.body == s0
-        return PhasedSpinor(out.i_exp + 2, out.body) if hit else out
+        return key_conjugate
 
-    monkeypatch.setattr(oracle, "conjugate", conjugate)
+    plant(monkeypatch, "key_conjugate", make)
 
 
 def inject_matrix_entry(monkeypatch, target: Spinor) -> None:
@@ -161,21 +181,17 @@ def test_each_fault_is_caught_by_the_right_check(monkeypatch, fault):
     products, conjugations = check_products(2, 9), check_conjugations(2, 9)
     if fault == "conjugate_phase":
         assert products.ok and not conjugations.ok
-    elif fault == "matrix_entry":
+    elif fault in ("matrix_entry", "commutes_flip"):
         assert not products.ok and not conjugations.ok
     else:
         assert not products.ok and conjugations.ok
 
 
 def test_a_fault_in_the_shared_commutation_rule_is_caught(monkeypatch):
-    """commutes reads qap.spinor.keys_commute, the rule that build_qap and
-    the connector use, so one flipped pair there fails the product check."""
+    """The oracle checks qap.spinor.omega, the rule that build_qap and the
+    connector use, so one flipped pair there fails the product check."""
     s0, t0 = _pair(2)
-    pair = (key_of(s0), key_of(t0))
-    real = qap.spinor.keys_commute
-    monkeypatch.setattr(
-        qap.spinor, "keys_commute", lambda k1, k2, p: real(k1, k2, p) ^ ((k1, k2) == pair)
-    )
+    plant(monkeypatch, "omega", lambda real: lambda x, y, p: real(x, y, p) ^ at(x, y, s0, t0))
     report = check_products(2)
     assert not report.ok
     assert report.failures[0] == f"commutation mismatch at {s0}, {t0}"

@@ -28,7 +28,7 @@ from qap.subalgebra import (
     SpinorSet,
     all_maximal,
     intrinsic_cartan,
-    keys_commute,
+    omega,
     parse_label,
     spinor_of_key,
 )
@@ -44,7 +44,7 @@ def commutator_lands_in(q: QAPartition, a, b, t) -> bool:
     ca, cb, ct = q.cells[a], q.cells[b], q.cells[t]
     for x in ca.keys:
         for y in cb.keys:
-            if not keys_commute(x, y, q.p) and (x ^ y) not in ct.keys:
+            if omega(x, y, q.p) and (x ^ y) not in ct.keys:
                 return False
     return True
 
@@ -87,10 +87,8 @@ def test_pair_invariants(atlas3):
             union = pair.w.keys | pair.w_hat.keys
             # commutes with the determinant, anti-commutes with the rest
             for x in union:
-                assert all(keys_commute(x, k, 3) for k in b.elements.keys)
-                assert not any(
-                    keys_commute(x, k, 3) for k in c.elements.keys - b.elements.keys
-                )
+                assert not any(omega(x, k, 3) for k in b.elements.keys)
+                assert all(omega(x, k, 3) for k in c.elements.keys - b.elements.keys)
             # coset of the center under bi-addition
             leader = min(union)
             assert union == {leader ^ k for k in c.elements.keys}
@@ -98,8 +96,8 @@ def test_pair_invariants(atlas3):
             for x, y in itertools.combinations(pair.w.keys, 2):
                 assert (x ^ y) in b.elements.keys
             for x in pair.w.keys:
-                assert all(keys_commute(x, y, 3) for y in pair.w.keys)
-                assert not any(keys_commute(x, y, 3) for y in pair.w_hat.keys)
+                assert not any(omega(x, y, 3) for y in pair.w.keys)
+                assert all(omega(x, y, 3) for y in pair.w_hat.keys)
                 for y in pair.w_hat.keys:
                     assert (x ^ y) not in b.elements.keys
 
@@ -114,7 +112,7 @@ def test_pair_matches_bruteforce_scan(atlas3):
                 k
                 for k in range(1 << 6)
                 if k not in c.elements.keys
-                and all(keys_commute(k, e, 3) for e in b.elements.keys)
+                and not any(omega(k, e, 3) for e in b.elements.keys)
             ]
             s0 = min(scan)
             w_scan = {k for k in scan if (s0 ^ k) in b.elements.keys}
@@ -209,7 +207,7 @@ def test_quadruple_rule_lands_in_sqcap(atlas2):
             target = q.maxbi.members[i1 ^ i2].elements.keys
             for s1, s2 in itertools.product(cell1.keys, repeat=2):
                 for t1, t2 in itertools.product(cell2.keys, repeat=2):
-                    if keys_commute(s1, t1, p) or keys_commute(s2, t2, p):
+                    if not omega(s1, t1, p) or not omega(s2, t2, p):
                         continue
                     assert (s1 ^ s2 ^ t1 ^ t2) in target
 
@@ -227,9 +225,7 @@ def test_abelianness_characterizes_the_coset_rule(atlas3):
         for _ in range(40):
             size = rng.choice((2, 3, 4))
             subset = rng.sample(pair, size)
-            abelian = all(
-                keys_commute(x, y, 3) for x, y in itertools.combinations(subset, 2)
-            )
+            abelian = not any(omega(x, y, 3) for x, y in itertools.combinations(subset, 2))
             coset_rule = all(
                 (x ^ y) in b for x, y in itertools.combinations(subset, 2)
             )
@@ -243,7 +239,7 @@ def test_abelianness_characterizes_the_coset_rule(atlas3):
 def anti_commuting(p: int) -> tuple[frozenset[int], ...]:
     n = 1 << (2 * p)
     return tuple(
-        frozenset(y for y in range(n) if not keys_commute(x, y, p)) for x in range(n)
+        frozenset(y for y in range(n) if omega(x, y, p)) for x in range(n)
     )
 
 
@@ -258,7 +254,7 @@ def witness(ka: CellKey, kb: CellKey, x: int, y: int, target: CellKey, p: int) -
 def reference_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     """The pure-Python pair loop that verify_closure replaced: every cell
     pair once, then the conjugate-partition inclusions against the center.
-    Commutation is read from a keys_commute table instead of recomputed."""
+    Commutation is read from a table of omega instead of recomputed."""
     p = q.p
     anti = anti_commuting(p)
     checked = 0
@@ -317,7 +313,7 @@ def assert_genuine(q: QAPartition, line: str) -> None:
     target cell that misses the product."""
     ka, kb, x, y, target = parse_witness(line)
     assert ka <= kb and q.cell_of(x) == ka and q.cell_of(y) == kb, line
-    assert not keys_commute(x, y, q.p), line
+    assert omega(x, y, q.p), line
     assert target == (ka[0] ^ kb[0], ka[1] ^ kb[1]), line
     assert (x ^ y) not in q.cells[target].keys, line
 
@@ -424,6 +420,16 @@ def test_identity_outside_the_center_fails_with_its_cell():
     assert report.failures == ["identity S[000|000] lies in no cell, not in B:0/eps:1"]
 
 
+def test_is_partition_checks_the_center_and_every_cell_size():
+    # moving key 0 keeps 64 distinct keys in all, with 7 and 5 in the two cells
+    q = qap_of(parse_label("C^{0}_{[100]}"))
+    assert q.is_partition()
+    cells = dict(q.cells)
+    cells[(0, 1)] = SpinorSet(3, q.cells[(0, 1)].keys - {0})
+    cells[(1, 0)] = SpinorSet(3, q.cells[(1, 0)].keys | {0})
+    assert not QAPartition(q.cartan, q.maxbi, cells).is_partition()
+
+
 def test_dropped_key_never_reads_as_the_degrade_cell():
     # an uncovered spinor must fail as a product, not pass as cell (0,0)
     q = qap_of(intrinsic_cartan(3))
@@ -459,7 +465,7 @@ def test_conjugate_partition_inclusions_are_cells_of_the_sweep():
             for a, b, target in ((w, center, w_hat), (w_hat, center, w), (w, w_hat, center)):
                 assert (a[0] ^ b[0], a[1] ^ b[1]) == target
                 assert any(
-                    not keys_commute(x, y, p) for x in q.cells[a].keys for y in q.cells[b].keys
+                    omega(x, y, p) for x in q.cells[a].keys for y in q.cells[b].keys
                 )
                 assert commutator_lands_in(q, a, b, target)
 
@@ -499,7 +505,7 @@ def test_failure_witness_format_and_limit():
     last = tuple(sorted(parse_witness(report.failures[-1])[2:4]))
     assert report.checked_pairs == sum(
         1 for pair in itertools.combinations(range(64), 2)
-        if pair <= last and not keys_commute(*pair, 3)
+        if pair <= last and omega(*pair, 3)
     )
     assert report.failures[0] == (
         "[B:1/eps:1, B:5/eps:1]: S[001|000] x S[100|011] -> S[101|011] not in B:4/eps:0"

@@ -14,14 +14,25 @@ from qap.spinor import (
     Spinor,
     bi_add,
     commutes,
-    identity_spinor,
-    phased_product,
+    key_conjugate,
+    key_product,
+    key_self_parity,
+    omega,
     product,
     self_parity,
     to_matrix,
 )
 
 S = Spinor.make
+
+
+def identity_spinor(p: int) -> Spinor:
+    return Spinor(BitWord.zero(p), BitWord.zero(p))
+
+
+def phased_product(s: PhasedSpinor, t: PhasedSpinor) -> PhasedSpinor:
+    base = product(s.body, t.body)
+    return PhasedSpinor(s.i_exp + t.i_exp + base.i_exp, base.body)
 
 
 def spinors(p: int):
@@ -137,6 +148,30 @@ def test_bi_add_group_laws(a, b, c):
 def test_phase_product_associates_with_matrices(s, t):
     ps, pt = PhasedSpinor(1, s), PhasedSpinor(2, t)
     assert to_matrix(phased_product(ps, pt)) == to_matrix(ps) @ to_matrix(pt)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_each_rule_has_equal_int_and_array_forms(p, dtype):
+    """Every key rule on a whole (x, y) grid of numpy keys, through the
+    XOR-fold parity, equals the rule on each pair of Python ints."""
+    n = 1 << (2 * p)
+    xs, ys = np.arange(n, dtype=dtype)[:, None], np.arange(n, dtype=dtype)[None, :]
+    pairs = [[(x, y) for y in range(n)] for x in range(n)]
+
+    def grid(rule):
+        return [[rule(x, y) for x, y in row] for row in pairs]
+
+    def pairs_of(e, body):
+        return [list(zip(*rows)) for rows in zip(e.tolist(), body.tolist())]
+
+    assert key_self_parity(ys[0], p).tolist() == [key_self_parity(y, p) for y in range(n)]
+    assert omega(xs, ys, p).tolist() == grid(lambda x, y: omega(x, y, p))
+    assert pairs_of(*key_product(xs, ys, p)) == grid(lambda x, y: key_product(x, y, p))
+    for inverse in (False, True):
+        assert pairs_of(*key_conjugate(xs, inverse, ys, p)) == grid(
+            lambda h, y: key_conjugate(h, inverse, y, p)
+        )
 
 
 def test_spinor_ordering_is_alpha_major():
