@@ -7,17 +7,14 @@ shell construction, B u W over phase-type B, stays as extend_shell.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .bitcore import BitWord, InvariantError, gf2_nullspace, gf2_span
+from .partition import build_qap
 from .spinor import key_text, omega
-from .subalgebra import (
-    CartanSubalgebra,
-    SpinorSet,
-    conjugate_pair_keys,
-    coset_leaders,
-)
+from .subalgebra import CartanSubalgebra, SpinorSet
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
 ENUMERATION_MAX_P = 5
@@ -69,14 +66,14 @@ def extend_shell(c: CartanSubalgebra) -> set[CartanSubalgebra]:
 
 
 def _phase_pairs(c: CartanSubalgebra):
-    """(B keys, W keys, W-hat keys) for every phase-type maximal
-    bi-subalgebra B of c: the cosets of c whose commutant in c misses a
-    diagonal element, that is, whose leader anti-commutes with one."""
-    p = c.p
-    diag = [r for r in c.basis_keys if not r >> p]
-    for leader in coset_leaders(c):
-        if any(omega(leader, d, p) for d in diag):
-            yield conjugate_pair_keys(c, leader)
+    """(B keys, W^1 keys, W^0 keys) for every phase-type maximal
+    bi-subalgebra B_i of c, read from c's partition: the members whose
+    commutant misses a diagonal element (a key below 2^p)."""
+    q = build_qap(c, verify=False)
+    g = q.maxbi
+    phase_type = ~g.comm[:, g.keys < 1 << c.p].all(axis=1)
+    for i in phase_type.nonzero()[0].tolist():
+        yield g.members[i].elements.keys, q.cells[(i, 1)].keys, q.cells[(i, 0)].keys
 
 
 def _shell(p: int, k: int) -> Iterator[frozenset[int]]:
@@ -137,16 +134,21 @@ class ParityStrings(NamedTuple):
     mu: str
 
 
+def parity_strings(c: CartanSubalgebra) -> ParityStrings:
+    """Self- and mutual-parity strings over c's ascending alpha basis: the
+    diagonal of its parity table, then the upper triangle row by row."""
+    table, k = c.parity_table, c.kind
+    se = "".join(str(table[i][i]) for i in range(k))
+    mu = "".join(str(table[i][j]) for i in range(k) for j in range(i + 1, k))
+    return ParityStrings(se, mu)
+
+
 def mutual_parity(c: CartanSubalgebra) -> ParityStrings:
     """Self- and mutual-parity strings of a top-kind subalgebra over the
     ascending unit-vector basis."""
-    p = c.p
-    if c.kind != p:
+    if c.kind != c.p:
         raise ValueError("mutual parity is defined on the top kind; lift first")
-    table = c.parity_table
-    se = "".join(str(table[i][i]) for i in range(p))
-    mu = "".join(str(table[i][j]) for i in range(p) for j in range(i + 1, p))
-    return ParityStrings(se, mu)
+    return parity_strings(c)
 
 
 def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
@@ -240,19 +242,14 @@ def nonlocal_connector(
 def atlas_jsonl(atlas: CartanAtlas) -> str:
     """One JSON object per subalgebra: label, kind, parity strings,
     canonical element list."""
-    import json
-
     lines = []
     for c in atlas.members():
-        k = c.kind
-        table = c.parity_table
-        se = "".join(str(table[i][i]) for i in range(k))
-        mu = "".join(str(table[i][j]) for i in range(k) for j in range(i + 1, k))
+        se, mu = parity_strings(c)
         lines.append(
             json.dumps(
                 {
                     "label": c.label,
-                    "kind": k,
+                    "kind": c.kind,
                     "eps_se": se,
                     "eps_mu": mu,
                     "elements": [key_text(k, c.p) for k in sorted(c.elements.keys)],

@@ -1,22 +1,26 @@
 """Rank-zero quotient-algebra partitions and their verifiers.
 
-A partition holds 2^(p+1) conditioned subspaces keyed by (maximal
-bi-subalgebra index, epsilon).  In each index-basis pair (index a power
-of two) the half holding the pair's smallest spinor is W^1; every other
-pair takes the labels the closure law forces, read in closed form from a
+A partition is one array over the 4^p spinor keys, cid[key] =
+(i << 1) | epsilon for the conditioned subspace W^epsilon(B_i), B_i the
+i-th member of MaxBiGroup.  In each index-basis pair (index a power of
+two) the half holding the pair's smallest spinor is W^1; every other pair
+takes the labels the closure law forces, read in closed form from a
 quadratic refinement of the commutation form omega on the coset leaders.
-The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is checked at
-build time on every anti-commuting spinor pair, by one vectorised numpy
-sweep that stays exhaustive; index arithmetic is XOR throughout.
+The cells, keyed (i, epsilon), are derived from the array where they are
+read.  The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is
+checked at build time on every anti-commuting spinor pair, by one
+exhaustive numpy sweep over the array; index arithmetic is XOR throughout.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .bitcore import InvariantError, gf2_rank
 from .spinor import Spinor, key_of, key_text, omega
 from .subalgebra import (
     BiSubalgebra,
@@ -28,10 +32,6 @@ from .subalgebra import (
 )
 
 CellKey = tuple[int, int]  # (bi-subalgebra index in MaxBiGroup, epsilon)
-
-
-class ClosureError(AssertionError):
-    """Internal invariant fault: the cell labeling violates the closure law."""
 
 
 @dataclass(frozen=True)
@@ -54,74 +54,86 @@ def conjugate_pair_of(c: CartanSubalgebra, b: BiSubalgebra) -> ConjugatePair:
         raise ValueError("bi-subalgebra does not belong to this Cartan subalgebra")
     if not b.is_maximal():
         raise ValueError("not a maximal bi-subalgebra")
-    maxbi = all_maximal(c)
-    w, w_hat = maxbi.halves[maxbi.index_of(b)]
-    return ConjugatePair(b, w, w_hat)
+    q = build_qap(c, verify=False)
+    i = q.maxbi.index_of(b)
+    e = int(q.cid[q.maxbi.leaders[i]]) & 1
+    return ConjugatePair(b, q.cells[(i, e)], q.cells[(i, e ^ 1)])
 
 
 class QAPartition:
-    """The 2^(p+1) conditioned subspaces generated by a Cartan subalgebra."""
+    """The 2^(p+1) conditioned subspaces generated by a Cartan subalgebra,
+    held as cid[key] = (i << 1) | eps for cell (i, eps) of each of the 4^p
+    keys; -1 marks a key in no cell.  The array is made read-only, since
+    the cells are derived from it once."""
 
-    __slots__ = ("cartan", "maxbi", "cells", "_cell_of_key")
+    __slots__ = ("cartan", "maxbi", "cid", "__dict__")
 
-    def __init__(self, cartan: CartanSubalgebra, maxbi: MaxBiGroup,
-                 cells: dict[CellKey, SpinorSet]):
+    def __init__(self, cartan: CartanSubalgebra, maxbi: MaxBiGroup, cid: np.ndarray):
         self.cartan = cartan
         self.maxbi = maxbi
-        self.cells = cells
-        self._cell_of_key: dict[int, CellKey] = {}
-        for ck, cell in cells.items():
-            for k in cell.keys:
-                self._cell_of_key[k] = ck
+        self.cid = cid
+        cid.flags.writeable = False
 
     @property
     def p(self) -> int:
         return self.cartan.p
 
-    def cell_of(self, s: Spinor | int) -> CellKey:
-        return self._cell_of_key[s if isinstance(s, int) else key_of(s)]
+    @cached_property
+    def cells(self) -> dict[CellKey, SpinorSet]:
+        """Every cell (i, eps), in order, sliced from one stable argsort."""
+        n = 2 << self.p
+        order = np.argsort(self.cid, kind="stable")
+        bounds = np.searchsorted(self.cid[order], np.arange(n + 1)).tolist()
+        keys = order.tolist()
+        return {divmod(v, 2): SpinorSet(self.p, keys[bounds[v] : bounds[v + 1]]) for v in range(n)}
 
-    def pair(self, index: int) -> ConjugatePair:
-        return ConjugatePair(
-            self.maxbi.members[index], self.cells[(index, 1)], self.cells[(index, 0)]
-        )
+    def cell_of(self, s: Spinor | int) -> CellKey:
+        v = int(self.cid[s if isinstance(s, int) else key_of(s)])
+        if v < 0:
+            raise KeyError(f"key {s} lies in no cell")
+        return divmod(v, 2)
+
+    def pair(self, i: int) -> ConjugatePair:
+        return ConjugatePair(self.maxbi.members[i], self.cells[(i, 1)], self.cells[(i, 0)])
 
     def is_partition(self) -> bool:
         """Cell (0,1) is the center, cell (0,0) is empty, every other cell
-        holds 2^(p-1) keys, and the cells cover all 4^p keys once."""
-        p = self.p
-        sizes = {ck: len(cell) for ck, cell in self.cells.items()}
-        if sizes != {(i, e): 1 << (p - 1) if i else e << p for i in range(1 << p) for e in (0, 1)}:
+        holds 2^(p-1) keys, and every one of the 4^p keys lies in a cell."""
+        p, cid = self.p, self.cid
+        if cid.min() < 0 or cid.max() >= 2 << p:
             return False
-        return self.cells[(0, 1)] == self.cartan.elements and len(self._cell_of_key) == 1 << (2 * p)
+        sizes = np.bincount(cid, minlength=2 << p)
+        ok = sizes[0] == 0 and (sizes[2:] == 1 << (p - 1)).all()
+        return bool(ok and (cid[self.maxbi.keys] == 1).all())
 
 
 def build_qap(c: CartanSubalgebra, verify: bool = True) -> QAPartition:
     """Label the halves of the 2^p conjugate pairs that c's cosets form.
 
     Pair i is the coset leaders[i] + c of MaxBiGroup, bisected into
-    W = leader + B_i and W-hat = leader + (c - B_i).  The index-basis
-    pairs anchor the labeling: W, the half holding the pair's smallest
-    spinor, is W^1.  The closure law makes f = 1 - epsilon a quadratic
-    refinement of omega, f(x ^ y) = f(x) ^ f(y) ^ omega(x, y), and the
-    leaders are XOR-linear, so f[i] = f[i ^ i1] ^ omega(leaders[i1],
+    W = leader + B_i (row i of maxbi.comm) and W-hat = leader + (c - B_i).
+    The index-basis pairs anchor the labeling: W, the half holding the
+    pair's smallest spinor, is W^1.  The closure law makes f = 1 - epsilon
+    a quadratic refinement of omega, f(x ^ y) = f(x) ^ f(y) ^ omega(x, y),
+    and the leaders are XOR-linear, so f[i] = f[i ^ i1] ^ omega(leaders[i1],
     leaders[i ^ i1]) for i1 the lowest bit of i, and W of pair i is
     W^(1 ^ f[i]).  A full verification sweep then asserts the labels.
     """
     maxbi = all_maximal(c)
     p, leaders = c.p, maxbi.leaders
-    cells: dict[CellKey, SpinorSet] = {}
     f = [0] * (1 << p)
-    for i, (w, w_hat) in enumerate(maxbi.halves):
+    for i in range(1, 1 << p):
         i1 = i & -i
-        if i != i1:
-            f[i] = f[i ^ i1] ^ omega(leaders[i1], leaders[i ^ i1], p)
-        cells[(i, 1 ^ f[i])], cells[(i, f[i])] = w, w_hat
-    q = QAPartition(c, maxbi, cells)
+        f[i] = f[i ^ i1] ^ omega(leaders[i1], leaders[i ^ i1], p)
+    index = np.arange(1 << p, dtype=np.int16)[:, None]
+    eps = np.array(f, dtype=np.int16)[:, None] ^ maxbi.comm
+    cid = np.empty(1 << (2 * p), dtype=np.int16)
+    cid[np.array(leaders)[:, None] ^ maxbi.keys[None, :]] = (index << 1) | eps
+    q = QAPartition(c, maxbi, cid)
     if verify:
         report = verify_closure(q)
         if not report.ok:
-            raise ClosureError(f"cell labeling inconsistent: {report.failures[0]}")
+            raise InvariantError(f"cell labeling of {c.label} breaks closure: {report.failures[0]}")
     return q
 
 
@@ -148,10 +160,7 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     (i,1)x(0,1), (i,0)x(0,1) and (i,1)x(i,0) of this sweep.  An uncovered
     key reads -1, which matches no product of two cell ids.
     """
-    p, max_failures = q.p, max(max_failures, 1)
-    cid = np.full(1 << (2 * p), -1, dtype=np.int16)
-    for (i, e), cell in q.cells.items():
-        cid[list(cell.keys)] = (i << 1) | e
+    p, cid, max_failures = q.p, q.cid, max(max_failures, 1)
     failures: list[str] = []
     if cid[0] != 1:  # key 0 commutes with everything, so no pair below reaches it
         where = cell_label(divmod(int(cid[0]), 2)) if cid[0] >= 0 else "no cell"
@@ -195,29 +204,18 @@ class CoQuotientView:
 
 def coquotient_view(q: QAPartition, cell: CellKey) -> CoQuotientView:
     """Re-pair all cells around a non-degrade conditioned subspace: the
-    partner of (m, s) under center (l, e) is (m^l, s^e)."""
+    partner of (m, s) under center (l, e) is (m^l, s^e).  Each regular pair
+    is listed once, led by its cell of smaller index, in ascending order."""
     l, e = cell
     if l == 0:
         raise ValueError("the center of a co-quotient view must be non-degrade")
     if cell not in q.cells:
         raise KeyError(f"no such cell {cell}")
-    regular = []
-    seen = set()
-    for m in range(1, 1 << q.p):
-        if m == l:
-            continue
-        for s in (0, 1):
-            a = (m, s)
-            b = (m ^ l, s ^ e)
-            if a in seen or b in seen:
-                continue
-            seen.update((a, b))
-            regular.append((a, b))
+    regular = tuple(
+        ((m, s), (m ^ l, s ^ e)) for m in range(1, 1 << q.p) if m < m ^ l for s in (0, 1)
+    )
     return CoQuotientView(
-        center=cell,
-        degrade=(cell, (0, 0)),
-        irregular=((0, 1), (l, 1 - e)),
-        regular=tuple(sorted(regular)),
+        center=cell, degrade=(cell, (0, 0)), irregular=((0, 1), (l, 1 - e)), regular=regular
     )
 
 
@@ -273,8 +271,6 @@ class DecompositionSequence:
             raise ValueError("steps must be non-degrade conditioned subspaces")
         if len(set(idx)) != p:
             raise ValueError("step determinants must be distinct")
-        from .bitcore import gf2_rank
-
         if gf2_rank(idx) != p:
             raise ValueError("step determinants must generate the whole group")
 

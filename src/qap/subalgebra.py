@@ -11,6 +11,8 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .bitcore import (
     BitSubgroup,
     BitWord,
@@ -351,11 +353,6 @@ def sqcap(b1: BiSubalgebra, b2: BiSubalgebra) -> BiSubalgebra:
     return BiSubalgebra(SpinorSet(b1.p, inner | outer), b1.parent)
 
 
-def commuting_keys(c: CartanSubalgebra, key: int) -> frozenset[int]:
-    """Keys of the elements of c that commute with the spinor key."""
-    return frozenset(k for k in c.elements.keys if not omega(key, k, c.p))
-
-
 def coset_leaders(c: CartanSubalgebra) -> list[int]:
     """The smallest key of each of the 2^p cosets of c, by member index.
 
@@ -369,22 +366,6 @@ def coset_leaders(c: CartanSubalgebra) -> list[int]:
     return gf2_span(1 << bit for bit in range(2 * c.p) if not (pivots >> bit) & 1)
 
 
-def conjugate_pair_keys(
-    c: CartanSubalgebra, leader: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """(B, W, W-hat) keys of the coset leader + c.
-
-    B, the elements of c that commute with the coset, is a maximal
-    bi-subalgebra of c, and the coset is its conjugate pair, bisected into
-    W = leader + B and W-hat = leader + (c - B).  The zero coset gives
-    (c, c, {}).
-    """
-    b = commuting_keys(c, leader)
-    w = frozenset(leader ^ k for k in b)
-    w_hat = frozenset(leader ^ k for k in c.elements.keys - b)
-    return b, w, w_hat
-
-
 class MaxBiGroup:
     """The 2^p maximal bi-subalgebras of a Cartan subalgebra under sqcap,
     read off the cosets of the subalgebra.
@@ -393,36 +374,34 @@ class MaxBiGroup:
     spinor keys, so its 2^p cosets v + c match its 2^p maximal
     bi-subalgebras one to one: B_v = {x in c : [v, x] = 0}, and v + c is
     B_v's conjugate pair.  Member i is B_v for v = leaders[i], the
-    smallest key of its coset (see coset_leaders), and halves[i] holds
-    (W, W-hat) of that pair.  Since the leaders are XOR-linear in i and
+    smallest key of its coset (see coset_leaders); comm[i, j] is True
+    where leaders[i] commutes with keys[j], c's keys ascending, so row i
+    spells B_i.  Since the leaders are XOR-linear in i and
     B_u sqcap B_v = B_(u+v), index(b1 sqcap b2) = index(b1) ^ index(b2),
     with index 0 the parent itself.  (For the intrinsic subalgebra this
     reproduces B_alpha -> alpha.)
     """
 
-    __slots__ = ("parent", "members", "leaders", "halves", "_index_by_keys")
+    __slots__ = ("parent", "members", "leaders", "keys", "comm", "_index_by_keys")
 
-    def __init__(self, parent, members, leaders, halves):
+    def __init__(self, parent, members, leaders, keys, comm):
         self.parent = parent
         self.members = members
         self.leaders = leaders
-        self.halves = halves
+        self.keys = keys
+        self.comm = comm
         self._index_by_keys = {b.elements.keys: i for i, b in enumerate(members)}
 
     @classmethod
     def build(cls, c: CartanSubalgebra) -> "MaxBiGroup":
         p = c.p
         leaders = coset_leaders(c)
-        members, halves = [], []
-        for i, leader in enumerate(leaders):
-            b, w, w_hat = conjugate_pair_keys(c, leader)
-            if i and len(b) != 1 << (p - 1):
-                raise InvariantError(
-                    f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements"
-                )
-            members.append(BiSubalgebra(SpinorSet(p, b), c))
-            halves.append((SpinorSet(p, w), SpinorSet(p, w_hat)))
-        return cls(c, members, leaders, halves)
+        keys = np.array(sorted(c.elements.keys))
+        comm = omega(np.array(leaders)[:, None], keys[None, :], p) == 0
+        if (comm[1:].sum(axis=1) != 1 << (p - 1)).any():
+            raise InvariantError(f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements")
+        members = [BiSubalgebra(SpinorSet(p, keys[row].tolist()), c) for row in comm]
+        return cls(c, members, leaders, keys, comm)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -441,7 +420,8 @@ def all_maximal(c: CartanSubalgebra) -> MaxBiGroup:
 def commuting_bisubalgebra(s: Spinor, c: CartanSubalgebra) -> BiSubalgebra:
     """The unique maximal bi-subalgebra of c commuting with s: the kernel
     of the commutation form with s on c."""
-    return BiSubalgebra(SpinorSet(c.p, commuting_keys(c, key_of(s))), c)
+    x = key_of(s)
+    return BiSubalgebra(SpinorSet(c.p, (k for k in c.elements.keys if not omega(x, k, c.p))), c)
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,8 @@ def test_criterion_4_quaternion_closure():
         # fault injection: a single flipped label must be caught
         q = qap_of(parse_label("C^{110}_{[001,100]}"))
         for flip in range(1, 8):
-            cells = dict(q.cells)
-            cells[(flip, 0)], cells[(flip, 1)] = cells[(flip, 1)], cells[(flip, 0)]
-            assert not verify_closure(QAPartition(q.cartan, q.maxbi, cells)).ok
+            cid = q.cid ^ (q.cid >> 1 == flip)
+            assert not verify_closure(QAPartition(q.cartan, q.maxbi, cid)).ok
 
 
 def test_criterion_5_matrix_oracle():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -104,6 +105,53 @@ def test_enumerate_stdout_is_pinned(capsys, p):
     code, out = run(capsys, "enumerate", "--p", str(p))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[p]
+
+
+def seeded_labels(p: int) -> list[str]:
+    """One label per kind 0..p: seeded independent alpha words and parities."""
+    rng = random.Random(p)
+    labels = [f"C_[{'0' * p}]"]
+    for k in range(1, p + 1):
+        words: list[int] = []
+        span = {0}
+        while len(words) < k:
+            w = rng.randrange(1, 1 << p)
+            if w not in span:
+                words.append(w)
+                span |= {x ^ w for x in span}
+        parities = "".join(str(rng.randrange(2)) for _ in range(k * (k + 1) // 2))
+        labels.append(f"C^{{{parities}}}_{{[{','.join(format(w, f'0{p}b') for w in words)}]}}")
+    return labels
+
+
+# sha256 of the concatenated stdout of `qap table <label>` and of
+# `qap qap <label> --format json` over seeded_labels(p), pinned when the
+# partition still kept its cells as sets and rebuilt the cell-id array to
+# verify it
+LABEL_OUTPUT_SHA256 = {
+    2: ("9fdef239308ceaf6fa3cfb15db33a74cd398b42496ffce0e7bbe77b05f1c4064",
+        "6e7571368fbb17d4ab6b501ce0a4aba249a491122eba89017a04acdb66a154cc"),
+    3: ("b59c677f91065f9968b6d1337349744eb106cff6d67ce782aced89edbd818607",
+        "6afb9c51a45a32530554e5f2d35f5db2e3d28146dddebcd00574f086514f0dc2"),
+    4: ("f3a97d3507081490508d6287cdd564d6fb65fe967ddfdc4957f823f41cd75dff",
+        "986338aaf0acfda9be14755d10f746ac2ab4162a8d66a08ed66c86e605d5061b"),
+    5: ("9d066fc2265e5e7db3c777bb96a75bcee281f16fe5300a6ae64b7a1f3c3c0765",
+        "1886559921c3b7b6615b51c964fb42e2573ad097ea58ac7df3b20fa8c99326cd"),
+    6: ("c443bbc8103f23415a4c95fc9428bd082005f19f4230809791543c989553659a",
+        "60f1662b0396510f0f028eab7a78376473db595f0d83b16a42dd2834287ab3da"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(LABEL_OUTPUT_SHA256))
+def test_table_and_qap_json_stdout_are_pinned(capsys, p):
+    tables, payloads = [], []
+    for label in seeded_labels(p):
+        for argv, outs in ((["table", label], tables), (["qap", label, "--format", "json"], payloads)):
+            code, out = run(capsys, *argv)
+            assert code == 0, argv
+            outs.append(out)
+    digests = tuple(hashlib.sha256("".join(outs).encode()).hexdigest() for outs in (tables, payloads))
+    assert digests == LABEL_OUTPUT_SHA256[p]
 
 
 def test_verify_and_oracle(capsys):
@@ -304,14 +352,12 @@ def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
     # still fail, naming the cell that holds it
     import qap.cli
     from qap.partition import QAPartition, build_qap
-    from qap.subalgebra import SpinorSet
 
     def tampered_qap(c, verify=True):
         q = build_qap(c, verify)
-        cells = dict(q.cells)
-        cells[(0, 1)] = SpinorSet(q.p, q.cells[(0, 1)].keys - {0})
-        cells[(1, 0)] = SpinorSet(q.p, q.cells[(1, 0)].keys | {0})
-        return QAPartition(q.cartan, q.maxbi, cells)
+        cid = q.cid.copy()
+        cid[0] = (1 << 1) | 0  # out of cell (0,1), into cell (1,0)
+        return QAPartition(q.cartan, q.maxbi, cid)
 
     monkeypatch.setattr(qap.cli, "build_qap", tampered_qap)
     code, out = run(capsys, "verify", "--p", "3")

@@ -8,9 +8,11 @@ import re
 import pytest
 
 from conftest import atlas, qap_of
+from qap.bitcore import InvariantError
 from qap.partition import (
     CellKey,
     ClosureReport,
+    ConjugatePair,
     DecompositionSequence,
     QAPartition,
     build_qap,
@@ -38,6 +40,19 @@ S = Spinor.make
 
 def strs(ss: SpinorSet) -> list[str]:
     return [str(s) for s in ss.spinors()]
+
+
+def retagged(q: QAPartition, keys, cell: CellKey | None) -> QAPartition:
+    """q with the given keys moved into cell, or into no cell for None, on
+    a copy of its cell-id array."""
+    cid = q.cid.copy()
+    cid[list(keys)] = -1 if cell is None else (cell[0] << 1) | cell[1]
+    return QAPartition(q.cartan, q.maxbi, cid)
+
+
+def flipped(q: QAPartition, i: int) -> QAPartition:
+    """q with the two labels of pair i swapped."""
+    return QAPartition(q.cartan, q.maxbi, q.cid ^ (q.cid >> 1 == i))
 
 
 def commutator_lands_in(q: QAPartition, a, b, t) -> bool:
@@ -162,6 +177,35 @@ def test_verify_closure_passes_on_sampled_atlas(atlas3):
             assert len(q.cells[(i, 0)]) == len(q.cells[(i, 1)]) == 4
 
 
+def test_cells_are_read_from_the_cell_id_array():
+    q = qap_of(parse_label("C^{110}_{[001,100]}"))
+    assert not q.cid.flags.writeable
+    assert all(q.cell_of(k) == ck for ck, cell in q.cells.items() for k in cell.keys)
+    assert sorted(k for cell in q.cells.values() for k in cell.keys) == list(range(64))
+    assert q.pair(3) == ConjugatePair(q.maxbi.members[3], q.cells[(3, 1)], q.cells[(3, 0)])
+    with pytest.raises(KeyError):
+        retagged(q, [5], None).cell_of(5)
+
+
+def test_a_labelling_that_breaks_closure_is_an_invariant_failure(monkeypatch):
+    # swap W and W-hat of pair 3 before labelling: the build must fail,
+    # naming the label, the cells and the spinor pair
+    import qap.partition
+
+    def swapped(c):
+        g = all_maximal(c)
+        g.comm = g.comm.copy()
+        g.comm[3] = ~g.comm[3]
+        return g
+
+    monkeypatch.setattr(qap.partition, "all_maximal", swapped)
+    with pytest.raises(InvariantError) as info:
+        build_qap(parse_label("C^{110}_{[001,100]}"))
+    head, witness = str(info.value).split(": ", 1)
+    assert head == "cell labeling of C^{110}_{[001,100]} breaks closure"
+    assert WITNESS.fullmatch(witness)
+
+
 def test_degrade_only_closure_at_p1():
     q = build_qap(intrinsic_cartan(1))
     assert verify_closure(q).ok
@@ -172,10 +216,7 @@ def test_fault_injection_detected():
     c = parse_label("C^{110}_{[001,100]}")
     q = qap_of(c)
     for flip in (1, 5):
-        cells = dict(q.cells)
-        cells[(flip, 0)], cells[(flip, 1)] = cells[(flip, 1)], cells[(flip, 0)]
-        tampered = QAPartition(c, q.maxbi, cells)
-        report = verify_closure(tampered)
+        report = verify_closure(flipped(q, flip))
         assert not report.ok and report.failures
 
 
@@ -326,26 +367,19 @@ def within_cell_anti_pairs(q: QAPartition) -> int:
 
 
 def injections(q: QAPartition, rng: random.Random):
-    """Every single flip, then one moved key and one dropped key.  The
-    identity key 0 commutes with everything, so moving or dropping it
-    breaks no closure triple; it is never picked."""
+    """Every single flip, then one moved key and one dropped key, each as a
+    tampered partition.  The identity key 0 commutes with everything, so
+    moving or dropping it breaks no closure triple; it is never picked."""
     for i in range(1, 1 << q.p):
-        cells = dict(q.cells)
-        cells[(i, 0)], cells[(i, 1)] = cells[(i, 1)], cells[(i, 0)]
-        yield f"flip B:{i}", cells
+        yield f"flip B:{i}", flipped(q, i)
     occupied = sorted(k for k, cell in q.cells.items() if len(cell) > 0)
     src = rng.choice(occupied)
-    dst = rng.choice([k for k in q.cells if k != src])
+    dst = rng.choice([k for k in sorted(q.cells) if k != src])
     moved = rng.choice(sorted(q.cells[src].keys - {0}))
-    cells = dict(q.cells)
-    cells[src] = SpinorSet(q.p, q.cells[src].keys - {moved})
-    cells[dst] = SpinorSet(q.p, q.cells[dst].keys | {moved})
-    yield f"move {moved} {src}->{dst}", cells
+    yield f"move {moved} {src}->{dst}", retagged(q, [moved], dst)
     src = rng.choice([k for k in occupied if k != (0, 1)])
     dropped = rng.choice(sorted(q.cells[src].keys - {0}))
-    cells = dict(q.cells)
-    cells[src] = SpinorSet(q.p, q.cells[src].keys - {dropped})
-    yield f"drop {dropped} from {src}", cells
+    yield f"drop {dropped} from {src}", retagged(q, [dropped], None)
 
 
 def assert_sweep_matches_reference(q: QAPartition, what: str, full: bool = True) -> bool:
@@ -382,8 +416,7 @@ def test_sweep_matches_reference_on_every_partition_to_p3():
             q = qap_of(c)
             assert assert_sweep_matches_reference(q, c.label)
             if p == 3 and n % 27 == 0:
-                for what, cells in injections(q, rng):
-                    tampered = QAPartition(c, q.maxbi, cells)
+                for what, tampered in injections(q, rng):
                     assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}")
 
 
@@ -395,8 +428,7 @@ def test_sweep_matches_reference_on_p4_partitions_and_injections():
     for c in rng.sample(list(atlas(4).members()), 50):
         q = qap_of(c)
         assert assert_sweep_matches_reference(q, c.label)
-        for what, cells in injections(q, rng):
-            tampered = QAPartition(c, q.maxbi, cells)
+        for what, tampered in injections(q, rng):
             full = not what.startswith("flip")
             assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}", full)
 
@@ -405,11 +437,8 @@ def test_identity_outside_the_center_fails_with_its_cell():
     # key 0 commutes with everything, so no anti-commuting pair reaches it:
     # the pair law alone passes it moved to (1,0), with 1008 pairs checked
     q = qap_of(parse_label("C^{0}_{[100]}"))
-    cells = dict(q.cells)
-    cells[(0, 1)] = SpinorSet(3, q.cells[(0, 1)].keys - {0})
-    dropped = QAPartition(q.cartan, q.maxbi, dict(cells))
-    cells[(1, 0)] = SpinorSet(3, q.cells[(1, 0)].keys | {0})
-    moved = QAPartition(q.cartan, q.maxbi, cells)
+    dropped = retagged(q, [0], None)
+    moved = retagged(q, [0], (1, 0))
     assert reference_closure(moved).ok
     witness = "identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"
     report = verify_closure(moved)
@@ -424,10 +453,7 @@ def test_is_partition_checks_the_center_and_every_cell_size():
     # moving key 0 keeps 64 distinct keys in all, with 7 and 5 in the two cells
     q = qap_of(parse_label("C^{0}_{[100]}"))
     assert q.is_partition()
-    cells = dict(q.cells)
-    cells[(0, 1)] = SpinorSet(3, q.cells[(0, 1)].keys - {0})
-    cells[(1, 0)] = SpinorSet(3, q.cells[(1, 0)].keys | {0})
-    assert not QAPartition(q.cartan, q.maxbi, cells).is_partition()
+    assert not retagged(q, [0], (1, 0)).is_partition()
 
 
 def test_dropped_key_never_reads_as_the_degrade_cell():
@@ -435,9 +461,7 @@ def test_dropped_key_never_reads_as_the_degrade_cell():
     q = qap_of(intrinsic_cartan(3))
     for ck in sorted(q.cells):
         for k in sorted(q.cells[ck].keys - {0}):
-            cells = dict(q.cells)
-            cells[ck] = SpinorSet(3, q.cells[ck].keys - {k})
-            report = verify_closure(QAPartition(q.cartan, q.maxbi, cells))
+            report = verify_closure(retagged(q, [k], None))
             assert not report.ok
             assert report.failures[0].endswith(f"-> {spinor_of_key(k, 3)} not in {cell_label(ck)}")
 
@@ -476,10 +500,7 @@ def test_conjugate_partition_faults_are_caught_by_the_sweep():
     q = qap_of(intrinsic_cartan(3))
     for i in range(1, 8):
         moved = min(q.cells[(i, 1)].keys)
-        cells = dict(q.cells)
-        cells[(i, 1)] = SpinorSet(3, q.cells[(i, 1)].keys - {moved})
-        cells[(i, 0)] = SpinorSet(3, q.cells[(i, 0)].keys | {moved})
-        tampered = QAPartition(q.cartan, q.maxbi, cells)
+        tampered = retagged(q, [moved], (i, 0))
         looped = reference_closure(tampered, max_failures=99).failures
         assert any(f.startswith("conjugate-partition") for f in looped)
         report = verify_closure(tampered, max_failures=1 << 12)
@@ -491,10 +512,7 @@ def test_conjugate_partition_faults_are_caught_by_the_sweep():
 
 def test_failure_witness_format_and_limit():
     c = parse_label("C^{110}_{[001,100]}")
-    q = qap_of(c)
-    cells = dict(q.cells)
-    cells[(5, 0)], cells[(5, 1)] = cells[(5, 1)], cells[(5, 0)]
-    tampered = QAPartition(c, q.maxbi, cells)
+    tampered = flipped(qap_of(c), 5)
     assert len(verify_closure(tampered).failures) == 1
     report = verify_closure(tampered, max_failures=3)
     assert not report.ok and len(report.failures) == 3
