@@ -29,7 +29,7 @@ GUARDS = {
     "coqa": 6,
     "lift": 6,
     "verify": 4,
-    "oracle": 3,
+    "oracle": oracle.ORACLE_GUARD_P,
     "classify": 4,
     "connect": 4,
 }

@@ -8,7 +8,15 @@ packed key (alpha << p) | zeta.  Each check multiplies one matrix against
 the whole stack, and the rules under test, spinor's own omega,
 key_product and key_conjugate, run once over the array of all 4^p keys:
 once per left spinor for products, once per h and direction for
-conjugations."""
+conjugations.
+
+A product with the stack is computed by gathers (gather_product): the
+nonzero pattern of the one matrix is read from its dense form, each row
+(column) padded to the largest nonzero count with zero coefficients, and
+the product is the sum over those slots of coefficient times the gathered
+rows (columns) of the stack.  That is exact for any matrix; it is fast
+here because a spinor matrix has one nonzero per row and column, and an
+h matrix at most two."""
 
 from __future__ import annotations
 
@@ -69,6 +77,32 @@ def _gather(stack: GaussianMatrix, e: np.ndarray, keys: np.ndarray) -> GaussianM
     return GaussianMatrix(c * re - s * im, s * re + c * im)
 
 
+def gather_product(m: GaussianMatrix, stack: GaussianMatrix, right: bool = False) -> GaussianMatrix:
+    """m @ stack[k] for every k, or stack[k] @ m when right, exactly.
+
+    Slot j of row r (column r when right) holds the position of its j-th
+    nonzero, or of a zero entry once the row has no more nonzeros; so its
+    coefficient is the entry itself, and a short row is padded with zero
+    coefficients.  The product sums coefficient times gathered stack rows
+    (columns) over the slots."""
+    if right:
+        m = m.transpose()
+    nonzero = (m.re != 0) | (m.im != 0)
+    width = max(1, int(nonzero.sum(axis=1).max()))
+    idx = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    rows = np.arange(len(idx))[:, None]
+    c_re, c_im = m.re[rows, idx], m.im[rows, idx]
+    if not right:
+        c_re, c_im = c_re[:, :, None], c_im[:, :, None]
+    re = im = 0
+    for j in range(width):
+        sel = (..., idx[:, j]) if right else (..., idx[:, j], slice(None))
+        a, b, g_re, g_im = c_re[:, j], c_im[:, j], stack.re[sel], stack.im[sel]
+        re = re + a * g_re - b * g_im
+        im = im + a * g_im + b * g_re
+    return GaussianMatrix(re, im)
+
+
 def _equal(a: GaussianMatrix, b: GaussianMatrix) -> np.ndarray:
     return ((a.re == b.re) & (a.im == b.im)).all(axis=(-2, -1))
 
@@ -90,7 +124,7 @@ def check_products(p: int, max_failures: int = 1) -> OracleReport:
         e, body = key_product(x, keys, p)
         comm = omega(x, keys, p) == 0
         sums_ok = body == (x ^ keys)
-        st, ts = m @ stack, stack @ m
+        st, ts = gather_product(m, stack), gather_product(m, stack, right=True)
         prod_ok = _equal(st, _gather(stack, e, body))
         comm_bad = comm != _is_zero(st - ts)
         anti_bad = ~comm & ~_is_zero(st + ts)
@@ -123,7 +157,10 @@ def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
         h = BasicTransform(hs.zeta, hs.alpha)
         hm = h_matrix(h)
         hd = hm.dagger()
-        sandwiches = ((hm @ stack) @ hd, (hd @ stack) @ hm)
+        sandwiches = (
+            gather_product(hd, gather_product(hm, stack), right=True),
+            gather_product(hm, gather_product(hd, stack), right=True),
+        )
         # ok[j, f]: direction f conjugates spinor j as its matrix sandwich does
         ok = np.empty((len(spinors), 2), dtype=bool)
         for f, lhs in enumerate(sandwiches):

@@ -185,10 +185,17 @@ class GaussianMatrix:
         )
 
     def kron(self, other: "GaussianMatrix") -> "GaussianMatrix":
+        (m, n), (r, c) = self.re.shape, other.re.shape
+        a_re, a_im = self.re[:, None, :, None], self.im[:, None, :, None]
+        b_re, b_im = other.re[None, :, None, :], other.im[None, :, None, :]
         return GaussianMatrix(
-            np.kron(self.re, other.re) - np.kron(self.im, other.im),
-            np.kron(self.re, other.im) + np.kron(self.im, other.re),
+            (a_re * b_re - a_im * b_im).reshape(m * r, n * c),
+            (a_re * b_im + a_im * b_re).reshape(m * r, n * c),
         )
+
+    def transpose(self) -> "GaussianMatrix":
+        """The transpose, not conjugated; a view of the same entries."""
+        return GaussianMatrix(self.re.T, self.im.T)
 
     def dagger(self) -> "GaussianMatrix":
         return GaussianMatrix(self.re.T.copy(), -self.im.T)

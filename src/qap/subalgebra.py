@@ -246,10 +246,10 @@ class BiSubalgebra:
 
     __slots__ = ("elements", "parent")
 
-    def __init__(self, elements: SpinorSet, parent: CartanSubalgebra):
-        if not elements.keys <= parent.elements.keys:
+    def __init__(self, elements: SpinorSet, parent: CartanSubalgebra, _trusted: bool = False):
+        if not _trusted and not elements.keys <= parent.elements.keys:
             raise ValueError("bi-subalgebra must be a subset of its parent")
-        if _span_keys(elements.keys) != elements.keys:
+        if not _trusted and _span_keys(elements.keys) != elements.keys:
             raise ValueError("set is not closed under bi-addition")
         self.elements = elements
         self.parent = parent
@@ -400,7 +400,16 @@ class MaxBiGroup:
         comm = omega(np.array(leaders)[:, None], keys[None, :], p) == 0
         if (comm[1:].sum(axis=1) != 1 << (p - 1)).any():
             raise InvariantError(f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements")
-        members = [BiSubalgebra(SpinorSet(p, keys[row].tolist()), c) for row in comm]
+        # row i spells a bi-add-closed B_i iff f_i = ~comm[i] is additive over
+        # c: f_i(x ^ g) = f_i(x) ^ f_i(g) for every key x and basis key g
+        basis = np.array(c.basis_keys)
+        anti = ~comm
+        shifted = anti[:, np.searchsorted(keys, keys[None, :] ^ basis[:, None])]
+        if (shifted != anti[:, None, :] ^ anti[:, np.searchsorted(keys, basis), None]).any():
+            raise InvariantError(f"a bi-subalgebra of {c.label} is not closed under bi-addition")
+        members = [
+            BiSubalgebra(SpinorSet(p, keys[row].tolist()), c, _trusted=True) for row in comm
+        ]
         return cls(c, members, leaders, keys, comm)
 
     def __len__(self) -> int:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import qap.subalgebra
 from conftest import atlas
 from qap.bitcore import (
     BitWord,
@@ -232,3 +234,35 @@ def test_a_coset_that_does_not_bisect_is_an_invariant_failure():
     fake = CartanSubalgebra(SpinorSet(2, span_keys([z, x])), _trusted=True)
     with pytest.raises(InvariantError):
         all_maximal(fake)
+
+
+@pytest.mark.parametrize(
+    "row, entries, reason",
+    [
+        (0, 1, "is not closed under bi-addition"),
+        (1, 1, "must hold 2^(p-1) elements"),
+        (1, 2, "is not closed under bi-addition"),
+    ],
+)
+def test_a_corrupt_comm_entry_is_an_invariant_failure(monkeypatch, row, entries, reason):
+    """MaxBiGroup trusts its members once comm passes the row-sum and
+    additivity checks, so a corrupt comm must fail one of them, under -O too.
+    Flipping a commuting and an anti-commuting entry of one row keeps its
+    sum and breaks only closure."""
+    c = parse_label("C^{101}_{[00011,01100]}")
+    comm = all_maximal(c).comm
+    flips = [(row, int(np.argmin(comm[row]))), (row, int(np.argmax(comm[row])))][:entries]
+    real = qap.subalgebra.omega
+
+    def corrupt_omega(x, y, p):
+        out = real(x, y, p)
+        if np.ndim(out) == 2:
+            out = out.copy()
+            for i, j in flips:
+                out[i, j] ^= 1
+        return out
+
+    monkeypatch.setattr(qap.subalgebra, "omega", corrupt_omega)
+    with pytest.raises(InvariantError) as err:
+        all_maximal(c)
+    assert str(err.value) == f"a bi-subalgebra of {c.label} {reason}"

@@ -5,16 +5,58 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 import qap.oracle as oracle
 import qap.spinor
 import qap.transform
-from qap.oracle import OracleReport, all_spinors, check_conjugations, check_products
-from qap.spinor import PhasedSpinor, Spinor, bi_add, commutes, key_of, product
+from qap.oracle import (
+    OracleReport,
+    all_spinors,
+    check_conjugations,
+    check_products,
+    gather_product,
+)
+from qap.spinor import GaussianMatrix, PhasedSpinor, Spinor, bi_add, commutes, key_of, product
 from qap.transform import BasicTransform, conjugate, h_matrix
 
 S = Spinor.parse
+
+
+# ---------------------------------------------------------------------------
+# the gather product against dense matmul, on matrices that are not monomial
+
+
+def sparse_gaussian(rng, n: int) -> GaussianMatrix:
+    """Random n x n Gaussian integers, about half of them zero, with row 0
+    zero, row 1 full and the last row holding two nonzeros."""
+    re, im = rng.integers(-3, 4, size=(2, n, n)) * (rng.random((n, n)) < 0.5)
+    re[0], im[0] = 0, 0
+    re[1] = rng.choice([-2, -1, 1, 2], size=n)
+    re[-1], im[-1] = 0, 0
+    re[-1, 0], im[-1, 0], re[-1, -1] = 1, 3, -2
+    return GaussianMatrix(re, im)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("right", [False, True])
+def test_gather_product_matches_dense_matmul(n, right):
+    rng = np.random.default_rng(n + 8 * right)
+    stack = GaussianMatrix(*rng.integers(-3, 4, size=(2, 5, n, n)))
+    for m in (sparse_gaussian(rng, n), sparse_gaussian(rng, n).transpose()):
+        got = gather_product(m, stack, right)
+        for k in range(5):
+            s = GaussianMatrix(stack.re[k], stack.im[k])
+            assert GaussianMatrix(got.re[k], got.im[k]) == (s @ m if right else m @ s)
+
+
+def test_gather_product_of_a_zero_matrix_is_zero():
+    stack = GaussianMatrix(*np.ones((2, 3, 4, 4), dtype=np.int64))
+    zero = np.zeros((4, 4), dtype=np.int64)
+    for right in (False, True):
+        out = gather_product(GaussianMatrix(zero, zero), stack, right)
+        assert out.re.shape == (3, 4, 4) and out.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ def test_matrix_p1_examples():
     assert np.array_equal(hm.im, [[0, 1], [-1, 0]]) and not hm.re.any()
 
 
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((4, 2), (2, 8)), ((1, 3), (4, 1))])
+def test_kron_matches_numpy_kron(shapes):
+    rng = np.random.default_rng(7)
+    a, b = (GaussianMatrix(*rng.integers(-3, 4, size=(2, *shape))) for shape in shapes)
+    want_re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
+    want_im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
+    assert a.kron(b) == GaussianMatrix(want_re, want_im)
+
+
 def test_hermitian_norm_makes_hermitian():
     for s in all_spinors(2):
         m = to_matrix(s, hermitian_norm=True)
