@@ -86,7 +86,7 @@ def gather_product(m: GaussianMatrix, stack: GaussianMatrix, right: bool = False
     coefficients.  The product sums coefficient times gathered stack rows
     (columns) over the slots."""
     if right:
-        m = m.transpose()
+        m = GaussianMatrix(m.re.T, m.im.T)
     nonzero = (m.re != 0) | (m.im != 0)
     width = max(1, int(nonzero.sum(axis=1).max()))
     idx = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]

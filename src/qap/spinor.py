@@ -193,10 +193,6 @@ class GaussianMatrix:
             (a_re * b_im + a_im * b_re).reshape(m * r, n * c),
         )
 
-    def transpose(self) -> "GaussianMatrix":
-        """The transpose, not conjugated; a view of the same entries."""
-        return GaussianMatrix(self.re.T, self.im.T)
-
     def dagger(self) -> "GaussianMatrix":
         return GaussianMatrix(self.re.T.copy(), -self.im.T)
 

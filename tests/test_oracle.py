@@ -44,7 +44,8 @@ def sparse_gaussian(rng, n: int) -> GaussianMatrix:
 def test_gather_product_matches_dense_matmul(n, right):
     rng = np.random.default_rng(n + 8 * right)
     stack = GaussianMatrix(*rng.integers(-3, 4, size=(2, 5, n, n)))
-    for m in (sparse_gaussian(rng, n), sparse_gaussian(rng, n).transpose()):
+    rows, cols = sparse_gaussian(rng, n), sparse_gaussian(rng, n)
+    for m in (rows, GaussianMatrix(cols.re.T, cols.im.T)):
         got = gather_product(m, stack, right)
         for k in range(5):
             s = GaussianMatrix(stack.re[k], stack.im[k])
