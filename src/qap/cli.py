@@ -22,8 +22,8 @@ from .subalgebra import CartanSubalgebra, parse_label
 PASS, FAIL, USAGE = 0, 1, 2
 
 GUARDS = {
-    "count": 5,
-    "enumerate": 5,
+    "count": extension.ENUMERATION_MAX_P,
+    "enumerate": extension.ENUMERATION_MAX_P,
     "table": 6,
     "qap": 6,
     "coqa": 6,
@@ -153,15 +153,10 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
     if key[0] == 0:
         raise SystemExit2(f"cell {cell!r} is degrade; a co-quotient view needs B:<i> with i >= 1")
     view = partition.coquotient_view(q, key)
+    pairs = [("degrade", view.degrade), ("irregular", view.irregular)]
+    pairs += [("regular", pair) for pair in view.regular]
     lines = [f"center {cell_label(view.center)}"]
-    lines.append(
-        f"degrade: {{{cell_label(view.degrade[0])}, {cell_label(view.degrade[1])}}}"
-    )
-    lines.append(
-        f"irregular: {{{cell_label(view.irregular[0])}, {cell_label(view.irregular[1])}}}"
-    )
-    for a, b in view.regular:
-        lines.append(f"regular: {{{cell_label(a)}, {cell_label(b)}}}")
+    lines += [f"{kind}: {{{cell_label(a)}, {cell_label(b)}}}" for kind, (a, b) in pairs]
     _emit(cfg, "\n".join(lines))
     return PASS
 
@@ -178,8 +173,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     for c in members:
         q = build_qap(c, verify=False)
         report = verify_closure(q)
-        if not report.ok or not q.is_partition():
+        if not report.ok:
             _emit(cfg, f"closure FAILED for {c.label}: {report.failures[:1]}")
+            return FAIL
+        if fault := q.partition_fault():
+            _emit(cfg, f"partition FAILED for {c.label}: {fault}")
             return FAIL
         checked += report.checked_pairs
     _emit(
@@ -275,25 +273,33 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"word width (default {DEFAULT_P}); a label command checks it against the label",
         )
-        sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"seed of randomized audits (default {DEFAULT_SEED})")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--n", type=int, default=None,
-                        help=f"trial count for randomized audits (default {DEFAULT_N})")
+        sp.set_defaults(fmt="text", seed=None, n=None)  # RunConfig reads all three
         return sp
 
-    add("count", "Cartan subalgebra counts by kind, enumeration vs closed form")
+    # --format only where a command prints more than one form, --seed and
+    # --n only where it samples; no other command accepts them
+    def formats(sp: argparse.ArgumentParser, *choices: str) -> None:
+        sp.add_argument("--format", dest="fmt", choices=choices, default="text")
+
+    def sampling(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"seed of randomized audits (default {DEFAULT_SEED})")
+        sp.add_argument("--n", type=int, default=None,
+                        help=f"trial count for randomized audits (default {DEFAULT_N})")
+
+    formats(add("count", "Cartan subalgebra counts by kind, enumeration vs closed form"),
+            "text", "json", "csv")
     add("enumerate", "export the full atlas as JSON lines")
     add("table", "render the quotient-algebra table for a label", label_arg=True)
-    add("qap", "dump the partition cells for a label", label_arg=True)
+    formats(add("qap", "dump the partition cells for a label", label_arg=True), "text", "json")
     coqa = add("coqa", "re-pair the partition around a conditioned subspace", label_arg=True)
     coqa.add_argument("--cell", required=True, help="center cell, e.g. B:1/eps:1")
-    add("verify", "closure verification across partitions")
+    sampling(add("verify", "closure verification across partitions"))
     add("oracle", "exact matrix-oracle self-test")
-    add("classify", "local-equivalence classes of the atlas")
-    add("connect", "randomized connector audits")
-    add("lift", "local lift of a label to the top kind", label_arg=True)
+    formats(add("classify", "local-equivalence classes of the atlas"), "text", "json")
+    sampling(add("connect", "randomized connector audits"))
+    formats(add("lift", "local lift of a label to the top kind", label_arg=True), "text", "json")
     return parser
 
 

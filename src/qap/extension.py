@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .bitcore import BitWord, InvariantError, gf2_nullspace, gf2_span
+from .bitcore import InvariantError, gf2_nullspace, gf2_span
 from .partition import build_qap
 from .spinor import key_text, omega
 from .subalgebra import CartanSubalgebra, SpinorSet
@@ -157,12 +157,11 @@ def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     unit words off the pivots of the reduced alpha basis, ascending."""
     p = c.p
     pivots = {(g >> p).bit_length() - 1 for g in c.generator_keys}
-    circuit = SymbolicCircuit(tuple(
-        BasicTransform(BitWord.zero(p), BitWord(1 << j, p)) for j in range(p) if j not in pivots
-    ))
+    units = [j for j in range(p) if j not in pivots]
+    circuit = SymbolicCircuit(tuple(BasicTransform(1 << (p + j), p) for j in units))
     lifted = apply_to_cartan(circuit, c)
     if lifted.kind != p:
-        raise AssertionError("local lift failed to reach the top kind")
+        raise InvariantError("local lift failed to reach the top kind")
     return circuit, lifted
 
 
@@ -170,12 +169,7 @@ def se_normalizer(se: str) -> SymbolicCircuit:
     """Diagonal single-bit factors flipping the marked self parities;
     se[i] belongs to the ascending basis word with value 2^i."""
     p = len(se)
-    factors = [
-        BasicTransform(BitWord(1 << i, p), BitWord.zero(p))
-        for i in range(p)
-        if se[i] == "1"
-    ]
-    return SymbolicCircuit(tuple(factors))
+    return SymbolicCircuit(tuple(BasicTransform(1 << i, p) for i in range(p) if se[i] == "1"))
 
 
 def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
@@ -199,7 +193,7 @@ def class_connector(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalge
     rep = apply_to_cartan(norm, lifted)
     rep_se, rep_mu = mutual_parity(rep)
     if rep_se != "0" * c.p or rep_mu != mu:
-        raise AssertionError("self-parity normalization went wrong")
+        raise InvariantError("self-parity normalization went wrong")
     return circuit, rep, mu
 
 
@@ -220,19 +214,17 @@ def nonlocal_connector(
     for i in range(p):
         for j in range(i + 1, p):
             if c1.parity_table[i][j] != c2.parity_table[i][j]:
-                factors.append(
-                    BasicTransform(BitWord((1 << i) | (1 << j), p), BitWord.zero(p))
-                )
+                factors.append(BasicTransform((1 << i) | (1 << j), p))
                 flips[i] ^= 1
                 flips[j] ^= 1
     for i in range(p):
         if int(se1[i]) ^ flips[i] ^ int(se2[i]):
-            factors.append(BasicTransform(BitWord(1 << i, p), BitWord.zero(p)))
+            factors.append(BasicTransform(1 << i, p))
     circuit = SymbolicCircuit(tuple(factors))
     target = apply_to_cartan(circuit, c1)
     if target != c2:
         got = mutual_parity(target)
-        raise AssertionError(
+        raise InvariantError(
             f"connector verification failed: reached se={got.se} mu={got.mu}, "
             f"wanted se={se2} mu={mu2}"
         )

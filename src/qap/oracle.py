@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcore import BitWord
-from .spinor import GaussianMatrix, Spinor, key_conjugate, key_product, omega, to_matrix
+from .spinor import (
+    GaussianMatrix, Spinor, key_conjugate, key_product, omega, spinor_of_key, to_matrix
+)
 from .transform import BasicTransform, h_matrix
 
 ORACLE_GUARD_P = 3
@@ -57,11 +58,7 @@ class OracleReport:
 
 def all_spinors(p: int) -> list[Spinor]:
     """Every spinor of width p; the list index is (alpha << p) | zeta."""
-    return [
-        Spinor(BitWord(z, p), BitWord(a, p))
-        for a in range(1 << p)
-        for z in range(1 << p)
-    ]
+    return [spinor_of_key(k, p) for k in range(1 << (2 * p))]
 
 
 def _realize(spinors: list[Spinor]) -> GaussianMatrix:
@@ -153,8 +150,8 @@ def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     keys = np.arange(len(spinors), dtype=np.int64)
     checks = 0
     failures: list[str] = []
-    for hk, hs in enumerate(spinors):
-        h = BasicTransform(hs.zeta, hs.alpha)
+    for hk in range(len(spinors)):
+        h = BasicTransform(hk, p)
         hm = h_matrix(h)
         hd = hm.dagger()
         sandwiches = (

@@ -97,14 +97,23 @@ class QAPartition:
         return ConjugatePair(self.maxbi.members[i], self.cells[(i, 1)], self.cells[(i, 0)])
 
     def is_partition(self) -> bool:
-        """Cell (0,1) is the center, cell (0,0) is empty, every other cell
-        holds 2^(p-1) keys, and every one of the 4^p keys lies in a cell."""
-        p, cid = self.p, self.cid
-        if cid.min() < 0 or cid.max() >= 2 << p:
-            return False
-        sizes = np.bincount(cid, minlength=2 << p)
-        ok = sizes[0] == 0 and (sizes[2:] == 1 << (p - 1)).all()
-        return bool(ok and (cid[self.maxbi.keys] == 1).all())
+        return self.partition_fault() is None
+
+    def partition_fault(self) -> str | None:
+        """The first partition check that fails, with one witness, or None:
+        every one of the 4^p keys lies in a cell, the center in cell (0,1),
+        cell (0,0) is empty and every other cell holds 2^(p-1) keys.  Each
+        loop below runs at most once, on its check's first witness."""
+        p, cid, n = self.p, self.cid, 2 << self.p
+        for k in np.flatnonzero((cid < 0) | (cid >= n))[:1].tolist():
+            return f"{key_text(k, p)} has cell id {cid[k]}, which names no cell"
+        for k in self.maxbi.keys[cid[self.maxbi.keys] != 1][:1].tolist():
+            return f"center {key_text(k, p)} lies in {cell_label(divmod(int(cid[k]), 2))}"
+        sizes, want = np.bincount(cid, minlength=n), np.full(n, 1 << (p - 1))
+        want[:2] = 0, 1 << p
+        for v in np.flatnonzero(sizes != want)[:1].tolist():
+            return f"{cell_label(divmod(v, 2))} holds {sizes[v]} keys, not {want[v]}"
+        return None
 
 
 def build_qap(c: CartanSubalgebra, verify: bool = True) -> QAPartition:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitcore import BitWord, InvariantError, gf2_rank, solve_affine
+from .bitcore import InvariantError, _check_width, gf2_rank, solve_affine
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
     GaussianMatrix,
@@ -22,6 +22,7 @@ from .spinor import (
     key_conjugate,
     key_of,
     key_self_parity,
+    key_text,
     omega,
     pack,
     spinor_of_key,
@@ -32,48 +33,42 @@ from .subalgebra import CartanSubalgebra, SpinorSet, intrinsic_cartan
 
 @dataclass(frozen=True)
 class BasicTransform:
-    """h[zeta|alpha] = (S[0|0] + i (-i)^(zeta.alpha) S[zeta|alpha]) / sqrt(2)."""
+    """h[zeta|alpha] = (S[0|0] + i (-i)^(zeta.alpha) S[zeta|alpha]) / sqrt(2),
+    held as the packed key (alpha << p) | zeta of its spinor."""
 
-    zeta: BitWord
-    alpha: BitWord
+    key: int
+    p: int
     inverse: bool = False
 
     def __post_init__(self) -> None:
-        self.zeta._match(self.alpha)
-
-    @property
-    def p(self) -> int:
-        return self.alpha.p
+        _check_width(self.p)
+        if not 0 <= self.key < 1 << (2 * self.p):
+            raise ValueError(f"key {self.key:#x} out of range for width {self.p}")
 
     @property
     def spinor(self) -> Spinor:
-        return Spinor(self.zeta, self.alpha)
-
-    @property
-    def key(self) -> int:
-        return pack(self.zeta.bits, self.alpha.bits, self.p)
+        return spinor_of_key(self.key, self.p)
 
     @property
     def is_local(self) -> bool:
         """Acts on a single tensor factor: one-bit alpha, or a diagonal
         rotation with one-bit zeta."""
-        if self.alpha.bits != 0:
-            return self.alpha.bits.bit_count() == 1
-        return self.zeta.bits.bit_count() == 1
+        return ((self.key >> self.p) or self.key).bit_count() == 1
 
     def inverted(self) -> "BasicTransform":
-        return BasicTransform(self.zeta, self.alpha, not self.inverse)
+        return BasicTransform(self.key, self.p, not self.inverse)
 
     def __str__(self) -> str:
         mark = "'" if self.inverse else ""
-        return f"h{mark}[{self.zeta}|{self.alpha}]"
+        return f"h{mark}" + key_text(self.key, self.p).removeprefix("S")
 
 
 def conjugate(h: BasicTransform, s: PhasedSpinor | Spinor) -> PhasedSpinor:
     """h s h-dagger (or h-dagger s h for an inverted factor), exactly."""
     if isinstance(s, Spinor):
         s = PhasedSpinor(0, s)
-    h.alpha._match(s.body.alpha)
+    if h.p != s.body.p:
+        raise ValueError(f"width mismatch: {h.p} vs {s.body.p}")
     e, key = key_conjugate(h.key, h.inverse, key_of(s.body), h.p)
     return PhasedSpinor(s.i_exp + e, spinor_of_key(key, h.p))
 
@@ -168,8 +163,8 @@ def build_R(c: CartanSubalgebra) -> SymbolicCircuit:
     for j, aj in enumerate(alphas):
         z = solve_affine([(ai, (i == j) ^ table[i][j]) for i, ai in enumerate(alphas)], p)
         if z is None:
-            raise AssertionError("diagonalizer system must be solvable")
-        factors.append(BasicTransform(BitWord(z, p), BitWord(aj, p)))
+            raise InvariantError("diagonalizer system must be solvable")
+        factors.append(BasicTransform(pack(z, aj, p), p))
     return SymbolicCircuit(tuple(factors))
 
 
@@ -192,8 +187,8 @@ def build_P(images: Sequence[SpinorSet]) -> SymbolicCircuit:
     p = images[0].p
     eta = solve_affine([_cell_signature(cell) for cell in images], p)
     if eta is None:
-        raise AssertionError("parity system must be solvable for independent alphas")
-    return SymbolicCircuit.of(BasicTransform(BitWord(eta, p), BitWord.zero(p)))
+        raise InvariantError("parity system must be solvable for independent alphas")
+    return SymbolicCircuit.of(BasicTransform(eta, p))
 
 
 def build_exchange_step(
@@ -217,9 +212,8 @@ def build_exchange_step(
         constraints += [(f, (eta & f).bit_count() & 1) for f in frozen]
         zeta = solve_affine(constraints, p)
         if zeta is not None:
-            dw = BitWord(d, p)
             return SymbolicCircuit.of(
-                BasicTransform(BitWord(eta, p), dw), BasicTransform(BitWord(zeta, p), dw)
+                BasicTransform(pack(eta, d, p), p), BasicTransform(pack(zeta, d, p), p)
             )
     raise ValueError("frozen constraints exhaust the solver's freedom")
 
@@ -238,7 +232,7 @@ def build_E(alphas: Sequence[int], p: int) -> SymbolicCircuit:
         a = alphas[r]
         if a != target:
             step = build_exchange_step(a, target, p, placed)
-            shift = step.factors[0].zeta.bits ^ step.factors[1].zeta.bits
+            shift = step.factors[0].key ^ step.factors[1].key  # alphas cancel: eta ^ zeta
             for j in range(r, len(alphas)):
                 if (shift & alphas[j]).bit_count() & 1:
                     alphas[j] ^= a ^ target
@@ -271,15 +265,15 @@ def connect(seq: DecompositionSequence) -> SymbolicCircuit:
     for img in images:
         alpha, sigma = _cell_signature(apply_circuit(p_circ, img))
         if sigma != 0:
-            raise AssertionError("parity correction failed to set sigma = 0")
+            raise InvariantError("parity correction failed to set sigma = 0")
         alphas.append(alpha)
     e_circ = build_E(alphas, p)
     q = r_circ.then(p_circ).then(e_circ)
     if apply_to_cartan(q, center) != intrinsic_cartan(p):
-        raise AssertionError("connector does not map the center onto the diagonal")
+        raise InvariantError("connector does not map the center onto the diagonal")
     for r, cell in enumerate(seq.steps, start=1):
         if apply_circuit(q, cell) != referential_cell(p, r):
-            raise AssertionError(f"connector misses the referential cell at step {r}")
+            raise InvariantError(f"connector misses the referential cell at step {r}")
     return q
 
 

@@ -7,6 +7,7 @@ import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -366,6 +367,42 @@ def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
         "closure FAILED for C_[000]: "
         "['identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1']\n"
     )
+
+
+def test_partition_fault_with_closure_intact_exits_1(capsys, monkeypatch):
+    # flipping index bit p on every key that anti-commutes with S[01|00] is
+    # XOR-linear and zero on the center, so closure and the identity check
+    # pass; verify must still fail, naming the first key outside every cell
+    import qap.cli
+    from qap.partition import QAPartition, build_qap
+    from qap.spinor import omega
+
+    def tampered_qap(c, verify=True):
+        q = build_qap(c, verify)
+        keys = np.arange(q.cid.size, dtype=q.cid.dtype)
+        cid = q.cid ^ (omega(keys, 1, q.p) << (q.p + 1))
+        return QAPartition(q.cartan, q.maxbi, cid)
+
+    monkeypatch.setattr(qap.cli, "build_qap", tampered_qap)
+    code, out = run(capsys, "verify", "--p", "2")
+    assert code == 1
+    assert out == "partition FAILED for C_[00]: S[00|01] has cell id 11, which names no cell\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--p", "1", "--format", "csv"),
+        ("qap", "C_[0]", "--format", "csv"),
+        ("oracle", "--p", "2", "--seed", "9", "--n", "4", "--format", "csv"),
+        ("table", "C_[000]", "--format", "json"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_coqa_degrade_center_is_usage_error(capsys):

@@ -219,7 +219,7 @@ def test_mutual_parity_symmetry(atlas3):
 def test_local_lift_reference_case():
     circuit, lifted = local_lift(parse_label("C^{1}_{[100]}"))
     assert len(circuit) == 2
-    assert {str(f.alpha) for f in circuit.factors} == {"010", "001"}
+    assert {f.key for f in circuit.factors} == {0b010_000, 0b001_000}  # alpha|zeta
     assert lifted.kind == 3
     assert circuit.is_local
 
@@ -271,7 +271,7 @@ def test_nonlocal_connector_cases(atlas2):
     other = next(c for c in same_mu if c != c1)
     circ, target = nonlocal_connector(c1, other)
     assert target == other
-    assert all(f.alpha.bits == 0 and f.zeta.bits.bit_count() == 1 for f in circ.factors)
+    assert all(f.key < 1 << f.p and f.key.bit_count() == 1 for f in circ.factors)
 
     # across classes: exactly one genuine two-bit factor
     rng = random.Random(99)
@@ -279,7 +279,7 @@ def test_nonlocal_connector_cases(atlas2):
     for c2 in rng.sample(cross, 4):
         circ, target = nonlocal_connector(c1, c2)
         assert target == c2
-        two_bit = [f for f in circ.factors if f.zeta.bits.bit_count() == 2]
+        two_bit = [f for f in circ.factors if f.key.bit_count() == 2]
         assert len(two_bit) == 1 and not circ.is_local
 
 

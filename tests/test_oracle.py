@@ -93,8 +93,8 @@ def reference_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     spinors = all_spinors(p)
     checks = 0
     failures: list[str] = []
-    for hs in spinors:
-        h = BasicTransform(hs.zeta, hs.alpha)
+    for hk in range(len(spinors)):
+        h = BasicTransform(hk, p)
         hm = h_matrix(h)
         hd = hm.dagger()
         for s in spinors:

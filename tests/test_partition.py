@@ -456,6 +456,26 @@ def test_is_partition_checks_the_center_and_every_cell_size():
     assert not retagged(q, [0], (1, 0)).is_partition()
 
 
+def test_partition_fault_names_the_failed_check_and_a_witness():
+    q = qap_of(parse_label("C^{0}_{[100]}"))
+    assert q.partition_fault() is None
+    center_key = sorted(q.cartan.elements.keys)[1]
+    outside = min(k for k in range(64) if k not in q.cartan.elements)
+    i, e = q.cell_of(outside)
+    assert retagged(q, [outside], None).partition_fault() == (
+        f"{spinor_of_key(outside, 3)} has cell id -1, which names no cell"
+    )
+    assert retagged(q, [center_key], (2, 1)).partition_fault() == (
+        f"center {spinor_of_key(center_key, 3)} lies in B:2/eps:1"
+    )
+    assert retagged(q, [outside], (0, 0)).partition_fault() == "B:0/eps:0 holds 1 keys, not 0"
+    # a key moved to the other half of its pair: the lower cell id is named
+    lo, n = min(((i, e), 3), ((i, 1 - e), 5))
+    assert retagged(q, [outside], (i, 1 - e)).partition_fault() == (
+        f"{cell_label(lo)} holds {n} keys, not 4"
+    )
+
+
 def test_dropped_key_never_reads_as_the_degrade_cell():
     # an uncovered spinor must fail as a product, not pass as cell (0,0)
     q = qap_of(intrinsic_cartan(3))

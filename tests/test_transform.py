@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
 from conftest import atlas, qap_of
 from qap.bitcore import BitWord
+from qap.extension import local_lift, nonlocal_connector
 from qap.partition import DecompositionSequence
-from qap.spinor import PhasedSpinor, Spinor, to_matrix
+from qap.spinor import PhasedSpinor, Spinor, key_of, pack, to_matrix
 from qap.subalgebra import SpinorSet, intrinsic_cartan, parse_label
 from qap.transform import (
     BasicTransform,
@@ -33,7 +35,7 @@ W = BitWord.parse
 
 
 def H(z: str, a: str) -> BasicTransform:
-    return BasicTransform(W(z), W(a))
+    return BasicTransform(key_of(S(z, a)), len(z))
 
 
 def intrinsic_cell(p: int, alpha: str, sigma: int) -> SpinorSet:
@@ -81,7 +83,7 @@ def test_conjugation_matrix_oracle_sampled():
     for _ in range(50):
         p = rng.choice((1, 2, 3))
         h = BasicTransform(
-            BitWord(rng.randrange(1 << p), p), BitWord(rng.randrange(1 << p), p),
+            pack(rng.randrange(1 << p), rng.randrange(1 << p), p), p,
             inverse=bool(rng.randrange(2)),
         )
         s = Spinor(BitWord(rng.randrange(1 << p), p), BitWord(rng.randrange(1 << p), p))
@@ -97,6 +99,47 @@ def test_locality_classifier():
     assert not H("000", "011").is_local
     assert not H("110", "000").is_local
     assert not H("011", "101").is_local
+
+
+@pytest.mark.parametrize("key, p", [(-1, 2), (16, 2), (1 << 32, 16), (0, 0), (0, 17)])
+def test_basic_transform_rejects_out_of_range_key_and_width(key, p):
+    with pytest.raises(ValueError):
+        BasicTransform(key, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_is_local_matches_the_alpha_zeta_rule(p):
+    # one-bit alpha, or zero alpha with one-bit zeta, read off the two halves
+    for key in range(4**p):
+        zeta, alpha = key & ((1 << p) - 1), key >> p
+        local = alpha.bit_count() == 1 if alpha else zeta.bit_count() == 1
+        for inverse in (False, True):
+            assert BasicTransform(key, p, inverse).is_local == local
+
+
+FACTOR = re.compile(r"h('?)\[([01]+)\|([01]+)\]")
+
+
+def parsed_factors(circuit: SymbolicCircuit) -> list[tuple[int, bool]]:
+    """(key, inverse) of every factor, read back from the text form."""
+    out = []
+    for text in circuit.factor_strings():
+        mark, zeta, alpha = FACTOR.fullmatch(text).groups()
+        out.append((int(alpha + zeta, 2), mark == "'"))
+    return out
+
+
+def test_factor_text_parses_back_to_key_and_inverse(atlas3):
+    steps = ((0b011, 0b001, [0b100]), (0b110, 0b010, []), (0b101, 0b111, [0b001]))
+    circuits = [build_exchange_step(src, dst, 3, frozen) for src, dst, frozen in steps]
+    circuits += [local_lift(c)[0] for c in list(atlas3.members())[::7]]
+    kind3 = atlas3.by_kind[3]
+    circuits += [nonlocal_connector(kind3[0], c)[0] for c in kind3[::5]]
+    assert sum(len(q) for q in circuits) > 20
+    for q in circuits:
+        for circuit in (q, q.inverted()):
+            want = [(f.key, f.inverse) for f in reversed(circuit.factors)]
+            assert parsed_factors(circuit) == want
 
 
 # -- circuits --------------------------------------------------------------------
@@ -131,7 +174,7 @@ def test_apply_circuit_matches_per_spinor_reference():
         for trial in range(30):
             circ = SymbolicCircuit(tuple(
                 BasicTransform(
-                    BitWord(rng.randrange(1 << p), p), BitWord(rng.randrange(1 << p), p),
+                    pack(rng.randrange(1 << p), rng.randrange(1 << p), p), p,
                     inverse=bool(rng.randrange(2)),
                 )
                 for _ in range(rng.randrange(7))
