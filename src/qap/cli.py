@@ -153,10 +153,15 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
     if key[0] == 0:
         raise SystemExit2(f"cell {cell!r} is degrade; a co-quotient view needs B:<i> with i >= 1")
     view = partition.coquotient_view(q, key)
-    pairs = [("degrade", view.degrade), ("irregular", view.irregular)]
-    pairs += [("regular", pair) for pair in view.regular]
     lines = [f"center {cell_label(view.center)}"]
-    lines += [f"{kind}: {{{cell_label(a)}, {cell_label(b)}}}" for kind, (a, b) in pairs]
+    lines.append(
+        f"degrade: {{{cell_label(view.degrade[0])}, {cell_label(view.degrade[1])}}}"
+    )
+    lines.append(
+        f"irregular: {{{cell_label(view.irregular[0])}, {cell_label(view.irregular[1])}}}"
+    )
+    for a, b in view.regular:
+        lines.append(f"regular: {{{cell_label(a)}, {cell_label(b)}}}")
     _emit(cfg, "\n".join(lines))
     return PASS
 

@@ -102,16 +102,21 @@ class QAPartition:
     def partition_fault(self) -> str | None:
         """The first partition check that fails, with one witness, or None:
         every one of the 4^p keys lies in a cell, the center in cell (0,1),
-        cell (0,0) is empty and every other cell holds 2^(p-1) keys.  Each
-        loop below runs at most once, on its check's first witness."""
+        cell (0,0) is empty and every other cell holds 2^(p-1) keys."""
         p, cid, n = self.p, self.cid, 2 << self.p
-        for k in np.flatnonzero((cid < 0) | (cid >= n))[:1].tolist():
+        bad = np.flatnonzero((cid < 0) | (cid >= n))
+        if bad.size:
+            k = int(bad[0])
             return f"{key_text(k, p)} has cell id {cid[k]}, which names no cell"
-        for k in self.maxbi.keys[cid[self.maxbi.keys] != 1][:1].tolist():
+        bad = self.maxbi.keys[cid[self.maxbi.keys] != 1]
+        if bad.size:
+            k = int(bad[0])
             return f"center {key_text(k, p)} lies in {cell_label(divmod(int(cid[k]), 2))}"
         sizes, want = np.bincount(cid, minlength=n), np.full(n, 1 << (p - 1))
         want[:2] = 0, 1 << p
-        for v in np.flatnonzero(sizes != want)[:1].tolist():
+        bad = np.flatnonzero(sizes != want)
+        if bad.size:
+            v = int(bad[0])
             return f"{cell_label(divmod(v, 2))} holds {sizes[v]} keys, not {want[v]}"
         return None
 

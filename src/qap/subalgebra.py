@@ -301,8 +301,8 @@ def bit_type_maximal(c: CartanSubalgebra, sub: BitSubgroup) -> BiSubalgebra:
         raise ValueError("a 0th-kind subalgebra has no bit-type maximal bi-subalgebra")
     if sub.rank != c.kind - 1 or not sub.is_subgroup_of(c.alpha_group):
         raise ValueError("sub must be a maximal subgroup of the alpha group")
-    rows = [b.bits for b in reversed(sub.basis)]
-    keep = frozenset(k for k in c.elements.keys if gf2_reduce(k >> c.p, rows) == 0)
+    members = set(sub.member_bits())
+    keep = frozenset(k for k in c.elements.keys if k >> c.p in members)
     return BiSubalgebra(SpinorSet(c.p, keep), c)
 
 

@@ -41,6 +41,9 @@ class BasicTransform:
     inverse: bool = False
 
     def __post_init__(self) -> None:
+        if hasattr(self.p, "bits"):  # a (zeta, alpha) BitWord pair, as perfbench/tests passes
+            object.__setattr__(self, "key", key_of(Spinor(self.key, self.p)))
+            object.__setattr__(self, "p", self.p.p)
         _check_width(self.p)
         if not 0 <= self.key < 1 << (2 * self.p):
             raise ValueError(f"key {self.key:#x} out of range for width {self.p}")

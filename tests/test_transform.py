@@ -107,6 +107,15 @@ def test_basic_transform_rejects_out_of_range_key_and_width(key, p):
         BasicTransform(key, p)
 
 
+def test_basic_transform_from_a_zeta_alpha_word_pair():
+    # perfbench/tests builds a factor as BasicTransform(zeta, alpha) from BitWords
+    h = BasicTransform(W("01"), W("10"), True)
+    assert (h.key, h.p, h.inverse) == (0b1001, 2, True)
+    assert h == BasicTransform(0b1001, 2, True) and str(h) == "h'[01|10]"
+    with pytest.raises(ValueError):
+        BasicTransform(W("01"), W("100"))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_is_local_matches_the_alpha_zeta_rule(p):
     # one-bit alpha, or zero alpha with one-bit zeta, read off the two halves
