@@ -30,7 +30,7 @@ GUARDS = {
     "lift": 6,
     "verify": 4,
     "oracle": oracle.ORACLE_GUARD_P,
-    "classify": 4,
+    "classify": 5,
     "connect": 4,
 }
 

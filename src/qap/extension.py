@@ -1,7 +1,8 @@
 """Every Cartan subalgebra of su(2^p), enumerated from its label
 C^{eps}_{[a_1...a_k]}: a reduced echelon alpha basis plus a symmetric
-parity matrix, walked directly with no search and no dedupe.  The paper's
-shell construction, B u W over phase-type B, stays as extend_shell.
+parity matrix, walked directly with no search and no dedupe.  Each member
+keeps the basis and parity table its walk produced, and the local lift
+transvects those p basis keys rather than the 2^p elements.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .bitcore import InvariantError, gf2_nullspace, gf2_span
-from .partition import build_qap
-from .spinor import key_text, omega
-from .subalgebra import CartanSubalgebra, SpinorSet
+from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
+from .spinor import key_text
+from .subalgebra import CartanSubalgebra
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
 ENUMERATION_MAX_P = 5
@@ -51,58 +51,50 @@ class CartanAtlas:
             yield from self.by_kind[k]
 
 
-def extend_shell(c: CartanSubalgebra) -> set[CartanSubalgebra]:
-    """All kind-(k+1) Cartan subalgebras obtainable as the union of a
-    phase-type maximal bi-subalgebra of c with one of its conditioned
-    subspaces; empty once c is of the top kind."""
-    out: set[CartanSubalgebra] = set()
-    for b, w, w_hat in _phase_pairs(c):
-        for half in (w, w_hat):
-            ext = CartanSubalgebra(SpinorSet(c.p, b | half), _trusted=True)
-            if ext.kind != c.kind + 1:
-                raise InvariantError(f"extension of {c.label} is not of the next kind")
-            out.add(ext)
-    return out
-
-
-def _phase_pairs(c: CartanSubalgebra):
-    """(B keys, W^1 keys, W^0 keys) for every phase-type maximal
-    bi-subalgebra B_i of c, read from c's partition: the members whose
-    commutant misses a diagonal element (a key below 2^p)."""
-    q = build_qap(c, verify=False)
-    g = q.maxbi
-    phase_type = ~g.comm[:, g.keys < 1 << c.p].all(axis=1)
-    for i in phase_type.nonzero()[0].tolist():
-        yield g.members[i].elements.keys, q.cells[(i, 1)].keys, q.cells[(i, 0)].keys
-
-
-def _shell(p: int, k: int) -> Iterator[frozenset[int]]:
-    """Element sets of the kind-k members, one per label.
+def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
+    """The kind-k members, one per label, built from their label data.
 
     Alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.
-    As u_i = 2^b_i has u_i . a_j = delta_ij, parity matrix eps gives row j
-    the phase XOR_i eps_ij u_i; eps is walked in Gray-code order, an entry
-    and its mirror per step.  Each member, spanned with the rows' diagonal
-    kernel, must hold 2^p keys whose generators commute pairwise."""
+    Each unit u_i = 2^b_i is reduced once against the echelon basis of the
+    rows' diagonal kernel.  As u_i . a_j = delta_ij and the kernel is
+    orthogonal to every row, parity matrix eps gives row j the reduced
+    phase XOR_i eps_ij u_i, and eps is the member's parity table.  eps is
+    walked in Gray-code order, an entry and its mirror per step; the walk
+    is the same for every alpha basis, so it is built once.  A
+    member's basis is its generator keys, descending, then the kernel rows,
+    and must span 2^p keys."""
     upper = [(r, s) for r in range(k) for s in range(r, k)]
+    bits = [tuple(m >> j & 1 for j in range(k)) for m in range(1 << k)]
+    eps = [0] * k  # row r of eps as a bit mask
+    walk = []  # (the entry flipped at this step, eps after it)
+    for step in range(1 << len(upper)):
+        flip = upper[(step & -step).bit_length() - 1] if step else None
+        if flip:
+            r, s = flip
+            eps[r] ^= 1 << s
+            eps[s] ^= (r != s) << r
+        walk.append((flip, tuple(bits[m] for m in eps)))
     for pivots in itertools.combinations(range(p), k):
         fills = [gf2_span([1 << j for j in range(b) if j not in pivots]) for b in pivots]
         for low in itertools.product(*fills):
             rows = [(1 << b) | f for b, f in zip(pivots, low)]
-            kernel = gf2_nullspace(rows, p)
+            kernel = gf2_echelon(gf2_nullspace(rows, p))
+            units = [gf2_reduce(1 << b, kernel) for b in pivots]
+            duals = [[(a & x).bit_count() & 1 for x in units + kernel] for a in rows]
+            if duals != [[int(i == j) for j in range(p)] for i in range(k)]:
+                raise InvariantError(f"rows {rows}: units or kernel not dual to the rows")
             phases = [0] * k
-            for step in range(1 << len(upper)):
-                if step:
-                    r, s = upper[(step & -step).bit_length() - 1]
-                    phases[r] ^= 1 << pivots[s]
-                    phases[s] ^= (r != s) << pivots[r]
-                gens = kernel + [(a << p) | z for a, z in zip(rows, phases)]
-                elements = frozenset(gf2_span(gens))
-                if len(elements) != 1 << p or any(
-                    omega(g, h, p) for i, g in enumerate(gens) for h in gens[:i]
-                ):
+            for flip, table in walk:
+                if flip:
+                    r, s = flip
+                    phases[r] ^= units[s]
+                    if r != s:
+                        phases[s] ^= units[r]
+                gens = [(a << p) | z for a, z in zip(rows, phases)]
+                c = CartanSubalgebra.from_basis(p, gens[::-1] + kernel, table)
+                if len(c.elements) != 1 << p:
                     raise InvariantError(f"rows {rows}, phases {phases}: not a Cartan subalgebra")
-                yield elements
+                yield c
 
 
 def enumerate_all(p: int) -> CartanAtlas:
@@ -114,11 +106,11 @@ def enumerate_all(p: int) -> CartanAtlas:
     by_kind: dict[int, list[CartanSubalgebra]] = {}
     seen: set[frozenset[int]] = set()
     for k in range(p + 1):
-        shell = sorted(_shell(p, k), key=sorted)
+        shell = sorted(_shell(p, k), key=lambda c: sorted(c.elements.keys))
         if len(shell) != count_kind(p, k):
             raise InvariantError(f"shell {k}: {len(shell)} members, not {count_kind(p, k)}")
-        seen.update(shell)
-        by_kind[k] = [CartanSubalgebra(SpinorSet(p, keys), _trusted=True) for keys in shell]
+        seen.update(c.elements.keys for c in shell)
+        by_kind[k] = shell
     atlas = CartanAtlas(p, by_kind)
     if atlas.total != count_total(p) or len(seen) != atlas.total:
         raise InvariantError(f"{len(seen)} distinct of {atlas.total} members, not {count_total(p)}")
@@ -151,18 +143,33 @@ def mutual_parity(c: CartanSubalgebra) -> ParityStrings:
     return parity_strings(c)
 
 
+def lift_keys(c: CartanSubalgebra) -> tuple[list[int], list[int]]:
+    """(units, lifted basis) of the local lift of c.  The units are the
+    words e_j off the pivots of c's reduced alpha basis, ascending.  Each
+    factor h[0|e_j] is the transvection x -> x ^ h on the keys x that
+    anti-commute with h, those whose zeta has bit j; it is linear, so the
+    lift carries c's p basis keys, and their echelon is the lifted basis."""
+    p = c.p
+    pivots = {(g >> p).bit_length() - 1 for g in c.generator_keys}
+    units = [j for j in range(p) if j not in pivots]
+    keys = c.basis_keys
+    for j in units:
+        h = 1 << (p + j)
+        keys = [x ^ h if x >> j & 1 else x for x in keys]
+    lifted = gf2_echelon(keys)
+    if not lifted[-1] >> p:  # a diagonal row sorts last
+        raise InvariantError(f"local lift of {c.label} failed to reach the top kind")
+    return units, lifted
+
+
 def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     """Raise a kind-k subalgebra to the top kind with single-bit-alpha
     factors, one new independent partitioning direction per factor: the
     unit words off the pivots of the reduced alpha basis, ascending."""
     p = c.p
-    pivots = {(g >> p).bit_length() - 1 for g in c.generator_keys}
-    units = [j for j in range(p) if j not in pivots]
+    units, lifted = lift_keys(c)
     circuit = SymbolicCircuit(tuple(BasicTransform(1 << (p + j), p) for j in units))
-    lifted = apply_to_cartan(circuit, c)
-    if lifted.kind != p:
-        raise InvariantError("local lift failed to reach the top kind")
-    return circuit, lifted
+    return circuit, CartanSubalgebra.from_basis(p, lifted)
 
 
 def se_normalizer(se: str) -> SymbolicCircuit:
@@ -174,11 +181,14 @@ def se_normalizer(se: str) -> SymbolicCircuit:
 
 def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
     """Partition the atlas into local-equivalence classes keyed by the
-    mutual-parity string of the (self-parity-normalized) local lift."""
+    mutual-parity string of the (self-parity-normalized) local lift.  The
+    lift's generator i has alpha e_i, so entry (i, j) of its parity table
+    is bit j of its zeta."""
+    p = atlas.p
     index: dict[str, list[CartanSubalgebra]] = {}
     for c in atlas.members():
-        _, lifted = local_lift(c)
-        se, mu = mutual_parity(lifted)
+        gens = lift_keys(c)[1][::-1]
+        mu = "".join(str(g >> j & 1) for i, g in enumerate(gens) for j in range(i + 1, p))
         index.setdefault(mu, []).append(c)
     return index
 
@@ -234,6 +244,7 @@ def nonlocal_connector(
 def atlas_jsonl(atlas: CartanAtlas) -> str:
     """One JSON object per subalgebra: label, kind, parity strings,
     canonical element list."""
+    texts = [key_text(k, atlas.p) for k in range(1 << (2 * atlas.p))]
     lines = []
     for c in atlas.members():
         se, mu = parity_strings(c)
@@ -244,7 +255,7 @@ def atlas_jsonl(atlas: CartanAtlas) -> str:
                     "kind": c.kind,
                     "eps_se": se,
                     "eps_mu": mu,
-                    "elements": [key_text(k, c.p) for k in sorted(c.elements.keys)],
+                    "elements": [texts[k] for k in sorted(c.elements.keys)],
                 },
                 sort_keys=True,
             )

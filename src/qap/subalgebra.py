@@ -113,17 +113,28 @@ def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
 
 
 class CartanSubalgebra:
-    """A maximal abelian subalgebra held as its canonical element set."""
+    """A maximal abelian subalgebra held as its canonical element set, with
+    its label data (reduced echelon basis, generator keys, parity table)
+    held in slots: stored by from_basis, else derived on first use."""
 
-    __slots__ = ("p", "elements", "__dict__")
+    __slots__ = ("p", "elements", "_basis", "_gens", "_parity", "__dict__")
 
     def __init__(self, elements: SpinorSet, _trusted: bool = False):
         if not _trusted and not is_cartan(elements):
             raise ValueError("element set is not a Cartan subalgebra")
         self.p = elements.p
         self.elements = elements
+        self._basis = self._gens = self._parity = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_basis(cls, p: int, basis: Sequence[int], parity=None) -> "CartanSubalgebra":
+        """Trusted: the subalgebra spanned by its fully reduced echelon
+        basis, descending, with its parity table when the caller has it."""
+        c = cls(SpinorSet(p, gf2_span(basis)), _trusted=True)
+        c._basis, c._parity = tuple(basis), parity
+        return c
 
     @classmethod
     def intrinsic(cls, p: int) -> "CartanSubalgebra":
@@ -147,22 +158,26 @@ class CartanSubalgebra:
                 raise ValueError(f"generators {g} and {h} do not commute")
         kernel = gf2_nullspace(alpha_rows, p)  # diagonal phases
         gen_keys = [key_of(g) for g in gens] + [pack(z, 0, p) for z in kernel]
-        return cls(SpinorSet(p, _span_keys(gen_keys)), _trusted=True)
+        return cls.from_basis(p, gf2_echelon(gen_keys))
 
-    # -- cached structure --------------------------------------------------
+    # -- label data and cached structure -----------------------------------
 
-    @cached_property
+    @property
     def basis_keys(self) -> tuple[int, ...]:
         """Fully reduced echelon basis of the element keys, descending: the
         generator keys, then the basis of the diagonal phase group."""
-        return tuple(gf2_echelon(self.elements.keys))
+        if self._basis is None:
+            self._basis = tuple(gf2_echelon(self.elements.keys))
+        return self._basis
 
-    @cached_property
+    @property
     def generator_keys(self) -> tuple[int, ...]:
         """One key per alpha-basis word, ascending.  The alpha parts form
         the reduced echelon alpha basis; each phase, reduced against the
         diagonal rows, is the lex-smallest of its block."""
-        return tuple(r for r in reversed(self.basis_keys) if r >> self.p)
+        if self._gens is None:
+            self._gens = tuple(r for r in reversed(self.basis_keys) if r >> self.p)
+        return self._gens
 
     @cached_property
     def alpha_group(self) -> BitSubgroup:
@@ -190,17 +205,17 @@ class CartanSubalgebra:
         """One spinor per alpha-basis word (ascending), lex-smallest phase."""
         return tuple(spinor_of_key(g, self.p) for g in self.generator_keys)
 
-    @cached_property
+    @property
     def parity_table(self) -> tuple[tuple[int, ...], ...]:
         """Entry (i, j) is the parity of zeta_i . alpha_j over the generators,
         the sign of the product S_j S_i."""
-        p, gens = self.p, self.generator_keys
-        table = tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
-        for i in range(len(gens)):
-            for j in range(i):
-                if table[i][j] != table[j][i]:
-                    raise InvariantError("parity table must be symmetric")
-        return table
+        if self._parity is None:
+            p, gens = self.p, self.generator_keys
+            table = tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
+            if any(table[i][j] != table[j][i] for i in range(len(gens)) for j in range(i)):
+                raise InvariantError("parity table must be symmetric")
+            self._parity = table
+        return self._parity
 
     @property
     def label(self) -> str:

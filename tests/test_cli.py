@@ -178,6 +178,13 @@ def test_classify_text_p3(capsys):
     assert "8 classes (expected 8), members 135" in out
 
 
+def test_classify_at_its_guard(capsys):
+    code, out = run(capsys, "classify", "--p", "5")
+    assert code == 0
+    assert out.endswith("1024 classes (expected 1024), members 75735\n")
+    assert run(capsys, "classify", "--p", "6")[0] == 2
+
+
 def test_label_parse_error_reports_position(capsys):
     code = main(["table", "C_[000"])
     captured = capsys.readouterr()

@@ -28,7 +28,6 @@ from qap.bitcore import (
     gf2_reduce,
     maximal_subgroups,
 )
-from qap.extension import _phase_pairs
 from qap.partition import build_qap
 from qap.spinor import Spinor, bi_add, commutes
 from qap.subalgebra import (
@@ -46,6 +45,7 @@ from qap.subalgebra import (
     spinor_of_key,
     swap_key,
 )
+from test_extension import _phase_pairs
 
 
 def span_keys(gen_keys) -> frozenset[int]:

@@ -2,23 +2,25 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
 import pytest
 
 from conftest import atlas
+from qap.bitcore import InvariantError, gf2_echelon
 from qap.extension import (
+    CartanAtlas,
     class_connector,
     classify_local,
     count_kind,
     count_total,
     enumerate_all,
-    extend_shell,
     local_lift,
     mutual_parity,
     nonlocal_connector,
 )
 from qap.partition import build_qap, union_is_cartan
-from qap.spinor import Spinor
+from qap.spinor import Spinor, key_product
 from qap.subalgebra import (
     CartanSubalgebra,
     SpinorSet,
@@ -26,8 +28,34 @@ from qap.subalgebra import (
     is_cartan,
     parse_label,
 )
+from qap.transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
 S = Spinor.make
+
+
+def extend_shell(c: CartanSubalgebra) -> set[CartanSubalgebra]:
+    """The paper's shell construction: all kind-(k+1) Cartan subalgebras
+    obtainable as the union of a phase-type maximal bi-subalgebra of c with
+    one of its conditioned subspaces; empty once c is of the top kind."""
+    out: set[CartanSubalgebra] = set()
+    for b, w, w_hat in _phase_pairs(c):
+        for half in (w, w_hat):
+            ext = CartanSubalgebra(SpinorSet(c.p, b | half), _trusted=True)
+            if ext.kind != c.kind + 1:
+                raise InvariantError(f"extension of {c.label} is not of the next kind")
+            out.add(ext)
+    return out
+
+
+def _phase_pairs(c: CartanSubalgebra):
+    """(B keys, W^1 keys, W^0 keys) for every phase-type maximal
+    bi-subalgebra B_i of c, read from c's partition: the members whose
+    commutant misses a diagonal element (a key below 2^p)."""
+    q = build_qap(c, verify=False)
+    g = q.maxbi
+    phase_type = ~g.comm[:, g.keys < 1 << c.p].all(axis=1)
+    for i in phase_type.nonzero()[0].tolist():
+        yield g.members[i].elements.keys, q.cells[(i, 1)].keys, q.cells[(i, 0)].keys
 
 
 def extend_shell_via_qap(c: CartanSubalgebra) -> set[CartanSubalgebra]:
@@ -293,3 +321,70 @@ def test_atlas_export_jsonl():
     row = json.loads(lines[0])
     assert set(row) == {"label", "kind", "eps_se", "eps_mu", "elements"}
     assert row["kind"] == 0 and len(row["elements"]) == 4
+
+
+# -- label data against the reference derivation --------------------------------
+#
+# Members carry the basis and parity table their label walk produced, and the
+# local lift runs on p basis keys.  The reference below derives all of it from
+# the 2^p element keys, as the subalgebra did before it stored its label data.
+
+
+def ref_basis(c: CartanSubalgebra) -> tuple[int, ...]:
+    return tuple(gf2_echelon(c.elements.keys))
+
+
+def ref_parity_table(c: CartanSubalgebra) -> tuple[tuple[int, ...], ...]:
+    p = c.p
+    gens = [g for g in reversed(ref_basis(c)) if g >> p]
+    return tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
+
+
+def ref_local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
+    """Conjugate all 2^p element keys through the unit factors off the pivots."""
+    p = c.p
+    pivots = {(g >> p).bit_length() - 1 for g in ref_basis(c) if g >> p}
+    units = [j for j in range(p) if j not in pivots]
+    circuit = SymbolicCircuit(tuple(BasicTransform(1 << (p + j), p) for j in units))
+    return circuit, apply_to_cartan(circuit, c)
+
+
+def ref_classes(members: Iterable[CartanSubalgebra]) -> dict[str, list[frozenset[int]]]:
+    """Class keys from the mutual parities of the reference lift."""
+    out: dict[str, list[frozenset[int]]] = {}
+    for c in members:
+        table = ref_parity_table(ref_local_lift(c)[1])
+        mu = "".join(str(table[i][j]) for i in range(c.p) for j in range(i + 1, c.p))
+        out.setdefault(mu, []).append(c.elements.keys)
+    return out
+
+
+def label_data_cases() -> list[list[CartanSubalgebra]]:
+    """Every member at p <= 4, then a seeded sample of p = 5 members."""
+    sample = random.Random(11).sample(list(enumerate_all(5).members()), 400)
+    return [list(atlas(p).members()) for p in (1, 2, 3, 4)] + [sample]
+
+
+def test_label_data_matches_the_reference_derivation():
+    for members in label_data_cases():
+        for c in members:
+            assert c.basis_keys == ref_basis(c), c.label
+            assert c.parity_table == ref_parity_table(c), c.label
+            circuit, lifted = local_lift(c)
+            ref_circuit, ref_lifted = ref_local_lift(c)
+            assert circuit == ref_circuit, c.label
+            assert lifted.elements == ref_lifted.elements, c.label
+            assert lifted.basis_keys == ref_basis(ref_lifted), c.label
+            assert lifted.parity_table == ref_parity_table(ref_lifted), c.label
+        p = members[0].p
+        a = CartanAtlas(p, {k: [c for c in members if c.kind == k] for k in range(p + 1)})
+        got = classify_local(a)
+        assert {mu: [c.elements.keys for c in v] for mu, v in got.items()} == ref_classes(a.members())
+
+
+def test_parsed_labels_store_the_reference_basis():
+    for text in ("C_[0000]", "C^{0}_{[100]}", "C^{110}_{[001,100]}", "C^{101011}_{[001,010,100]}",
+                 "C^{1000101110}_{[00011,00101,01000,10001]}"):
+        c = parse_label(text)
+        assert c.basis_keys == ref_basis(c) and c.parity_table == ref_parity_table(c)
+        assert c.label == text
