@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
 from .spinor import key_text
 from .subalgebra import CartanSubalgebra
-from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
+from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan, transvect
 
 ENUMERATION_MAX_P = 5
 
@@ -61,8 +61,8 @@ def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
     phase XOR_i eps_ij u_i, and eps is the member's parity table.  eps is
     walked in Gray-code order, an entry and its mirror per step; the walk
     is the same for every alpha basis, so it is built once.  A
-    member's basis is its generator keys, descending, then the kernel rows,
-    and must span 2^p keys."""
+    member's basis is its generator keys, descending, then the kernel rows:
+    p rows with distinct leading bits."""
     upper = [(r, s) for r in range(k) for s in range(r, k)]
     bits = [tuple(m >> j & 1 for j in range(k)) for m in range(1 << k)]
     eps = [0] * k  # row r of eps as a bit mask
@@ -91,25 +91,27 @@ def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
                     if r != s:
                         phases[s] ^= units[r]
                 gens = [(a << p) | z for a, z in zip(rows, phases)]
-                c = CartanSubalgebra.from_basis(p, gens[::-1] + kernel, table)
-                if len(c.elements) != 1 << p:
+                basis = gens[::-1] + kernel
+                if len({r.bit_length() for r in basis} - {0}) != p:
                     raise InvariantError(f"rows {rows}, phases {phases}: not a Cartan subalgebra")
-                yield c
+                yield CartanSubalgebra.from_basis(p, basis, table)
 
 
 def enumerate_all(p: int) -> CartanAtlas:
     """Every Cartan subalgebra of su(2^p) from its label, each shell sorted
     by element list and checked against its closed-form count; the total
-    is checked against the product formula and for distinct members."""
+    is checked against the product formula and for distinct members.  Both
+    read ascending bases: two ascending element lists first differ at index
+    2^j, j the first ascending basis row that differs."""
     if not 1 <= p <= ENUMERATION_MAX_P:
         raise ValueError(f"enumeration guarded to p <= {ENUMERATION_MAX_P}")
     by_kind: dict[int, list[CartanSubalgebra]] = {}
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, ...]] = set()
     for k in range(p + 1):
-        shell = sorted(_shell(p, k), key=lambda c: sorted(c.elements.keys))
+        shell = sorted(_shell(p, k), key=lambda c: c.basis_keys[::-1])
         if len(shell) != count_kind(p, k):
             raise InvariantError(f"shell {k}: {len(shell)} members, not {count_kind(p, k)}")
-        seen.update(c.elements.keys for c in shell)
+        seen.update(c.basis_keys for c in shell)
         by_kind[k] = shell
     atlas = CartanAtlas(p, by_kind)
     if atlas.total != count_total(p) or len(seen) != atlas.total:
@@ -152,11 +154,7 @@ def lift_keys(c: CartanSubalgebra) -> tuple[list[int], list[int]]:
     p = c.p
     pivots = {(g >> p).bit_length() - 1 for g in c.generator_keys}
     units = [j for j in range(p) if j not in pivots]
-    keys = c.basis_keys
-    for j in units:
-        h = 1 << (p + j)
-        keys = [x ^ h if x >> j & 1 else x for x in keys]
-    lifted = gf2_echelon(keys)
+    lifted = gf2_echelon(transvect([1 << (p + j) for j in units], c.basis_keys, p))
     if not lifted[-1] >> p:  # a diagonal row sorts last
         raise InvariantError(f"local lift of {c.label} failed to reach the top kind")
     return units, lifted
@@ -243,7 +241,7 @@ def nonlocal_connector(
 
 def atlas_jsonl(atlas: CartanAtlas) -> str:
     """One JSON object per subalgebra: label, kind, parity strings,
-    canonical element list."""
+    canonical element list, spanned ascending from the basis."""
     texts = [key_text(k, atlas.p) for k in range(1 << (2 * atlas.p))]
     lines = []
     for c in atlas.members():
@@ -255,7 +253,7 @@ def atlas_jsonl(atlas: CartanAtlas) -> str:
                     "kind": c.kind,
                     "eps_se": se,
                     "eps_mu": mu,
-                    "elements": [texts[k] for k in sorted(c.elements.keys)],
+                    "elements": [texts[k] for k in c.element_keys()],
                 },
                 sort_keys=True,
             )

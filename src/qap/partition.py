@@ -28,7 +28,6 @@ from .subalgebra import (
     MaxBiGroup,
     SpinorSet,
     all_maximal,
-    is_cartan,
 )
 
 CellKey = tuple[int, int]  # (bi-subalgebra index in MaxBiGroup, epsilon)
@@ -88,10 +87,11 @@ class QAPartition:
         return {divmod(v, 2): SpinorSet(self.p, keys[bounds[v] : bounds[v + 1]]) for v in range(n)}
 
     def cell_of(self, s: Spinor | int) -> CellKey:
-        v = int(self.cid[s if isinstance(s, int) else key_of(s)])
-        if v < 0:
-            raise KeyError(f"key {s} lies in no cell")
-        return divmod(v, 2)
+        """KeyError for a spinor of another width, or a key outside 0..4^p-1."""
+        key = s if isinstance(s, int) else key_of(s) if s.p == self.p else -1
+        if not 0 <= key < self.cid.size or self.cid[key] < 0:
+            raise KeyError(f"{s} lies in no cell at p={self.p}")
+        return divmod(int(self.cid[key]), 2)
 
     def pair(self, i: int) -> ConjugatePair:
         return ConjugatePair(self.maxbi.members[i], self.cells[(i, 1)], self.cells[(i, 0)])
@@ -262,10 +262,7 @@ def split_by_commutation(w1: SpinorSet, w2: SpinorSet) -> tuple[SpinorSet, Spino
 
 def union_is_cartan(b: BiSubalgebra, w: SpinorSet) -> CartanSubalgebra:
     """Validate that b u w is a Cartan subalgebra and return it."""
-    merged = b.elements | w
-    if not is_cartan(merged):
-        raise ValueError("the union is not a Cartan subalgebra")
-    return CartanSubalgebra(merged, _trusted=True)
+    return CartanSubalgebra(b.elements | w)
 
 
 @dataclass(frozen=True)

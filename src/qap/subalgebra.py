@@ -1,8 +1,10 @@
 """Cartan subalgebras of every kind, bi-subalgebras, and the group G(C).
 
-Element sets are held as frozensets of packed integer keys (see spinor);
-numeric order on keys is the canonical (alpha, zeta) order and bi-addition
-is plain XOR on keys.
+Spinors are packed integer keys (see spinor): numeric order on keys is the
+canonical (alpha, zeta) order and bi-addition is plain XOR.  A Cartan
+subalgebra is held as its label basis, the p keys of its fully reduced
+echelon basis, and its 2^p-key element set is spanned only where it is
+read; bi-subalgebras and conditioned subspaces are frozensets of keys.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class SpinorSet:
         return iter(self.spinors())
 
     def __contains__(self, s: Spinor | int) -> bool:
-        return (s if isinstance(s, int) else key_of(s)) in self.keys
+        return s in self.keys if isinstance(s, int) else s.p == self.p and key_of(s) in self.keys
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorSet):
@@ -93,10 +95,8 @@ def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
     isotropic subgroup, hence maximal abelian.
     """
     p = s.p
-    if len(s) != (1 << p) or 0 not in s.keys:
-        return False
     basis = gf2_echelon(s.keys)
-    if len(basis) != p or _span_keys(basis) != s.keys:
+    if len(s) != (1 << p) or len(basis) != p:  # else s is the span of basis
         return False
     for k1, k2 in itertools.combinations(basis, 2):
         if omega(k1, k2, p):
@@ -113,18 +113,18 @@ def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
 
 
 class CartanSubalgebra:
-    """A maximal abelian subalgebra held as its canonical element set, with
-    its label data (reduced echelon basis, generator keys, parity table)
-    held in slots: stored by from_basis, else derived on first use."""
+    """A maximal abelian subalgebra held as its label basis: basis_keys, the
+    fully reduced echelon basis of its keys, descending (generator keys, then
+    diagonal rows), is canonical, so equality and hashing read it.  The parity
+    table and the 2^p element keys are derived on first read if not given."""
 
-    __slots__ = ("p", "elements", "_basis", "_gens", "_parity", "__dict__")
+    __slots__ = ("p", "basis_keys", "__dict__")
 
-    def __init__(self, elements: SpinorSet, _trusted: bool = False):
-        if not _trusted and not is_cartan(elements):
+    def __init__(self, elements: SpinorSet):
+        if not is_cartan(elements):
             raise ValueError("element set is not a Cartan subalgebra")
         self.p = elements.p
-        self.elements = elements
-        self._basis = self._gens = self._parity = None
+        self.basis_keys = tuple(gf2_echelon(elements.keys))
 
     # -- constructors ------------------------------------------------------
 
@@ -132,21 +132,18 @@ class CartanSubalgebra:
     def from_basis(cls, p: int, basis: Sequence[int], parity=None) -> "CartanSubalgebra":
         """Trusted: the subalgebra spanned by its fully reduced echelon
         basis, descending, with its parity table when the caller has it."""
-        c = cls(SpinorSet(p, gf2_span(basis)), _trusted=True)
-        c._basis, c._parity = tuple(basis), parity
+        c = cls.__new__(cls)
+        c.p, c.basis_keys = p, tuple(basis)
+        if parity is not None:
+            c.__dict__["parity_table"] = parity
         return c
-
-    @classmethod
-    def intrinsic(cls, p: int) -> "CartanSubalgebra":
-        """All diagonal generators {S[nu|0...0]}; the 0th kind."""
-        return cls(SpinorSet(p, range(1 << p)), _trusted=True)
 
     @classmethod
     def from_generators(cls, gens: Sequence[Spinor]) -> "CartanSubalgebra":
         """The unique Cartan subalgebra spanned by commuting generators
         with independent, nonzero binary partitionings."""
         if not gens:
-            raise ValueError("need at least one generator (use intrinsic for kind 0)")
+            raise ValueError("need at least one generator (use intrinsic_cartan for kind 0)")
         p = gens[0].p
         alpha_rows = [g.alpha.bits for g in gens]
         if any(a == 0 for a in alpha_rows):
@@ -162,22 +159,22 @@ class CartanSubalgebra:
 
     # -- label data and cached structure -----------------------------------
 
-    @property
-    def basis_keys(self) -> tuple[int, ...]:
-        """Fully reduced echelon basis of the element keys, descending: the
-        generator keys, then the basis of the diagonal phase group."""
-        if self._basis is None:
-            self._basis = tuple(gf2_echelon(self.elements.keys))
-        return self._basis
+    def element_keys(self) -> list[int]:
+        """The 2^p element keys, ascending: the span of the basis rows taken
+        ascending, since the leading bit of a XOR of fully reduced rows is
+        the pivot of its highest row."""
+        return gf2_span(self.basis_keys[::-1])
 
-    @property
+    @cached_property
+    def elements(self) -> SpinorSet:
+        return SpinorSet(self.p, self.element_keys())
+
+    @cached_property
     def generator_keys(self) -> tuple[int, ...]:
         """One key per alpha-basis word, ascending.  The alpha parts form
         the reduced echelon alpha basis; each phase, reduced against the
         diagonal rows, is the lex-smallest of its block."""
-        if self._gens is None:
-            self._gens = tuple(r for r in reversed(self.basis_keys) if r >> self.p)
-        return self._gens
+        return tuple(r for r in reversed(self.basis_keys) if r >> self.p)
 
     @cached_property
     def alpha_group(self) -> BitSubgroup:
@@ -205,17 +202,15 @@ class CartanSubalgebra:
         """One spinor per alpha-basis word (ascending), lex-smallest phase."""
         return tuple(spinor_of_key(g, self.p) for g in self.generator_keys)
 
-    @property
+    @cached_property
     def parity_table(self) -> tuple[tuple[int, ...], ...]:
         """Entry (i, j) is the parity of zeta_i . alpha_j over the generators,
         the sign of the product S_j S_i."""
-        if self._parity is None:
-            p, gens = self.p, self.generator_keys
-            table = tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
-            if any(table[i][j] != table[j][i] for i in range(len(gens)) for j in range(i)):
-                raise InvariantError("parity table must be symmetric")
-            self._parity = table
-        return self._parity
+        p, gens = self.p, self.generator_keys
+        table = tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
+        if any(table[i][j] != table[j][i] for i in range(len(gens)) for j in range(i)):
+            raise InvariantError("parity table must be symmetric")
+        return table
 
     @property
     def label(self) -> str:
@@ -229,17 +224,18 @@ class CartanSubalgebra:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CartanSubalgebra):
             return NotImplemented
-        return self.elements == other.elements
+        return self.p == other.p and self.basis_keys == other.basis_keys
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash((self.p, self.basis_keys))
 
     def __repr__(self) -> str:
         return f"<CartanSubalgebra {self.label}>"
 
 
 def intrinsic_cartan(p: int) -> CartanSubalgebra:
-    return CartanSubalgebra.intrinsic(p)
+    """All diagonal generators {S[nu|0...0]}; the 0th kind."""
+    return CartanSubalgebra.from_basis(p, [1 << j for j in reversed(range(p))], ())
 
 
 def build_kth_kind(gens: Sequence[Spinor]) -> CartanSubalgebra:
@@ -247,9 +243,9 @@ def build_kth_kind(gens: Sequence[Spinor]) -> CartanSubalgebra:
 
 
 def dual_map(c: CartanSubalgebra) -> CartanSubalgebra:
-    """Swap phase and binary-partitioning strings on every element."""
-    swapped = SpinorSet(c.p, (swap_key(k, c.p) for k in c.elements.keys))
-    return CartanSubalgebra(swapped)
+    """Swap phase and binary-partitioning strings on every element; the swap
+    keeps omega, so it carries c's basis onto a basis of a subalgebra."""
+    return CartanSubalgebra.from_basis(c.p, gf2_echelon(swap_key(k, c.p) for k in c.basis_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +278,7 @@ class BiSubalgebra:
         if self.is_whole:
             return "whole"
         alphas = {k >> self.p for k in self.elements.keys}
-        parent_alphas = {k >> self.p for k in self.parent.elements.keys}
-        return "phase_type" if alphas == parent_alphas else "bit_type"
+        return "phase_type" if len(alphas) == 1 << self.parent.kind else "bit_type"
 
     @property
     def complement(self) -> SpinorSet:
@@ -303,7 +298,7 @@ class BiSubalgebra:
         return self.elements == other.elements and self.parent == other.parent
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.parent.elements))
+        return hash((self.elements, self.parent))
 
     def __repr__(self) -> str:
         names = ", ".join(str(s) for s in self.elements.spinors())
@@ -412,7 +407,7 @@ class MaxBiGroup:
     def build(cls, c: CartanSubalgebra) -> "MaxBiGroup":
         p = c.p
         leaders = coset_leaders(c)
-        keys = np.array(sorted(c.elements.keys))
+        keys = np.array(c.element_keys())
         comm = omega(np.array(leaders)[:, None], keys[None, :], p) == 0
         if (comm[1:].sum(axis=1) != 1 << (p - 1)).any():
             raise InvariantError(f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements")
@@ -536,7 +531,7 @@ def parse_label(text: str, p: Optional[int] = None) -> CartanSubalgebra:
     if all(a.is_zero for a in alpha_words):
         if parities:
             raise ValueError("the 0th kind carries no parity superscript")
-        return CartanSubalgebra.intrinsic(width)
+        return intrinsic_cartan(width)
     if any(a.is_zero for a in alpha_words):
         raise ValueError("alpha basis words must be nonzero")
     k = len(alpha_words)

@@ -11,9 +11,9 @@ referential one anchored at the diagonal subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .bitcore import InvariantError, _check_width, gf2_rank, solve_affine
+from .bitcore import InvariantError, _check_width, gf2_echelon, gf2_rank, solve_affine
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
     GaussianMatrix,
@@ -118,21 +118,26 @@ def conjugate_by_circuit(q: SymbolicCircuit, s: PhasedSpinor | Spinor) -> Phased
     return s
 
 
+def transvect(factor_keys: Iterable[int], keys: Iterable[int], p: int) -> Iterable[int]:
+    """Keys conjugated through factors, phases dropped (set identity is phase
+    free): factor key h moves the keys that anti-commute with it by XOR and
+    fixes the rest.  It is linear, so a subalgebra moves with its basis."""
+    for h in factor_keys:
+        keys = [k ^ h if omega(h, k, p) else k for k in keys]
+    return keys
+
+
 def apply_circuit(q: SymbolicCircuit, x: SpinorSet) -> SpinorSet:
-    """Elementwise conjugation with phases dropped (set identity is
-    phase-free): each factor h moves the keys that anti-commute with its
-    key by XOR and fixes the rest."""
-    p, keys = x.p, x.keys
-    for f in q.factors:
-        if f.p != p:
-            raise ValueError("factor width mismatch")
-        hk = f.key
-        keys = [k ^ hk if omega(hk, k, p) else k for k in keys]
-    return SpinorSet(p, keys)
+    """Elementwise conjugation of a spinor set, phases dropped."""
+    if any(f.p != x.p for f in q.factors):
+        raise ValueError("factor width mismatch")
+    return SpinorSet(x.p, transvect((f.key for f in q.factors), x.keys, x.p))
 
 
 def apply_to_cartan(q: SymbolicCircuit, c: CartanSubalgebra) -> CartanSubalgebra:
-    return CartanSubalgebra(apply_circuit(q, c.elements), _trusted=True)
+    """The image of c, carried through its p basis keys."""
+    image = apply_circuit(q, SpinorSet(c.p, c.basis_keys))
+    return CartanSubalgebra.from_basis(c.p, gf2_echelon(image.keys))
 
 
 def h_matrix(h: BasicTransform) -> GaussianMatrix:

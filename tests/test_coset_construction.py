@@ -32,7 +32,6 @@ from qap.partition import build_qap
 from qap.spinor import Spinor, bi_add, commutes
 from qap.subalgebra import (
     CartanSubalgebra,
-    SpinorSet,
     all_maximal,
     bit_type_maximal,
     commuting_bisubalgebra,
@@ -231,7 +230,7 @@ def test_a_coset_that_does_not_bisect_is_an_invariant_failure():
     # S[10|00] and S[00|10] anti-commute: the span is no Cartan subalgebra,
     # and the coset led by S[01|00] commutes with all of it
     z, x = key_of(Spinor(BitWord(2, 2), BitWord(0, 2))), key_of(Spinor(BitWord(0, 2), BitWord(2, 2)))
-    fake = CartanSubalgebra(SpinorSet(2, span_keys([z, x])), _trusted=True)
+    fake = CartanSubalgebra.from_basis(2, gf2_echelon([z, x]))
     with pytest.raises(InvariantError):
         all_maximal(fake)
 

@@ -40,7 +40,7 @@ def extend_shell(c: CartanSubalgebra) -> set[CartanSubalgebra]:
     out: set[CartanSubalgebra] = set()
     for b, w, w_hat in _phase_pairs(c):
         for half in (w, w_hat):
-            ext = CartanSubalgebra(SpinorSet(c.p, b | half), _trusted=True)
+            ext = CartanSubalgebra.from_basis(c.p, gf2_echelon(b | half))
             if ext.kind != c.kind + 1:
                 raise InvariantError(f"extension of {c.label} is not of the next kind")
             out.add(ext)
@@ -388,3 +388,38 @@ def test_parsed_labels_store_the_reference_basis():
         c = parse_label(text)
         assert c.basis_keys == ref_basis(c) and c.parity_table == ref_parity_table(c)
         assert c.label == text
+
+
+# -- the basis form ---------------------------------------------------------------
+#
+# A subalgebra is held as its reduced echelon basis; its element set is spanned
+# only where it is read.
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_ascending_bases_sort_shells_as_element_lists_do(p):
+    rng = random.Random(p)
+    for shell in atlas(p).by_kind.values():
+        shuffled = rng.sample(shell, len(shell))
+        by_basis = sorted(shuffled, key=lambda c: c.basis_keys[::-1])
+        by_elements = sorted(shuffled, key=lambda c: sorted(c.elements.keys))
+        assert [id(c) for c in by_basis] == [id(c) for c in by_elements] == [id(c) for c in shell]
+        assert all(c.element_keys() == sorted(c.elements.keys) for c in shell)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_members_round_trip_through_label_and_element_set(p):
+    members = list(atlas(p).members())
+    assert len(set(members)) == len(members)
+    for c in members:
+        parsed = parse_label(c.label)
+        assert parsed == c and hash(parsed) == hash(c), c.label
+        assert CartanSubalgebra(c.elements) == c, c.label
+
+
+def test_enumeration_and_classification_build_no_element_set():
+    a = enumerate_all(4)
+    classify_local(a)
+    assert not any("elements" in vars(c) for c in a.members())
+    c = next(a.members())
+    assert c.elements.keys == set(range(16)) and "elements" in vars(c)

@@ -187,6 +187,16 @@ def test_cells_are_read_from_the_cell_id_array():
         retagged(q, [5], None).cell_of(5)
 
 
+@pytest.mark.parametrize("outside", [-1, 64, Spinor.make("1", "1")])
+def test_cell_of_rejects_keys_and_spinors_outside_the_partition(outside):
+    # -1 must not wrap to key 63, 64 is past the 4^3 keys, and a p = 1
+    # spinor packs to a valid p = 3 key
+    q = qap_of(intrinsic_cartan(3))
+    assert q.cell_of(63) == (7, 0) and q.cell_of(Spinor.make("001", "001")) == (1, 0)
+    with pytest.raises(KeyError):
+        q.cell_of(outside)
+
+
 def test_a_labelling_that_breaks_closure_is_an_invariant_failure(monkeypatch):
     # swap W and W-hat of pair 3 before labelling: the build must fail,
     # naming the label, the cells and the spinor pair

@@ -58,6 +58,14 @@ def test_intrinsic_examples():
     assert c3.label == "C_[000]"
 
 
+def test_membership_checks_the_width():
+    # S[01|00] packs to key 1, the key of S[001|000] at p = 3
+    c = intrinsic_cartan(3)
+    assert S("001", "000") in c and S("001", "000") in c.elements and 1 in c
+    assert S("01", "00") not in c and S("01", "00") not in c.elements
+    assert S("0001", "0000") not in SpinorSet(3, range(8))
+
+
 def test_build_first_kind_matches_worked_set():
     c = build_kth_kind([S("100", "100")])
     assert sorted(spinor_strs(c.elements)) == sorted(FIRST_KIND_SET)

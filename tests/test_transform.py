@@ -7,7 +7,7 @@ import re
 import pytest
 
 from conftest import atlas, qap_of
-from qap.bitcore import BitWord
+from qap.bitcore import BitWord, gf2_echelon
 from qap.extension import local_lift, nonlocal_connector
 from qap.partition import DecompositionSequence
 from qap.spinor import PhasedSpinor, Spinor, key_of, pack, to_matrix
@@ -43,6 +43,11 @@ def intrinsic_cell(p: int, alpha: str, sigma: int) -> SpinorSet:
     return SpinorSet(
         p, ((a.bits << p) | z for z in range(1 << p) if (z & a.bits).bit_count() & 1 == 1 - sigma)
     )
+
+
+def element_image(q: SymbolicCircuit, c) -> frozenset[int]:
+    """c's element keys conjugated one phased spinor at a time."""
+    return frozenset(key_of(conjugate_by_circuit(q, s).body) for s in c.elements)
 
 
 # -- single conjugations --------------------------------------------------------
@@ -395,3 +400,31 @@ CONNECT_TEXT_SHA256 = {
 def test_connect_text_is_pinned(p):
     text = seeded_connect_text(p, 20)
     assert hashlib.sha256(text.encode()).hexdigest() == CONNECT_TEXT_SHA256[p]
+
+
+# -- subalgebras move with their basis ---------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_apply_to_cartan_matches_the_element_image_for_every_factor(p):
+    for c in atlas(p).members():
+        for key in range(1 << (2 * p)):
+            q = SymbolicCircuit.of(BasicTransform(key, p))
+            image = apply_to_cartan(q, c)
+            assert image.elements == apply_circuit(q, c.elements), (c.label, key)
+            assert image.elements.keys == element_image(q, c), (c.label, key)
+            assert image.basis_keys == tuple(gf2_echelon(image.elements.keys)), (c.label, key)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_apply_to_cartan_matches_the_element_image_for_seeded_circuits(p):
+    rng = random.Random(40 + p)
+    for c in rng.sample(list(atlas(p).members()), 60):
+        q = SymbolicCircuit(tuple(
+            BasicTransform(rng.randrange(1 << (2 * p)), p, rng.random() < 0.5)
+            for _ in range(rng.randrange(1, 6))
+        ))
+        image = apply_to_cartan(q, c)
+        assert image.elements == apply_circuit(q, c.elements), (c.label, str(q))
+        assert image.elements.keys == element_image(q, c), (c.label, str(q))
+        assert image.basis_keys == tuple(gf2_echelon(image.elements.keys)), (c.label, str(q))
