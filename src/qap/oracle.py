@@ -4,19 +4,24 @@ report carries the first witness.
 
 The realization of all 4^p spinors is built once per check and stacked
 into one Gaussian-integer matrix of shape (4^p, 2^p, 2^p), indexed by the
-packed key (alpha << p) | zeta.  Each check multiplies one matrix against
-the whole stack, and the rules under test, spinor's own omega,
-key_product and key_conjugate, run once over the array of all 4^p keys:
-once per left spinor for products, once per h and direction for
-conjugations.
+packed key (alpha << p) | zeta.  The rules under test, spinor's own
+omega, key_product and key_conjugate, run once over the arrays of all key
+pairs, and each check turns into one boolean mask over them.
 
-A product with the stack is computed by gathers (gather_product): the
-nonzero pattern of the one matrix is read from its dense form, each row
-(column) padded to the largest nonzero count with zero coefficients, and
-the product is the sum over those slots of coefficient times the gathered
-rows (columns) of the stack.  That is exact for any matrix; it is fast
-here because a spinor matrix has one nonzero per row and column, and an
-h matrix at most two."""
+Every realized spinor matrix is monomial: each row and each column holds
+exactly one nonzero, a unit of Z[i].  That is checked exactly on the dense
+stack, which is then read as col[k, r], the column of the nonzero in row
+r, and ph[k, r], its power of i.  A product of two monomial matrices is a
+gather of col plus an addition of ph mod 4, with no multiply, so the
+products run over all pairs at once.  A conjugation reads
+sqrt(2) h = I + i^c S_h (checked against h_matrix for every h), so each
+sandwich is four monomial terms; they are counted into a dense
+accumulator per (h, spinor) together with -2 i^e S_out, and must cancel.
+
+A stack that is not monomial, or an h_matrix that disagrees with it, is a
+realization fault.  The same masks are then computed by dense int64
+products of the stacked matrices, so both paths feed one witness loop and
+report the same checks and failure texts."""
 
 from __future__ import annotations
 
@@ -25,15 +30,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spinor import (
-    GaussianMatrix, Spinor, key_conjugate, key_product, omega, spinor_of_key, to_matrix
+    GaussianMatrix, Spinor, key_conjugate, key_product, key_self_parity, omega, spinor_of_key,
+    to_matrix,
 )
 from .transform import BasicTransform, h_matrix
 
-ORACLE_GUARD_P = 3
+ORACLE_GUARD_P = 4
 
 # i^k = _I_RE[k] + i·_I_IM[k]
 _I_RE = np.array([1, 0, -1, 0], dtype=np.int64)
 _I_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+
+# i^k as one accumulator cell, re + 16 im
+_CELL = np.array([1, 16, -1, -16], dtype=np.int16)
+# accumulator cells per block of h in the conjugation check
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -69,35 +80,9 @@ def _realize(spinors: list[Spinor]) -> GaussianMatrix:
 
 def _gather(stack: GaussianMatrix, e: np.ndarray, keys: np.ndarray) -> GaussianMatrix:
     """i^e times the stacked matrix of each key, in key order."""
-    c, s = _I_RE[e % 4][:, None, None], _I_IM[e % 4][:, None, None]
+    c, s = _I_RE[e % 4][..., None, None], _I_IM[e % 4][..., None, None]
     re, im = stack.re[keys], stack.im[keys]
     return GaussianMatrix(c * re - s * im, s * re + c * im)
-
-
-def gather_product(m: GaussianMatrix, stack: GaussianMatrix, right: bool = False) -> GaussianMatrix:
-    """m @ stack[k] for every k, or stack[k] @ m when right, exactly.
-
-    Slot j of row r (column r when right) holds the position of its j-th
-    nonzero, or of a zero entry once the row has no more nonzeros; so its
-    coefficient is the entry itself, and a short row is padded with zero
-    coefficients.  The product sums coefficient times gathered stack rows
-    (columns) over the slots."""
-    if right:
-        m = GaussianMatrix(m.re.T, m.im.T)
-    nonzero = (m.re != 0) | (m.im != 0)
-    width = max(1, int(nonzero.sum(axis=1).max()))
-    idx = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-    rows = np.arange(len(idx))[:, None]
-    c_re, c_im = m.re[rows, idx], m.im[rows, idx]
-    if not right:
-        c_re, c_im = c_re[:, :, None], c_im[:, :, None]
-    re = im = 0
-    for j in range(width):
-        sel = (..., idx[:, j]) if right else (..., idx[:, j], slice(None))
-        a, b, g_re, g_im = c_re[:, j], c_im[:, j], stack.re[sel], stack.im[sel]
-        re = re + a * g_re - b * g_im
-        im = im + a * g_im + b * g_re
-    return GaussianMatrix(re, im)
 
 
 def _equal(a: GaussianMatrix, b: GaussianMatrix) -> np.ndarray:
@@ -108,37 +93,154 @@ def _is_zero(a: GaussianMatrix) -> np.ndarray:
     return ~(a.re.any(axis=(-2, -1)) | a.im.any(axis=(-2, -1)))
 
 
+# ---------------------------------------------------------------------------
+# monomial form: a matrix is (col, ph), row r holding i^ph[r] in column col[r]
+
+
+def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """(col, ph) of every stacked matrix, or None unless each one has exactly
+    one nonzero per row and per column and that nonzero is 1, i, -1 or -i."""
+    nonzero = (stack.re != 0) | (stack.im != 0)
+    if not ((nonzero.sum(axis=-1) == 1).all() and (nonzero.sum(axis=-2) == 1).all()):
+        return None
+    col = nonzero.argmax(axis=-1)
+    re = np.take_along_axis(stack.re, col[..., None], -1)[..., 0]
+    im = np.take_along_axis(stack.im, col[..., None], -1)[..., 0]
+    if not (np.abs(re) + np.abs(im) == 1).all():
+        return None
+    return col.astype(np.int8), np.where(re != 0, 1 - re, 2 - im).astype(np.int8)
+
+
+def _times(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
+    """The monomial product a b, broadcast over the leading axes: row r of a
+    picks row col_a[r] of b."""
+    (a_col, a_ph), (b_col, b_ph) = a, b
+    return np.take_along_axis(b_col, a_col, -1), a_ph + np.take_along_axis(b_ph, a_col, -1)
+
+
+def _dagger(m: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate transpose: row col[r] holds i^-ph[r] in column r."""
+    col, ph = m
+    inv = np.argsort(col, axis=-1)
+    return inv, -np.take_along_axis(ph, inv, -1)
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def _product_masks(stack, e, body):
+    """(product ok, commutator zero, anti-commutator zero) for every pair
+    (x, y): S_x S_y against i^e S_body, and S_x S_y -/+ S_y S_x."""
+    mono = _monomial(stack)
+    if mono is None:
+        return _dense_product_masks(stack, e, body)
+    col, ph = mono
+    s, t = (col[:, None], ph[:, None]), (col[None], ph[None])
+    st_col, st_ph = _times(s, t)
+    ts_col, ts_ph = _times(t, s)
+    prod_ok = (st_col == col[body]) & ((st_ph - ph[body] - e[..., None]) % 4 == 0)
+    same, d = st_col == ts_col, (st_ph - ts_ph) % 4
+    return prod_ok.all(-1), (same & (d == 0)).all(-1), (same & (d == 2)).all(-1)
+
+
+def _dense_product_masks(stack, e, body):
+    """The masks of _product_masks from dense products, one left key at a
+    time; exact for any stack."""
+    n_keys = len(body)
+    prod_ok, comm_zero, anti_zero = (np.empty((n_keys, n_keys), dtype=bool) for _ in range(3))
+    for x in range(n_keys):
+        m = GaussianMatrix(stack.re[x], stack.im[x])
+        st, ts = m @ stack, stack @ m
+        prod_ok[x] = _equal(st, _gather(stack, e[x], body[x]))
+        comm_zero[x], anti_zero[x] = _is_zero(st - ts), _is_zero(st + ts)
+    return prod_ok, comm_zero, anti_zero
+
+
 def check_products(p: int, max_failures: int = 1) -> OracleReport:
     """key_product and omega vs exact Kronecker matrices, all pairs; the
     product body must also be the bi-addition x ^ y."""
     spinors = all_spinors(p)
     stack = _realize(spinors)
     keys = np.arange(len(spinors), dtype=np.int64)
-    checks = 0
+    x, y = keys[:, None], keys[None, :]
+    e, body = key_product(x, y, p)
+    comm = omega(x, y, p) == 0
+    sums_ok = body == (x ^ y)
+    prod_ok, comm_zero, anti_zero = _product_masks(stack, e, body)
+    comm_bad = comm != comm_zero
+    anti_bad = ~comm & ~anti_zero
     failures: list[str] = []
-    for x, s in enumerate(spinors):
-        m = GaussianMatrix(stack.re[x], stack.im[x])
-        e, body = key_product(x, keys, p)
-        comm = omega(x, keys, p) == 0
-        sums_ok = body == (x ^ keys)
-        st, ts = gather_product(m, stack), gather_product(m, stack, right=True)
-        prod_ok = _equal(st, _gather(stack, e, body))
-        comm_bad = comm != _is_zero(st - ts)
-        anti_bad = ~comm & ~_is_zero(st + ts)
-        for j in map(int, np.flatnonzero(~prod_ok | comm_bad | anti_bad | ~sums_ok)):
-            t = spinors[j]
-            if not prod_ok[j]:
-                failures.append(f"product mismatch at {s} * {t}")
-            if comm_bad[j]:
-                failures.append(f"commutation mismatch at {s}, {t}")
-            if anti_bad[j]:
-                failures.append(f"anti-commutator does not vanish at {s}, {t}")
-            if not sums_ok[j]:
-                failures.append(f"bi_add disagrees with the product body at {s}, {t}")
-            if len(failures) >= max_failures:
-                return OracleReport(False, checks + j + 1, failures)
-        checks += len(spinors)
-    return OracleReport(not failures, checks, failures)
+    for flat in map(int, np.flatnonzero(~prod_ok | comm_bad | anti_bad | ~sums_ok)):
+        i, j = divmod(flat, len(spinors))
+        s, t = spinors[i], spinors[j]
+        if not prod_ok[i, j]:
+            failures.append(f"product mismatch at {s} * {t}")
+        if comm_bad[i, j]:
+            failures.append(f"commutation mismatch at {s}, {t}")
+        if anti_bad[i, j]:
+            failures.append(f"anti-commutator does not vanish at {s}, {t}")
+        if not sums_ok[i, j]:
+            failures.append(f"bi_add disagrees with the product body at {s}, {t}")
+        if len(failures) >= max_failures:
+            return OracleReport(False, flat + 1, failures)
+    return OracleReport(not failures, prod_ok.size, failures)
+
+
+# ---------------------------------------------------------------------------
+# conjugations
+
+
+def _sandwich_zero(s, left, right, c, target):
+    """Is (I + i^c L) S_x (I + i^-c R) equal to 2 target, for a block of h
+    (axis 0) and every spinor x (axis 1)?  With R the conjugate transpose
+    of L, the left side is one direction of the sandwich h S_x h-dagger
+    scaled by 2.  Its four monomial terms, and the target twice with its
+    sign flipped, are added into one dense accumulator per (h, x).  A cell
+    holds re + 16 im, and |re|, |im| <= 6, so it is zero only when both
+    parts are."""
+    ls, sr = _times(left, s), _times(s, right)
+    terms = ((s, 0), (ls, c), (sr, -c), (_times(ls, right), 0), (target, 2), (target, 2))
+    n = s[0].shape[-1]
+    rows = np.arange(target[0].size).reshape(target[0].shape) * n
+    acc = np.zeros(rows.size * n, dtype=np.int16)
+    for (t_col, t_ph), shift in terms:
+        cells = np.broadcast_to(_CELL[(t_ph + shift) % 4], rows.shape)
+        np.add.at(acc, (rows + t_col).ravel(), cells.ravel())
+    return ~acc.reshape(*rows.shape[:2], -1).any(-1)
+
+
+def _conjugation_ok(p, stack, hms, coeff, e, out):
+    """ok[h, x, f]: direction f of h conjugates S_x as its matrix sandwich
+    does, from the monomial form when the stack and every h_matrix allow."""
+    n_keys = len(hms)
+    mono = _monomial(stack)
+    h_dense = GaussianMatrix(np.stack([m.re for m in hms]), np.stack([m.im for m in hms]))
+    from_stack = _gather(stack, coeff, np.arange(n_keys)) + GaussianMatrix.identity(1 << p)
+    if mono is None or not _equal(h_dense, from_stack).all():
+        return _dense_conjugation_ok(stack, hms, e, out)
+    col, ph = mono
+    s, dagger = (col[None], ph[None]), _dagger(mono)
+    ok = np.empty((n_keys, n_keys, 2), dtype=bool)
+    step = max(1, _BLOCK_CELLS // (n_keys << 2 * p))
+    for lo in range(0, n_keys, step):
+        hs = slice(lo, lo + step)
+        for f, (left, right, c) in enumerate(((mono, dagger, coeff), (dagger, mono, -coeff))):
+            left, right = ((m_col[hs, None], m_ph[hs, None]) for m_col, m_ph in (left, right))
+            target = (col[out[f][hs]], ph[out[f][hs]] + e[f][hs, :, None])
+            ok[hs, :, f] = _sandwich_zero(s, left, right, c[hs, None, None], target)
+    return ok
+
+
+def _dense_conjugation_ok(stack, hms, e, out):
+    """The mask of _conjugation_ok from dense sandwiches, one h at a time;
+    exact for any stack and any h_matrix."""
+    ok = np.empty((len(hms), len(hms), 2), dtype=bool)
+    for hk, hm in enumerate(hms):
+        hd = hm.dagger()
+        for f, lhs in enumerate(((hm @ stack) @ hd, (hd @ stack) @ hm)):
+            ok[hk, :, f] = _equal(lhs, _gather(stack, e[f][hk], out[f][hk]).scaled(2))
+    return ok
 
 
 def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
@@ -148,29 +250,20 @@ def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     spinors = all_spinors(p)
     stack = _realize(spinors)
     keys = np.arange(len(spinors), dtype=np.int64)
-    checks = 0
+    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(len(spinors))]
+    coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrix
+    e, out = zip(*(key_conjugate(keys[:, None], inverse, keys[None, :], p)
+                   for inverse in (False, True)))
+    ok = _conjugation_ok(p, stack, hms, coeff, e, out)
     failures: list[str] = []
-    for hk in range(len(spinors)):
+    for flat in map(int, np.flatnonzero(~ok)):
+        hk, rest = divmod(flat, 2 * len(spinors))
+        j, f = divmod(rest, 2)
         h = BasicTransform(hk, p)
-        hm = h_matrix(h)
-        hd = hm.dagger()
-        sandwiches = (
-            gather_product(hd, gather_product(hm, stack), right=True),
-            gather_product(hm, gather_product(hd, stack), right=True),
-        )
-        # ok[j, f]: direction f conjugates spinor j as its matrix sandwich does
-        ok = np.empty((len(spinors), 2), dtype=bool)
-        for f, lhs in enumerate(sandwiches):
-            e, out = key_conjugate(hk, bool(f), keys, p)
-            ok[:, f] = _equal(lhs, _gather(stack, e, out).scaled(2))
-        for flat in map(int, np.flatnonzero(~ok)):
-            j, f = divmod(flat, 2)
-            factor = h.inverted() if f else h
-            failures.append(f"conjugation mismatch: {factor} on {spinors[j]}")
-            if len(failures) >= max_failures:
-                return OracleReport(False, checks + flat + 1, failures)
-        checks += ok.size
-    return OracleReport(not failures, checks, failures)
+        failures.append(f"conjugation mismatch: {h.inverted() if f else h} on {spinors[j]}")
+        if len(failures) >= max_failures:
+            return OracleReport(False, flat + 1, failures)
+    return OracleReport(not failures, ok.size, failures)
 
 
 def run_oracle(p: int) -> OracleReport:

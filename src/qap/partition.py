@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class QAPartition:
 
     def cell_of(self, s: Spinor | int) -> CellKey:
         """KeyError for a spinor of another width, or a key outside 0..4^p-1."""
-        key = s if isinstance(s, int) else key_of(s) if s.p == self.p else -1
+        key = s if isinstance(s, Integral) else key_of(s) if s.p == self.p else -1
         if not 0 <= key < self.cid.size or self.cid[key] < 0:
             raise KeyError(f"{s} lies in no cell at p={self.p}")
         return divmod(int(self.cid[key]), 2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ class SpinorSet:
         return iter(self.spinors())
 
     def __contains__(self, s: Spinor | int) -> bool:
-        return s in self.keys if isinstance(s, int) else s.p == self.p and key_of(s) in self.keys
+        return s in self.keys if isinstance(s, Integral) else s.p == self.p and key_of(s) in self.keys
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorSet):

@@ -153,7 +153,7 @@ def test_criterion_4_quaternion_closure():
 def test_criterion_5_matrix_oracle():
     with criterion(5, "exact matrix-oracle equivalence"):
         start = time.perf_counter()
-        for p in (1, 2, 3):
+        for p in (1, 2, 3, 4):
             report = run_oracle(p)
             assert report.ok, report.failures
         elapsed = time.perf_counter() - start

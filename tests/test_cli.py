@@ -60,7 +60,7 @@ def test_table_rejects_garbage(capsys):
 
 def test_guard_violations_are_usage_errors(capsys):
     assert run(capsys, "count", "--p", "6")[0] == 2
-    assert run(capsys, "oracle", "--p", "4")[0] == 2
+    assert run(capsys, "oracle", "--p", "5")[0] == 2
     assert main(["nonsense"]) == 2
 
 
@@ -160,6 +160,10 @@ def test_verify_and_oracle(capsys):
     assert code == 0 and "pass" in out
     code, out = run(capsys, "oracle", "--p", "1")
     assert code == 0 and "pass" in out
+
+
+def test_oracle_at_its_guard(capsys):
+    assert run(capsys, "oracle", "--p", "4") == (0, "oracle pass: 196608 exact matrix checks\n")
 
 
 def test_count_p4(capsys):

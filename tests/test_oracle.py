@@ -16,48 +16,11 @@ from qap.oracle import (
     all_spinors,
     check_conjugations,
     check_products,
-    gather_product,
 )
 from qap.spinor import GaussianMatrix, PhasedSpinor, Spinor, bi_add, commutes, key_of, product
 from qap.transform import BasicTransform, conjugate, h_matrix
 
 S = Spinor.parse
-
-
-# ---------------------------------------------------------------------------
-# the gather product against dense matmul, on matrices that are not monomial
-
-
-def sparse_gaussian(rng, n: int) -> GaussianMatrix:
-    """Random n x n Gaussian integers, about half of them zero, with row 0
-    zero, row 1 full and the last row holding two nonzeros."""
-    re, im = rng.integers(-3, 4, size=(2, n, n)) * (rng.random((n, n)) < 0.5)
-    re[0], im[0] = 0, 0
-    re[1] = rng.choice([-2, -1, 1, 2], size=n)
-    re[-1], im[-1] = 0, 0
-    re[-1, 0], im[-1, 0], re[-1, -1] = 1, 3, -2
-    return GaussianMatrix(re, im)
-
-
-@pytest.mark.parametrize("n", [2, 4, 8])
-@pytest.mark.parametrize("right", [False, True])
-def test_gather_product_matches_dense_matmul(n, right):
-    rng = np.random.default_rng(n + 8 * right)
-    stack = GaussianMatrix(*rng.integers(-3, 4, size=(2, 5, n, n)))
-    rows, cols = sparse_gaussian(rng, n), sparse_gaussian(rng, n)
-    for m in (rows, GaussianMatrix(cols.re.T, cols.im.T)):
-        got = gather_product(m, stack, right)
-        for k in range(5):
-            s = GaussianMatrix(stack.re[k], stack.im[k])
-            assert GaussianMatrix(got.re[k], got.im[k]) == (s @ m if right else m @ s)
-
-
-def test_gather_product_of_a_zero_matrix_is_zero():
-    stack = GaussianMatrix(*np.ones((2, 3, 4, 4), dtype=np.int64))
-    zero = np.zeros((4, 4), dtype=np.int64)
-    for right in (False, True):
-        out = gather_product(GaussianMatrix(zero, zero), stack, right)
-        assert out.re.shape == (3, 4, 4) and out.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +155,34 @@ def inject_matrix_entry(monkeypatch, target: Spinor) -> None:
     monkeypatch.setattr(oracle, "to_matrix", to_matrix)
 
 
+def sign_fault(target: Spinor, real):
+    """real with the nonzero entry in row 0 of target's matrix negated: the
+    matrix stays monomial, so the oracle's fast path must catch it."""
+    def to_matrix(ps, hermitian_norm=False):
+        m = real(ps, hermitian_norm)
+        body = ps.body if isinstance(ps, PhasedSpinor) else ps
+        if body != target:
+            return m
+        sign = np.ones((len(m.re), 1), dtype=np.int64)
+        sign[0] = -1
+        return GaussianMatrix(sign * m.re, sign * m.im)
+
+    return to_matrix
+
+
+def inject_matrix_sign(monkeypatch, target: Spinor) -> None:
+    """The sign fault wherever a qap module binds to_matrix, so h_matrix
+    realizes h from the same faulted matrix as the oracle's stack."""
+    plant(monkeypatch, "to_matrix", lambda real: sign_fault(target, real))
+
+
 FAULTS = {
     "product_phase": lambda mp, p: inject_product_phase(mp, *_pair(p)),
     "commutes_flip": lambda mp, p: inject_commutes_flip(mp, _pair(p)[0]),
     "bi_add_body": lambda mp, p: inject_bi_add_body(mp, *_pair(p)),
     "conjugate_phase": lambda mp, p: inject_conjugate_phase(mp, *_pair(p)),
     "matrix_entry": lambda mp, p: inject_matrix_entry(mp, _pair(p)[1]),
+    "matrix_sign": lambda mp, p: inject_matrix_sign(mp, _pair(p)[1]),
 }
 
 
@@ -224,7 +209,7 @@ def test_each_fault_is_caught_by_the_right_check(monkeypatch, fault):
     products, conjugations = check_products(2, 9), check_conjugations(2, 9)
     if fault == "conjugate_phase":
         assert products.ok and not conjugations.ok
-    elif fault in ("matrix_entry", "commutes_flip"):
+    elif fault in ("matrix_entry", "matrix_sign", "commutes_flip"):
         assert not products.ok and not conjugations.ok
     else:
         assert not products.ok and conjugations.ok
@@ -270,3 +255,50 @@ def test_fewer_failures_than_the_limit_still_fail(monkeypatch):
     assert report == OracleReport(False, 4096, ["product mismatch at S[001|011] * S[010|101]"])
     assert str(report).startswith("oracle FAIL: 4096 exact matrix checks\n")
     assert not report.merge(check_conjugations(3)).ok
+
+
+# ---------------------------------------------------------------------------
+# the monomial fast path and the dense path it falls back to
+
+
+@pytest.mark.parametrize("fault,dense", [(None, False), ("matrix_sign", False), ("matrix_entry", True)])
+def test_only_a_realization_fault_takes_the_dense_path(monkeypatch, fault, dense):
+    """A stack that stays monomial is checked in monomial form, the sign
+    fault included; a non-monomial one falls back to dense products."""
+    calls = []
+    for name in ("_dense_product_masks", "_dense_conjugation_ok"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    if fault is not None:
+        FAULTS[fault](monkeypatch, 2)
+    got = (check_products(2, 3), check_conjugations(2, 3))
+    assert got == (reference_products(2, 3), reference_conjugations(2, 3))
+    assert calls == (["_dense_product_masks", "_dense_conjugation_ok"] if dense else [])
+
+
+@pytest.mark.parametrize("max_failures", [1, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_an_h_matrix_fault_fails_the_conjugation_check(monkeypatch, p, max_failures):
+    """h_matrix realizes h from its own to_matrix binding; faulted there
+    alone, it disagrees with the stack, and the oracle reports the
+    reference's witness."""
+    target = _pair(p)[0]
+    monkeypatch.setattr(qap.transform, "to_matrix", sign_fault(target, qap.transform.to_matrix))
+    assert check_products(p) == OracleReport(True, 16**p)
+    report = check_conjugations(p, max_failures)
+    assert not report.ok and report.failures
+    assert report == reference_conjugations(p, max_failures)
+
+
+def test_the_monomial_form_needs_units_in_a_permutation_pattern():
+    stack = oracle._realize(all_spinors(2))
+    col, ph = oracle._monomial(stack)
+    rows = np.arange(4)
+    for k in range(16):
+        assert (stack.re[k, rows, col[k]] == oracle._I_RE[ph[k]]).all()
+        assert (stack.im[k, rows, col[k]] == oracle._I_IM[ph[k]]).all()
+    doubled = GaussianMatrix(stack.re.copy(), stack.im.copy())
+    doubled.re[5] *= 2
+    repeated = GaussianMatrix(stack.re.copy(), stack.im.copy())
+    repeated.re[5, 0], repeated.im[5, 0] = stack.re[5, 1], stack.im[5, 1]
+    assert oracle._monomial(doubled) is None and oracle._monomial(repeated) is None

@@ -197,6 +197,16 @@ def test_cell_of_rejects_keys_and_spinors_outside_the_partition(outside):
         q.cell_of(outside)
 
 
+def test_cell_of_takes_a_numpy_key():
+    """A key read from the partition's own arrays is a numpy integer."""
+    q = qap_of(intrinsic_cartan(3))
+    key = q.maxbi.keys[3]
+    assert not isinstance(key, int)
+    assert q.cell_of(key) == q.cell_of(int(key)) == (0, 1)
+    with pytest.raises(KeyError):
+        q.cell_of(q.maxbi.keys[3] + 61)
+
+
 def test_a_labelling_that_breaks_closure_is_an_invariant_failure(monkeypatch):
     # swap W and W-hat of pair 3 before labelling: the build must fail,
     # naming the label, the cells and the spinor pair

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from qap.bitcore import BitWord, span
+from qap.partition import build_qap
 from qap.spinor import Spinor, bi_add, commutes
 from qap.subalgebra import (
     BiSubalgebra,
@@ -64,6 +65,14 @@ def test_membership_checks_the_width():
     assert S("001", "000") in c and S("001", "000") in c.elements and 1 in c
     assert S("01", "00") not in c and S("01", "00") not in c.elements
     assert S("0001", "0000") not in SpinorSet(3, range(8))
+
+
+def test_spinor_set_membership_takes_a_numpy_key():
+    q = build_qap(intrinsic_cartan(3))
+    key = q.maxbi.keys[3]
+    assert not isinstance(key, int)
+    assert key in q.cells[(0, 1)] and key in q.cartan.elements
+    assert key not in q.cells[(1, 0)]
 
 
 def test_build_first_kind_matches_worked_set():
