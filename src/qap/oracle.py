@@ -15,7 +15,7 @@ r, and ph[k, r], its power of i.  A product of two monomial matrices is a
 gather of col plus an addition of ph mod 4, with no multiply, so the
 products run over all pairs at once.  A conjugation reads
 sqrt(2) h = I + i^c S_h (checked against h_matrix for every h), so each
-sandwich is four monomial terms; they are counted into a dense
+sandwich is four monomial terms; they are added into a dense integer
 accumulator per (h, spinor) together with -2 i^e S_out, and must cancel.
 
 A stack that is not monomial, or an h_matrix that disagrees with it, is a
@@ -43,7 +43,8 @@ _I_IM = np.array([0, 1, 0, -1], dtype=np.int64)
 
 # i^k as one accumulator cell, re + 16 im
 _CELL = np.array([1, 16, -1, -16], dtype=np.int16)
-# accumulator cells per block of h in the conjugation check
+# accumulator cells per block of h in the conjugation check; at p = 3 a
+# block's arrays then stay near 1 MB, so the oracle's peak memory barely moves
 _BLOCK_CELLS = 1 << 16
 
 
@@ -108,6 +109,8 @@ def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     im = np.take_along_axis(stack.im, col[..., None], -1)[..., 0]
     if not (np.abs(re) + np.abs(im) == 1).all():
         return None
+    # int8 keeps the pair arrays small: a column is below 2^p, and a phase
+    # sum of at most three factors stays below 10 until it is taken mod 4
     return col.astype(np.int8), np.where(re != 0, 1 - re, 2 - im).astype(np.int8)
 
 
