@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
-from .spinor import key_text
+from .spinor import key_texts
 from .subalgebra import CartanSubalgebra
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan, transvect
 
@@ -242,7 +242,7 @@ def nonlocal_connector(
 def atlas_jsonl(atlas: CartanAtlas) -> str:
     """One JSON object per subalgebra: label, kind, parity strings,
     canonical element list, spanned ascending from the basis."""
-    texts = [key_text(k, atlas.p) for k in range(1 << (2 * atlas.p))]
+    texts = key_texts(atlas.p)
     lines = []
     for c in atlas.members():
         se, mu = parity_strings(c)

@@ -8,8 +8,11 @@ takes the labels the closure law forces, read in closed form from a
 quadratic refinement of the commutation form omega on the coset leaders.
 The cells, keyed (i, epsilon), are derived from the array where they are
 read.  The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is
-checked at build time on every anti-commuting spinor pair, by one
-exhaustive numpy sweep over the array; index arithmetic is XOR throughout.
+checked at build time on every anti-commuting spinor pair, by an
+exhaustive numpy sweep over aligned blocks of 2^min(2p, 7) rows: within a
+block each product row is an earlier row with its column halves swapped,
+so one gather serves the whole block.  Index arithmetic is XOR
+throughout, and the tables print from one text per key.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .bitcore import InvariantError, gf2_rank
-from .spinor import Spinor, key_of, key_text, omega
+from .spinor import Spinor, key_of, key_text, key_texts, omega
 from .subalgebra import (
     BiSubalgebra,
     CartanSubalgebra,
@@ -167,13 +170,21 @@ class ClosureReport:
 
 def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     """Exhaustively check the quaternion closure law on every anti-commuting
-    pair x < y of covered spinors, in blocks of 32 rows of one array sweep.
+    pair x < y of covered spinors, in row-major order.
 
     With cid[k] = (i << 1) | eps the cell of key k, the law reads
     cid[x ^ y] == cid[x] ^ cid[y].  The conjugate-partition inclusions
     [W,C] in W-hat, [W-hat,C] in W and [W,W-hat] in C are the cell pairs
     (i,1)x(0,1), (i,0)x(0,1) and (i,1)x(i,0) of this sweep.  An uncovered
     key reads -1, which matches no product of two cell ids.
+
+    Rows x = r0 ^ j (j < 2^L, r0 aligned) are taken a block at a time,
+    against the columns y >= r0, a slice that XOR by j maps onto itself.
+    So the product row of x ^ 2^b is the row of x with its columns
+    swapped in adjacent halves of width 2^b: one gather for row r0, then
+    L strided copies.  omega is bilinear, so omega(r0 ^ j, y) is
+    omega(r0, y) ^ omega(j, y), each an XOR of the rows omega(2^b, y),
+    which is bit b of swap(y) = (zeta_y << p) | alpha_y.
     """
     p, cid, max_failures = q.p, q.cid, max(max_failures, 1)
     failures: list[str] = []
@@ -182,24 +193,49 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
         failures.append(f"identity {key_text(0, p)} lies in {where}, not in B:0/eps:1")
         if max_failures == 1:
             return ClosureReport(False, 0, failures)
-    keys = np.flatnonzero(cid >= 0).astype(np.min_scalar_type(cid.size))
+    n, bits = cid.size, min(2 * p, 7)
+    rows = 1 << bits
+    keys = np.arange(n)
+    swapped = ((keys & ((1 << p) - 1)) << p) | (keys >> p)
+    unit = (swapped >> np.arange(2 * p)[:, None] & 1).astype(bool)  # omega(2^b, y)
+    anti = np.empty((rows, n), dtype=bool)  # omega(j, y), doubled over the bits of j
+    anti[0] = False
+    for b in range(bits):
+        np.bitwise_xor(anti[: 1 << b], unit[b], out=anti[1 << b : 2 << b])
+    upper = keys[:rows, None] < keys[:rows]
+    covered = cid >= 0
+    partial = not covered.all()
+    flat = [np.empty(rows * n, dtype=t) for t in (cid.dtype, bool, bool)]
     checked = 0
-    for r0 in range(0, len(keys), 32):
-        xs, ys = keys[r0 : r0 + 32, None], keys[r0 + 1 :]
-        anti = (omega(xs, ys, p) == 1) & (xs < ys)
-        bad = np.flatnonzero(anti & (cid[xs ^ ys] != (cid[xs] ^ cid[ys])))
-        for h in bad[: max_failures - len(failures)]:
-            pair = (int(xs[h // ys.size, 0]), int(ys[h % ys.size]))
-            (ka, x), (kb, y) = sorted((divmod(int(cid[k]), 2), k) for k in pair)
-            failures.append(
-                f"[{cell_label(ka)}, {cell_label(kb)}]: {key_text(x, p)} x "
-                f"{key_text(y, p)} -> {key_text(x ^ y, p)} not in "
-                f"{cell_label((ka[0] ^ kb[0], ka[1] ^ kb[1]))}"
-            )
-        if len(failures) >= max_failures:
-            checked += int(np.count_nonzero(anti.ravel()[: h + 1]))
-            return ClosureReport(False, checked, failures)
-        checked += int(np.count_nonzero(anti))
+    for r0 in range(0, n, rows):
+        m = n - r0
+        prod, a, bad = (buf[: rows * m].reshape(rows, m) for buf in flat)
+        prod[0] = cid[keys[r0:] ^ r0]
+        for b in range(bits):
+            halves = (1 << b, m >> (b + 1), 2, 1 << b)
+            prod[1 << b : 2 << b].reshape(halves)[...] = prod[: 1 << b].reshape(halves)[:, :, ::-1]
+        high = [b for b in range(bits, 2 * p) if r0 >> b & 1]
+        np.bitwise_xor(anti[:, r0:], np.logical_xor.reduce(unit[high, r0:]), out=a)
+        a[:, :rows] &= upper  # the diagonal block keeps y > x
+        if partial:  # an uncovered key is neither x nor y
+            a &= covered[r0 : r0 + rows, None]
+            a &= covered[r0:]
+        prod ^= cid[r0:]
+        np.not_equal(prod, cid[r0 : r0 + rows, None], out=bad)
+        bad &= a
+        if bad.any():
+            for h in np.flatnonzero(bad)[: max_failures - len(failures)]:
+                pair = (r0 + int(h) // m, r0 + int(h) % m)
+                (ka, x), (kb, y) = sorted((divmod(int(cid[k]), 2), k) for k in pair)
+                failures.append(
+                    f"[{cell_label(ka)}, {cell_label(kb)}]: {key_text(x, p)} x "
+                    f"{key_text(y, p)} -> {key_text(x ^ y, p)} not in "
+                    f"{cell_label((ka[0] ^ kb[0], ka[1] ^ kb[1]))}"
+                )
+            if len(failures) >= max_failures:
+                checked += int(np.count_nonzero(a.ravel()[: h + 1]))
+                return ClosureReport(False, checked, failures)
+        checked += int(np.count_nonzero(a))
     return ClosureReport(not failures, checked, failures)
 
 
@@ -299,37 +335,36 @@ class DecompositionSequence:
 # table emission
 
 
-def _render_cell(cell: SpinorSet) -> str:
-    return ", ".join(key_text(k, cell.p, hermitian_norm=True) for k in sorted(cell.keys))
-
-
 def render_table(q: QAPartition) -> str:
     """Text table: center header, one row per conjugate pair, then the
     complete maximal-bi-subalgebra list."""
-    lines = [q.cartan.label, "  " + _render_cell(q.cartan.elements), ""]
+    texts = key_texts(q.p, hermitian_norm=True)
+
+    def row(cell: SpinorSet) -> str:
+        return ", ".join(texts[k] for k in sorted(cell.keys))
+
+    lines = [q.cartan.label, "  " + row(q.cartan.elements), ""]
     n = 1 << q.p
     for i in range(1, n):
-        w = _render_cell(q.cells[(i, 1)])
-        w_hat = _render_cell(q.cells[(i, 0)])
-        lines.append(f"B_{i} | W: {w} | Ŵ: {w_hat}")
+        lines.append(f"B_{i} | W: {row(q.cells[(i, 1)])} | Ŵ: {row(q.cells[(i, 0)])}")
     lines.append("")
     for i in range(1, n):
-        b = _render_cell(q.maxbi.members[i].elements)
-        lines.append(f"B_{i} = {{ {b} }}")
+        lines.append(f"B_{i} = {{ {row(q.maxbi.members[i].elements)} }}")
     return "\n".join(lines) + "\n"
 
 
 def qap_to_json(q: QAPartition) -> str:
+    texts = key_texts(q.p)
     payload = {
         "label": q.cartan.label,
         "p": q.p,
         "kind": q.cartan.kind,
         "cells": {
-            cell_label(key): [key_text(k, q.p) for k in sorted(cell.keys)]
+            cell_label(key): [texts[k] for k in sorted(cell.keys)]
             for key, cell in sorted(q.cells.items())
         },
         "maximal": {
-            f"B:{i}": [key_text(k, q.p) for k in sorted(q.maxbi.members[i].elements.keys)]
+            f"B:{i}": [texts[k] for k in sorted(q.maxbi.members[i].elements.keys)]
             for i in range(1 << q.p)
         },
     }

@@ -82,6 +82,14 @@ def key_text(key: int, p: int, hermitian_norm: bool = False) -> str:
     return f"i·{text}" if hermitian_norm and key_self_parity(key, p) else text
 
 
+def key_texts(p: int, hermitian_norm: bool = False) -> list[str]:
+    """key_text of every key 0..4^p - 1, in key order, composed from the
+    2^p word strings; the i-prefix of key k is read at alpha & zeta."""
+    words = list(enumerate(f"{w:0{p}b}" for w in range(1 << p)))
+    prefix = ["i·" if hermitian_norm and parity(w) else "" for w, _ in words]
+    return [f"{prefix[a & z]}S[{zw}|{aw}]" for a, aw in words for z, zw in words]
+
+
 @dataclass(frozen=True, order=False)
 class Spinor:
     """Generator with phase string zeta and binary partitioning alpha."""
@@ -201,10 +209,10 @@ class GaussianMatrix:
         if k == 0:
             return GaussianMatrix(self.re.copy(), self.im.copy())
         if k == 1:
-            return GaussianMatrix(-self.im, self.re)
+            return GaussianMatrix(-self.im, self.re.copy())
         if k == 2:
             return GaussianMatrix(-self.re, -self.im)
-        return GaussianMatrix(self.im, -self.re)
+        return GaussianMatrix(self.im.copy(), -self.re)
 
     def scaled(self, c: int) -> "GaussianMatrix":
         return GaussianMatrix(c * self.re, c * self.im)

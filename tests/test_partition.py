@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from conftest import atlas, qap_of
@@ -25,7 +26,7 @@ from qap.partition import (
     union_is_cartan,
     verify_closure,
 )
-from qap.spinor import Spinor
+from qap.spinor import Spinor, key_text
 from qap.subalgebra import (
     SpinorSet,
     all_maximal,
@@ -34,6 +35,7 @@ from qap.subalgebra import (
     parse_label,
     spinor_of_key,
 )
+from test_coset_construction import seeded_cartans
 
 S = Spinor.make
 
@@ -451,6 +453,85 @@ def test_sweep_matches_reference_on_p4_partitions_and_injections():
         for what, tampered in injections(q, rng):
             full = not what.startswith("flip")
             assert not assert_sweep_matches_reference(tampered, f"{c.label} {what}", full)
+
+
+# -- the doubled row blocks against the 32-row sweep they replaced ------------
+
+
+def row_block_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
+    """The sweep verify_closure replaced: the covered keys in blocks of 32
+    rows, each row against every later covered key, with omega and the
+    product's cell gathered pair by pair."""
+    p, cid, max_failures = q.p, q.cid, max(max_failures, 1)
+    failures: list[str] = []
+    if cid[0] != 1:
+        where = cell_label(divmod(int(cid[0]), 2)) if cid[0] >= 0 else "no cell"
+        failures.append(f"identity {key_text(0, p)} lies in {where}, not in B:0/eps:1")
+        if max_failures == 1:
+            return ClosureReport(False, 0, failures)
+    keys = np.flatnonzero(cid >= 0).astype(np.min_scalar_type(cid.size))
+    checked = 0
+    for r0 in range(0, len(keys), 32):
+        xs, ys = keys[r0 : r0 + 32, None], keys[r0 + 1 :]
+        anti = (omega(xs, ys, p) == 1) & (xs < ys)
+        bad = np.flatnonzero(anti & (cid[xs ^ ys] != (cid[xs] ^ cid[ys])))
+        for h in bad[: max_failures - len(failures)]:
+            pair = (int(xs[h // ys.size, 0]), int(ys[h % ys.size]))
+            (ka, x), (kb, y) = sorted((divmod(int(cid[k]), 2), k) for k in pair)
+            failures.append(witness(ka, kb, x, y, (ka[0] ^ kb[0], ka[1] ^ kb[1]), p))
+        if len(failures) >= max_failures:
+            checked += int(np.count_nonzero(anti.ravel()[: h + 1]))
+            return ClosureReport(False, checked, failures)
+        checked += int(np.count_nonzero(anti))
+    return ClosureReport(not failures, checked, failures)
+
+
+def assert_sweep_matches_row_blocks(q: QAPartition, what: str, full: bool = True) -> None:
+    """The same report, witness texts and stop-point count included, at a
+    limit of one failure, of three and, with `full`, of every pair."""
+    for limit in (1, 3, 1 << (4 * q.p))[: 3 if full else 2]:
+        new, old = verify_closure(q, limit), row_block_closure(q, limit)
+        assert (new.ok, new.checked_pairs, new.failures) == (
+            old.ok, old.checked_pairs, old.failures
+        ), f"{what} max_failures={limit}"
+
+
+def test_doubled_sweep_matches_row_blocks_on_every_partition_to_p3():
+    # a flip at p = 3 makes hundreds of witnesses, so every ninth partition
+    # runs its flips to the end
+    rng = random.Random(5)
+    for p in (1, 2, 3):
+        for n, c in enumerate(atlas(p).members()):
+            q = qap_of(c)
+            assert_sweep_matches_row_blocks(q, c.label)
+            for what, tampered in injections(q, rng):
+                full = p < 3 or n % 9 == 0 or not what.startswith("flip")
+                assert_sweep_matches_row_blocks(tampered, f"{c.label} {what}", full)
+
+
+def test_doubled_sweep_matches_row_blocks_on_p4_partitions():
+    # the 50 partitions of the reference test above, with their injections;
+    # a flip makes thousands of witnesses here, so flips stop at three
+    rng = random.Random(4)
+    for c in rng.sample(list(atlas(4).members()), 50):
+        q = qap_of(c)
+        assert_sweep_matches_row_blocks(q, c.label)
+        for what, tampered in injections(q, rng):
+            full = not what.startswith("flip")
+            assert_sweep_matches_row_blocks(tampered, f"{c.label} {what}", full)
+
+
+def test_doubled_sweep_matches_row_blocks_at_p5():
+    # one partition per kind, each with three seeded flips, a move and a
+    # drop: at p = 5 the sweep takes 128-row blocks and masks uncovered keys
+    rng = random.Random(6)
+    for c in seeded_cartans(5, 6, 6):
+        q = build_qap(c, verify=False)
+        assert_sweep_matches_row_blocks(q, c.label)
+        *flips, moved, dropped = injections(q, rng)
+        for what, tampered in (*rng.sample(flips, 3), moved, dropped):
+            full = not what.startswith("flip")
+            assert_sweep_matches_row_blocks(tampered, f"{c.label} {what}", full)
 
 
 def test_identity_outside_the_center_fails_with_its_cell():

@@ -17,6 +17,8 @@ from qap.spinor import (
     key_conjugate,
     key_product,
     key_self_parity,
+    key_text,
+    key_texts,
     omega,
     product,
     self_parity,
@@ -57,6 +59,12 @@ def test_text_forms():
     assert s.display(hermitian_norm=True) == "i·S[101|001]"
     assert S("100", "010").display(hermitian_norm=True) == "S[100|010]"
     assert Spinor.parse("i·S[101|001]") == s
+
+
+@pytest.mark.parametrize("hermitian_norm", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_key_texts_is_key_text_of_every_key(p, hermitian_norm):
+    assert key_texts(p, hermitian_norm) == [key_text(k, p, hermitian_norm) for k in range(4**p)]
 
 
 def test_bi_add_examples():
@@ -101,6 +109,26 @@ def test_matrix_p1_examples():
     assert np.array_equal(m.re, [[0, 1], [-1, 0]]) and not m.im.any()
     hm = to_matrix(S("1", "1"), hermitian_norm=True)
     assert np.array_equal(hm.im, [[0, 1], [-1, 0]]) and not hm.re.any()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_times_i_pow_returns_fresh_arrays(k):
+    m = GaussianMatrix(np.array([[1, 2], [3, 4]]), np.array([[5, 6], [7, 8]]))
+    out = m.times_i_pow(k)
+    for a in (out.re, out.im):
+        assert not np.shares_memory(a, m.re) and not np.shares_memory(a, m.im)
+
+
+def test_writing_into_a_matrix_leaves_later_realizations_alone():
+    # at p = 1 a realization used to share memory with the factor table for
+    # a phase of i or -i, so this write turned S[0|1] into [[0, 5], [1, 0]]
+    before = {s: to_matrix(s).scaled(1) for s in all_spinors(1)}
+    for k in range(4):
+        for s in all_spinors(1):
+            m = to_matrix(PhasedSpinor(k, s))
+            m.re[0, 1], m.im[0, 1] = 5, 5
+    assert {s: to_matrix(s) for s in all_spinors(1)} == before
+    assert to_matrix(S("0", "1")) == GaussianMatrix(np.array([[0, 1], [1, 0]]), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((4, 2), (2, 8)), ((1, 3), (4, 1))])
