@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 MAX_WIDTH = 16
 
 
@@ -63,9 +65,15 @@ def gf2_echelon(rows: Iterable[int]) -> list[int]:
     return basis
 
 
-def gf2_span(rows: Iterable[int]) -> list[int]:
+def gf2_span(rows: Iterable[int] | np.ndarray) -> list[int] | np.ndarray:
     """Every XOR combination of independent rows; entry i combines the
-    rows whose positions are the set bits of i."""
+    rows whose positions are the set bits of i.  Rows are ints, giving a
+    list, or a batch: an (N, r) array spans row by row into (N, 2^r)."""
+    if isinstance(rows, np.ndarray):
+        out = np.zeros((len(rows), 1 << rows.shape[1]), dtype=rows.dtype)
+        for b in range(rows.shape[1]):
+            np.bitwise_xor(out[:, : 1 << b], rows[:, b, None], out=out[:, 1 << b : 2 << b])
+        return out
     vals = [0]
     for row in rows:
         vals += [v ^ row for v in vals]

@@ -56,12 +56,34 @@ class RunConfig:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
+    """Write the output to stdout or the --out file; a failed write or
+    close, such as on a full disk, is a usage error."""
     text = text if text.endswith("\n") else text + "\n"
-    if not cfg.out:
-        sys.stdout.write(text)
+    try:
+        if not cfg.out:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        with _open_out(cfg.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        if not cfg.out:
+            _drop_stdout()
+        where = f"--out {cfg.out}" if cfg.out else "stdout"
+        raise SystemExit2(f"cannot write {where}: {exc.strerror or exc}") from None
+
+
+def _drop_stdout() -> None:
+    """Point the failed stdout's descriptor at the null device.  Its buffer
+    keeps the unwritten text, and the interpreter's flush at exit would fail
+    again and turn the exit status into 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-process stream with no descriptor
         return
-    with _open_out(cfg.out, "w") as fh:
-        fh.write(text)
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _open_out(path: str, mode: str):

@@ -1,8 +1,10 @@
 """Every Cartan subalgebra of su(2^p), enumerated from its label
 C^{eps}_{[a_1...a_k]}: a reduced echelon alpha basis plus a symmetric
 parity matrix, walked directly with no search and no dedupe.  Each member
-keeps the basis and parity table its walk produced, and the local lift
-transvects those p basis keys rather than the 2^p elements.
+keeps the basis and parity table its walk produced.  The local lift,
+classification and JSONL export run a shell at a time on its (N, p) array
+of basis keys: the lift is one XOR per key, and element lists are spanned
+by XOR doubling.
 """
 
 from __future__ import annotations
@@ -10,12 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
 from .spinor import key_texts
-from .subalgebra import CartanSubalgebra
-from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan, transvect
+from .subalgebra import CartanSubalgebra, label_text, parity_superscript
+from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
 ENUMERATION_MAX_P = 5
 
@@ -46,9 +50,18 @@ class CartanAtlas:
     def total(self) -> int:
         return sum(len(v) for v in self.by_kind.values())
 
-    def members(self) -> Iterator[CartanSubalgebra]:
+    def shells(self) -> Iterator[list[CartanSubalgebra]]:
         for k in sorted(self.by_kind):
-            yield from self.by_kind[k]
+            yield self.by_kind[k]
+
+    def members(self) -> Iterator[CartanSubalgebra]:
+        for shell in self.shells():
+            yield from shell
+
+
+def basis_array(shell: Sequence[CartanSubalgebra], p: int) -> np.ndarray:
+    """The members' basis keys, descending, as the rows of an (N, p) array."""
+    return np.array([c.basis_keys for c in shell], dtype=np.int64).reshape(len(shell), p)
 
 
 def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
@@ -99,10 +112,10 @@ def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
 
 def enumerate_all(p: int) -> CartanAtlas:
     """Every Cartan subalgebra of su(2^p) from its label, each shell sorted
-    by element list and checked against its closed-form count; the total
-    is checked against the product formula and for distinct members.  Both
-    read ascending bases: two ascending element lists first differ at index
-    2^j, j the first ascending basis row that differs."""
+    by ascending basis and checked against its closed-form count; the total
+    is checked against the product formula and for distinct members.  The
+    basis order is the element-list order: two ascending element lists
+    first differ at index 2^j, j the first ascending basis row that differs."""
     if not 1 <= p <= ENUMERATION_MAX_P:
         raise ValueError(f"enumeration guarded to p <= {ENUMERATION_MAX_P}")
     by_kind: dict[int, list[CartanSubalgebra]] = {}
@@ -128,12 +141,12 @@ class ParityStrings(NamedTuple):
     mu: str
 
 
-def parity_strings(c: CartanSubalgebra) -> ParityStrings:
-    """Self- and mutual-parity strings over c's ascending alpha basis: the
-    diagonal of its parity table, then the upper triangle row by row."""
-    table, k = c.parity_table, c.kind
-    se = "".join(str(table[i][i]) for i in range(k))
-    mu = "".join(str(table[i][j]) for i in range(k) for j in range(i + 1, k))
+def parity_strings(table: Sequence[Sequence[int]]) -> ParityStrings:
+    """Self- and mutual-parity strings of a parity table over the ascending
+    alpha basis: its diagonal, then its upper triangle row by row."""
+    rows = ["".join(map(str, row)) for row in table]
+    se = "".join([row[i] for i, row in enumerate(rows)])
+    mu = "".join([row[i + 1 :] for i, row in enumerate(rows)])
     return ParityStrings(se, mu)
 
 
@@ -142,20 +155,38 @@ def mutual_parity(c: CartanSubalgebra) -> ParityStrings:
     ascending unit-vector basis."""
     if c.kind != c.p:
         raise ValueError("mutual parity is defined on the top kind; lift first")
-    return parity_strings(c)
+    return parity_strings(c.parity_table)
 
 
-def lift_keys(c: CartanSubalgebra) -> tuple[list[int], list[int]]:
-    """(units, lifted basis) of the local lift of c.  The units are the
-    words e_j off the pivots of c's reduced alpha basis, ascending.  Each
-    factor h[0|e_j] is the transvection x -> x ^ h on the keys x that
-    anti-commute with h, those whose zeta has bit j; it is linear, so the
-    lift carries c's p basis keys, and their echelon is the lifted basis."""
-    p = c.p
-    pivots = {(g >> p).bit_length() - 1 for g in c.generator_keys}
-    units = [j for j in range(p) if j not in pivots]
-    lifted = gf2_echelon(transvect([1 << (p + j) for j in units], c.basis_keys, p))
-    if not lifted[-1] >> p:  # a diagonal row sorts last
+def lift_keys(shell: Sequence[CartanSubalgebra], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units, lifted) of the local lift of every member of a shell, one
+    array row per member.  units masks the words e_j off the pivots of its
+    reduced alpha basis.  Each factor h[0|e_j] is the transvection
+    x -> x ^ h on the keys whose zeta has bit j; the factors have zeta 0
+    and commute, so the lift is x -> x ^ ((x & units) << p) on the p basis
+    keys.  Gauss-Jordan on the p alpha bits gives the lifted basis, row i
+    with alpha e_(p-1-i): the reduced echelon basis of a top-kind member."""
+    basis = basis_array(shell, p)
+    # smear each alpha (16 bits at most) below its top bit: lead ^ (lead >> 1)
+    # is then the row's pivot, 0 on a diagonal row
+    lead = basis >> p
+    for shift in (1, 2, 4, 8):
+        lead |= lead >> shift
+    units = ~np.bitwise_or.reduce(lead ^ (lead >> 1), axis=1) & ((1 << p) - 1)
+    lifted = basis ^ ((basis & units[:, None]) << p)
+    top = np.ones(len(shell), dtype=bool)
+    members = np.arange(len(shell))
+    for i in range(p):
+        bit = 2 * p - 1 - i
+        candidates = lifted[:, i:] >> bit & 1
+        top &= candidates.any(axis=1)
+        pivot = i + candidates.argmax(axis=1)
+        row = lifted[members, pivot]
+        lifted[members, pivot] = lifted[:, i]
+        lifted ^= (lifted >> bit & 1) * row[:, None]
+        lifted[:, i] = row
+    if not top.all():
+        c = shell[int(top.argmin())]
         raise InvariantError(f"local lift of {c.label} failed to reach the top kind")
     return units, lifted
 
@@ -165,9 +196,9 @@ def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     factors, one new independent partitioning direction per factor: the
     unit words off the pivots of the reduced alpha basis, ascending."""
     p = c.p
-    units, lifted = lift_keys(c)
-    circuit = SymbolicCircuit(tuple(BasicTransform(1 << (p + j), p) for j in units))
-    return circuit, CartanSubalgebra.from_basis(p, lifted)
+    units, lifted = lift_keys([c], p)
+    factors = (BasicTransform(1 << (p + j), p) for j in range(p) if units[0] >> j & 1)
+    return SymbolicCircuit(tuple(factors)), CartanSubalgebra.from_basis(p, lifted[0].tolist())
 
 
 def se_normalizer(se: str) -> SymbolicCircuit:
@@ -181,13 +212,18 @@ def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
     """Partition the atlas into local-equivalence classes keyed by the
     mutual-parity string of the (self-parity-normalized) local lift.  The
     lift's generator i has alpha e_i, so entry (i, j) of its parity table
-    is bit j of its zeta."""
+    is bit j of its zeta; a shell is lifted in one batch."""
     p = atlas.p
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    mu_texts = [format(m, f"0{len(pairs)}b") if pairs else "" for m in range(1 << len(pairs))]
     index: dict[str, list[CartanSubalgebra]] = {}
-    for c in atlas.members():
-        gens = lift_keys(c)[1][::-1]
-        mu = "".join(str(g >> j & 1) for i, g in enumerate(gens) for j in range(i + 1, p))
-        index.setdefault(mu, []).append(c)
+    for shell in atlas.shells():
+        gens = lift_keys(shell, p)[1][:, ::-1]
+        mu = np.zeros(len(shell), dtype=np.int64)
+        for i, j in pairs:
+            mu = mu << 1 | gens[:, i] >> j & 1
+        for m, c in zip(mu.tolist(), shell):
+            index.setdefault(mu_texts[m], []).append(c)
     return index
 
 
@@ -240,22 +276,31 @@ def nonlocal_connector(
 
 
 def atlas_jsonl(atlas: CartanAtlas) -> str:
-    """One JSON object per subalgebra: label, kind, parity strings,
-    canonical element list, spanned ascending from the basis."""
-    texts = key_texts(atlas.p)
-    lines = []
-    for c in atlas.members():
-        se, mu = parity_strings(c)
-        lines.append(
-            json.dumps(
-                {
-                    "label": c.label,
-                    "kind": c.kind,
-                    "eps_se": se,
-                    "eps_mu": mu,
-                    "elements": [texts[k] for k in c.element_keys()],
-                },
-                sort_keys=True,
-            )
-        )
+    """One JSON object per subalgebra, keys sorted: label, kind, parity
+    strings, canonical element list, spanned ascending from the basis."""
+    texts = np.array([json.dumps(t) for t in key_texts(atlas.p)], dtype=object)
+    lines: list[str] = []
+    for shell in atlas.shells():
+        lines += _jsonl_lines(shell, atlas.p, texts)
     return "\n".join(lines) + "\n"
+
+
+def _jsonl_lines(shell: Sequence[CartanSubalgebra], p: int, texts: np.ndarray) -> list[str]:
+    """The JSON lines of one shell, formatted directly in sorted-key order.
+    Members at one Gray-code step share their parity table across alpha
+    bases, so its strings are built once per table.  Each member holds its
+    table while the shell is read, so a table's id names that table."""
+    basis = basis_array(shell, p)
+    spans = texts[gf2_span(basis[:, ::-1])].tolist()
+    strings: dict[int, tuple[str, str, str]] = {}  # id(table) -> (se, mu, superscript)
+    lines = []
+    for c, elements, row in zip(shell, spans, (basis >> p).tolist()):
+        table, alphas = c.parity_table, [a for a in reversed(row) if a]
+        if id(table) not in strings:
+            strings[id(table)] = (*parity_strings(table), parity_superscript(table))
+        se, mu, sup = strings[id(table)]
+        lines.append(
+            f'{{"elements": [{", ".join(elements)}], "eps_mu": "{mu}", "eps_se": "{se}", '
+            f'"kind": {len(alphas)}, "label": "{label_text(p, sup, alphas)}"}}'
+        )
+    return lines

@@ -457,16 +457,23 @@ class LabelError(ValueError):
         super().__init__(f"bad label {text!r} at position {position}: {reason}")
 
 
-def format_label(c: CartanSubalgebra) -> str:
-    p, k = c.p, c.kind
-    if k == 0:
+def parity_superscript(table: Sequence[Sequence[int]]) -> str:
+    """The parities of a label's superscript: r <= s, row by row."""
+    return "".join(["".join(map(str, row[r:])) for r, row in enumerate(table)])
+
+
+def label_text(p: int, superscript: str, alphas: Sequence[int]) -> str:
+    """The label grammar: C_[0...0] for the 0th kind, else the parity
+    superscript over the ascending alpha basis words."""
+    if not alphas:
         return f"C_[{'0' * p}]"
-    table = c.parity_table
-    parities = "".join(
-        str(table[r][s]) for r in range(k) for s in range(r, k)
-    )
-    alphas = ",".join(format(g >> p, f"0{p}b") for g in c.generator_keys)
-    return f"C^{{{parities}}}_{{[{alphas}]}}"
+    words = ",".join([format(a, f"0{p}b") for a in alphas])
+    return f"C^{{{superscript}}}_{{[{words}]}}"
+
+
+def format_label(c: CartanSubalgebra) -> str:
+    p, gens = c.p, c.generator_keys
+    return label_text(p, parity_superscript(c.parity_table) if gens else "", [g >> p for g in gens])
 
 
 def _scan_label(text: str) -> tuple[Optional[str], str]:

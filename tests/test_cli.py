@@ -4,14 +4,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qap
 from qap.cli import main
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
@@ -324,6 +328,57 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: cannot write --out {argv[-1]}: ")
         assert "Traceback" not in captured.err
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: the write or only the flush fails."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_failed_stdout_write_is_usage_error(capsys, monkeypatch, failing):
+    monkeypatch.setattr("sys.stdout", FullStdout(failing))
+    assert main(["count", "--p", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+def test_failed_out_write_is_usage_error(capsys):
+    assert main(["table", "C^{0}_{[1]}", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write --out /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_stdout_exits_2_in_a_real_process(unbuffered):
+    # A buffered stdout keeps the unwritten text, and the interpreter's flush
+    # at exit would fail again and exit 120 unless the CLI drops the stream.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(qap.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "qap", "count", "--p", "3"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_out_is_checked_before_the_work(capsys, monkeypatch, tmp_path):

@@ -2,19 +2,22 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import Iterable
 
 import pytest
 
 from conftest import atlas
-from qap.bitcore import InvariantError, gf2_echelon
+from qap.bitcore import InvariantError, gf2_echelon, gf2_span
 from qap.extension import (
     CartanAtlas,
+    basis_array,
     class_connector,
     classify_local,
     count_kind,
     count_total,
     enumerate_all,
+    lift_keys,
     local_lift,
     mutual_parity,
     nonlocal_connector,
@@ -380,6 +383,48 @@ def test_label_data_matches_the_reference_derivation():
         a = CartanAtlas(p, {k: [c for c in members if c.kind == k] for k in range(p + 1)})
         got = classify_local(a)
         assert {mu: [c.elements.keys for c in v] for mu, v in got.items()} == ref_classes(a.members())
+
+
+def shuffled_atlas(members: list[CartanSubalgebra], seed: int) -> CartanAtlas:
+    """The members shuffled into three shells of mixed kinds."""
+    members = random.Random(seed).sample(members, len(members))
+    third = -(-len(members) // 3)
+    return CartanAtlas(members[0].p, {i: members[i * third : (i + 1) * third] for i in range(3)})
+
+
+def test_batched_lift_matches_the_reference_row_by_row():
+    for seed, members in enumerate(label_data_cases()):
+        a = shuffled_atlas(members, seed)
+        for shell in a.shells():
+            units, lifted = lift_keys(shell, a.p)
+            assert units.shape == (len(shell),) and lifted.shape == (len(shell), a.p)
+            for c, mask, row in zip(shell, units.tolist(), lifted.tolist()):
+                ref_circuit, ref_lifted = ref_local_lift(c)
+                assert mask == sum(f.key >> a.p for f in ref_circuit.factors), c.label
+                assert tuple(row) == ref_basis(ref_lifted), c.label
+        got = classify_local(a)
+        assert {mu: [c.elements.keys for c in v] for mu, v in got.items()} == ref_classes(a.members())
+
+
+def test_a_lift_that_misses_the_top_kind_names_its_member():
+    # the diagonal row S[01|00] anti-commutes with the generator S[00|01]:
+    # no Cartan subalgebra, and the lift through h[0|10] leaves both keys alone
+    forged = CartanSubalgebra.from_basis(2, [0b0100, 0b0001])
+    assert forged.label == "C^{0}_{[01]}"
+    with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
+        local_lift(forged)
+    members = list(atlas(2).members())
+    a = CartanAtlas(2, {0: members[:7], 1: members[7:10] + [forged] + members[10:]})
+    with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
+        classify_local(a)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_batched_span_is_every_element_list(p):
+    for shell in atlas(p).shells():
+        spans = gf2_span(basis_array(shell, p)[:, ::-1])
+        assert spans.shape == (len(shell), 1 << p)
+        assert spans.tolist() == [c.element_keys() for c in shell]
 
 
 def test_parsed_labels_store_the_reference_basis():
