@@ -1,5 +1,5 @@
 """Enumeration report: counts by kind, local-equivalence class sizes, and
-a seeded connector stress run, for a range of widths.
+a seeded connector stress run, for a range of widths (up to 6).
 
 Usage: python scripts/atlas_report.py [max_p] [seed]
 """
@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qap.extension import classify_local, count_kind, enumerate_all
+from qap.extension import class_sizes, count_kind, enumerate_all
 from qap.partition import build_qap
 from qap.transform import connect, random_sequence
 
@@ -28,19 +28,18 @@ def main(max_p: int = 4, seed: int = 0) -> None:
         assert by_kind == closed
         print(f"p={p}: total {atlas.total}  by kind {by_kind}  ({dt:.2f}s)")
 
-        if p <= 3:
-            classes = classify_local(atlas)
-            sizes = sorted(len(v) for v in classes.values())
-            print(f"      {len(classes)} local classes, sizes {sizes}")
+        t0 = time.perf_counter()
+        sizes = sorted(class_sizes(atlas).values())
+        dt = time.perf_counter() - t0
+        print(f"      {len(sizes)} local classes, sizes {sizes[0]}..{sizes[-1]}  ({dt:.2f}s)")
 
         if p <= 3:
             rng = random.Random(seed)
-            members = list(atlas.members())
             cache = {}
             trials = 25
             t0 = time.perf_counter()
             for _ in range(trials):
-                c = rng.choice(members)
+                c = atlas.member(rng.choice(range(atlas.total)))
                 if c not in cache:
                     cache[c] = build_qap(c)
                 connect(random_sequence(cache[c], rng))

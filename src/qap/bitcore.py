@@ -119,17 +119,6 @@ class BitWord:
             raise ValueError(f"not a binary string: {text!r}")
         return cls(int(text, 2), len(text))
 
-    @classmethod
-    def zero(cls, p: int) -> BitWord:
-        return cls(0, p)
-
-    @classmethod
-    def unit(cls, p: int, position: int) -> BitWord:
-        """Unit word with a single 1 at printed position 1..p (1 = leftmost)."""
-        if not 1 <= position <= p:
-            raise ValueError(f"position {position} out of 1..{p}")
-        return cls(1 << (p - position), p)
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.p}b")
 
@@ -221,28 +210,6 @@ def maximal_subgroups(g: BitSubgroup) -> list[BitSubgroup]:
             kernel_words.append(BitWord(w, g.p))
         out.append(BitSubgroup.span(kernel_words, g.p))
     out.sort(key=lambda s: tuple(b.bits for b in s.basis))
-    return out
-
-
-@dataclass(frozen=True)
-class Coset:
-    leader: BitWord
-    elements: tuple[BitWord, ...]
-
-
-def cosets(h: BitSubgroup, g: BitSubgroup) -> list[Coset]:
-    """Partition of g into cosets of h, ordered by lex-smallest leader."""
-    if not h.is_subgroup_of(g):
-        raise ValueError("h is not a subgroup of g")
-    hrows = [b.bits for b in reversed(h.basis)]
-    buckets: dict[int, list[int]] = {}
-    for v in g.member_bits():
-        buckets.setdefault(gf2_reduce(v, hrows), []).append(v)
-    out = []
-    for vals in buckets.values():
-        vals.sort()
-        out.append(Coset(BitWord(vals[0], g.p), tuple(BitWord(v, g.p) for v in vals)))
-    out.sort(key=lambda c: c.leader.bits)
     return out
 
 

@@ -23,14 +23,14 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 GUARDS = {
     "count": extension.ENUMERATION_MAX_P,
-    "enumerate": extension.ENUMERATION_MAX_P,
+    "enumerate": extension.MEMBERS_MAX_P,
     "table": 6,
     "qap": 6,
     "coqa": 6,
     "lift": 6,
     "verify": 4,
     "oracle": oracle.ORACLE_GUARD_P,
-    "classify": 5,
+    "classify": extension.ENUMERATION_MAX_P,
     "connect": 4,
 }
 
@@ -193,9 +193,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     n, seed = _trials(cfg)
     if cfg.p <= 3 and (cfg.n is not None or cfg.seed is not None):
         raise SystemExit2("verify checks every partition at p <= 3; --n and --seed apply from p = 4")
-    members = list(enumerate_all(cfg.p).members())
+    atlas = enumerate_all(cfg.p)
+    picks = range(atlas.total)
     if cfg.p > 3:
-        members = random.Random(seed).sample(members, min(n, len(members)))
+        picks = random.Random(seed).sample(picks, min(n, atlas.total))
+    members = [atlas.member(i) for i in picks]
     checked = 0
     for c in members:
         q = build_qap(c, verify=False)
@@ -225,15 +227,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
 def cmd_classify(cfg: RunConfig) -> int:
     _guard("classify", cfg.p)
     atlas = enumerate_all(cfg.p)
-    index = extension.classify_local(atlas)
+    sizes = extension.class_sizes(atlas)
     expected = 1 << (cfg.p * (cfg.p - 1) // 2)
-    sizes = {mu: len(v) for mu, v in sorted(index.items())}
-    ok = len(index) == expected and sum(sizes.values()) == atlas.total
+    ok = len(sizes) == expected and sum(sizes.values()) == atlas.total
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({"classes": sizes, "expected": expected, "ok": ok}))
     else:
         lines = [f"{mu or '-'}: {n}" for mu, n in sizes.items()]
-        lines.append(f"{len(index)} classes (expected {expected}), members {sum(sizes.values())}")
+        lines.append(f"{len(sizes)} classes (expected {expected}), members {sum(sizes.values())}")
         _emit(cfg, "\n".join(lines))
     return PASS if ok else FAIL
 
@@ -242,12 +243,11 @@ def cmd_connect(cfg: RunConfig) -> int:
     _guard("connect", cfg.p)
     n, seed = _trials(cfg)
     atlas = enumerate_all(cfg.p)
-    members = list(atlas.members())
     rng = random.Random(seed)
     qap_cache: dict[CartanSubalgebra, partition.QAPartition] = {}
     done = 0
     for _ in range(n):
-        c = rng.choice(members)
+        c = atlas.member(rng.choice(range(atlas.total)))
         if c not in qap_cache:
             qap_cache[c] = build_qap(c)
         seq = transform.random_sequence(qap_cache[c], rng)

@@ -1,10 +1,8 @@
-"""Every Cartan subalgebra of su(2^p), enumerated from its label
-C^{eps}_{[a_1...a_k]}: a reduced echelon alpha basis plus a symmetric
-parity matrix, walked directly with no search and no dedupe.  Each member
-keeps the basis and parity table its walk produced.  The local lift,
-classification and JSONL export run a shell at a time on its (N, p) array
-of basis keys: the lift is one XOR per key, and element lists are spanned
-by XOR doubling.
+"""Every Cartan subalgebra of su(2^p), enumerated from its label C^{eps}_{[a_1...a_k]}:
+a reduced echelon alpha basis plus a symmetric parity matrix, with no search and no
+dedupe.  The atlas holds one (N, p) array of basis keys per shell, spanned by XOR doubling
+over the parities; the local lift, classification and JSONL export read those arrays, and
+a member becomes a CartanSubalgebra only where the public API hands one out.
 """
 
 from __future__ import annotations
@@ -12,16 +10,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
+from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span, parity
 from .spinor import key_texts
-from .subalgebra import CartanSubalgebra, label_text, parity_superscript
+from .subalgebra import CartanSubalgebra, label_text
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
-ENUMERATION_MAX_P = 5
+ENUMERATION_MAX_P = 6
+MEMBERS_MAX_P = 5  # member objects and the JSONL: 4 922 775 of them at p = 6
 
 
 def count_kind(p: int, k: int) -> int:
@@ -41,52 +40,43 @@ def count_total(p: int) -> int:
 
 @dataclass
 class CartanAtlas:
-    """Every Cartan subalgebra of su(2^p), grouped by kind."""
+    """Every Cartan subalgebra of su(2^p) by kind: row i of by_kind[k] is a kind-k
+    member's reduced echelon basis keys, descending; rows ascend as bases read ascending."""
 
     p: int
-    by_kind: dict[int, list[CartanSubalgebra]]
+    by_kind: dict[int, np.ndarray]
 
     @property
     def total(self) -> int:
         return sum(len(v) for v in self.by_kind.values())
 
-    def shells(self) -> Iterator[list[CartanSubalgebra]]:
-        for k in sorted(self.by_kind):
-            yield self.by_kind[k]
+    def members(self, kind: Optional[int] = None) -> Iterator[CartanSubalgebra]:
+        """Every member, or the kind-k shell's, as a subalgebra, in atlas order."""
+        if self.p > MEMBERS_MAX_P:
+            raise ValueError(f"member objects guarded to p <= {MEMBERS_MAX_P}")
+        for k in self.by_kind if kind is None else [kind]:
+            for row in self.by_kind[k].tolist():
+                yield CartanSubalgebra.from_basis(self.p, row)
 
-    def members(self) -> Iterator[CartanSubalgebra]:
-        for shell in self.shells():
-            yield from shell
+    def member(self, i: int) -> CartanSubalgebra:
+        """Member i in members() order."""
+        for keys in self.by_kind.values():
+            if i < len(keys):
+                return CartanSubalgebra.from_basis(self.p, keys[i].tolist())
+            i -= len(keys)
+        raise IndexError(f"atlas member {i} out of range")
 
 
-def basis_array(shell: Sequence[CartanSubalgebra], p: int) -> np.ndarray:
-    """The members' basis keys, descending, as the rows of an (N, p) array."""
-    return np.array([c.basis_keys for c in shell], dtype=np.int64).reshape(len(shell), p)
-
-
-def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
-    """The kind-k members, one per label, built from their label data.
-
-    Alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.
-    Each unit u_i = 2^b_i is reduced once against the echelon basis of the
-    rows' diagonal kernel.  As u_i . a_j = delta_ij and the kernel is
-    orthogonal to every row, parity matrix eps gives row j the reduced
-    phase XOR_i eps_ij u_i, and eps is the member's parity table.  eps is
-    walked in Gray-code order, an entry and its mirror per step; the walk
-    is the same for every alpha basis, so it is built once.  A
-    member's basis is its generator keys, descending, then the kernel rows:
-    p rows with distinct leading bits."""
-    upper = [(r, s) for r in range(k) for s in range(r, k)]
-    bits = [tuple(m >> j & 1 for j in range(k)) for m in range(1 << k)]
-    eps = [0] * k  # row r of eps as a bit mask
-    walk = []  # (the entry flipped at this step, eps after it)
-    for step in range(1 << len(upper)):
-        flip = upper[(step & -step).bit_length() - 1] if step else None
-        if flip:
-            r, s = flip
-            eps[r] ^= 1 << s
-            eps[s] ^= (r != s) << r
-        walk.append((flip, tuple(bits[m] for m in eps)))
+def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(base, toggles), shapes (B, p) and (B, k(k+1)/2, k), of the kind-k alpha bases:
+    choose pivot bits b_i, fill the non-pivot bits below each.  Each unit u_i = 2^b_i is
+    reduced once against the echelon basis of the rows' diagonal kernel.  As u_i . a_j =
+    delta_ij and the kernel is orthogonal to every row, parity matrix eps gives row j the
+    reduced phase XOR_i eps_ij u_i.  The base row (eps = 0) is the rows << p, descending,
+    then the kernel; toggling eps_rs (r <= s, superscript order) XORs u_s into phase r
+    and u_r into phase s.  Keys < 4^6 fit int16."""
+    upper, columns = [(r, s) for r in range(k) for s in range(r, k)], range(k - 1, -1, -1)
+    base, toggles = [], []
     for pivots in itertools.combinations(range(p), k):
         fills = [gf2_span([1 << j for j in range(b) if j not in pivots]) for b in pivots]
         for low in itertools.product(*fills):
@@ -96,40 +86,64 @@ def _shell(p: int, k: int) -> Iterator[CartanSubalgebra]:
             duals = [[(a & x).bit_count() & 1 for x in units + kernel] for a in rows]
             if duals != [[int(i == j) for j in range(p)] for i in range(k)]:
                 raise InvariantError(f"rows {rows}: units or kernel not dual to the rows")
-            phases = [0] * k
-            for flip, table in walk:
-                if flip:
-                    r, s = flip
-                    phases[r] ^= units[s]
-                    if r != s:
-                        phases[s] ^= units[r]
-                gens = [(a << p) | z for a, z in zip(rows, phases)]
-                basis = gens[::-1] + kernel
-                if len({r.bit_length() for r in basis} - {0}) != p:
-                    raise InvariantError(f"rows {rows}, phases {phases}: not a Cartan subalgebra")
-                yield CartanSubalgebra.from_basis(p, basis, table)
+            base.append([a << p for a in reversed(rows)] + kernel)
+            toggles += [[units[s] if i == r else units[r] if i == s else 0 for i in columns]
+                        for r, s in upper]
+    toggles = np.array(toggles, np.int16).reshape(len(base), len(upper), k)
+    return np.array(base, np.int16), toggles
+
+
+def _check_shell(p: int, k: int, keys: np.ndarray) -> None:
+    """A sorted kind-k shell holds count_kind(p, k) distinct members, each p keys with
+    distinct leading bits, descending, the first k with alpha: read by column, faster."""
+    if len(keys) != count_kind(p, k):
+        raise InvariantError(f"shell {k}: {len(keys)} members, not {count_kind(p, k)}")
+    cols, alpha = keys.T, keys.T >> p != 0
+    # a's leading bit is above b's iff a & ~b > b
+    bad = np.logical_or.reduce([(a & ~b) <= b for a, b in zip(cols[:-1], cols[1:])])
+    bad = bad | (cols[-1] == 0) | ~alpha[:k].all(axis=0) | alpha[k:].any(axis=0)
+    if bad.any():
+        row = keys[bad.argmax()].tolist()
+        raise InvariantError(f"shell {k}: {row} is not a kind-{k} basis of distinct leading bits")
+    repeated = np.logical_and.reduce([col[1:] == col[:-1] for col in cols])
+    if repeated.any():
+        raise InvariantError(f"shell {k}: basis {keys[repeated.argmax()].tolist()} appears twice")
 
 
 def enumerate_all(p: int) -> CartanAtlas:
-    """Every Cartan subalgebra of su(2^p) from its label, each shell sorted
-    by ascending basis and checked against its closed-form count; the total
-    is checked against the product formula and for distinct members.  The
-    basis order is the element-list order: two ascending element lists
-    first differ at index 2^j, j the first ascending basis row that differs."""
+    """Every Cartan subalgebra of su(2^p) from its label: a shell is each alpha
+    basis's base row XOR the span of its toggle vectors, sorted by ascending basis,
+    the element-list order (two ascending element lists first differ at index 2^j,
+    j the first ascending basis row that differs), and checked, the total too."""
     if not 1 <= p <= ENUMERATION_MAX_P:
         raise ValueError(f"enumeration guarded to p <= {ENUMERATION_MAX_P}")
-    by_kind: dict[int, list[CartanSubalgebra]] = {}
-    seen: set[tuple[int, ...]] = set()
+    by_kind: dict[int, np.ndarray] = {}
     for k in range(p + 1):
-        shell = sorted(_shell(p, k), key=lambda c: c.basis_keys[::-1])
-        if len(shell) != count_kind(p, k):
-            raise InvariantError(f"shell {k}: {len(shell)} members, not {count_kind(p, k)}")
-        seen.update(c.basis_keys for c in shell)
-        by_kind[k] = shell
+        base, toggles = _label_rows(p, k)
+        n, t = toggles.shape[:2]
+        phases = gf2_span(toggles.transpose(0, 2, 1).reshape(n * k, t)).reshape(n, k, 1 << t)
+        keys = np.repeat(base, 1 << t, axis=0)
+        keys[:, :k] ^= phases.transpose(0, 2, 1).reshape(n << t, k)
+        by_kind[k] = keys = keys[np.lexsort(keys.T)]
+        _check_shell(p, k, keys)
     atlas = CartanAtlas(p, by_kind)
-    if atlas.total != count_total(p) or len(seen) != atlas.total:
-        raise InvariantError(f"{len(seen)} distinct of {atlas.total} members, not {count_total(p)}")
+    if atlas.total != count_total(p):
+        raise InvariantError(f"{atlas.total} members, not {count_total(p)}")
     return atlas
+
+
+def _codes(gens: np.ndarray, p: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Bit t of row n is entry (r, s) = pairs[t] of its parity table: the
+    parity of zeta_r . alpha_s over its generator keys gens[n], ascending."""
+    code = np.zeros(len(gens), dtype=np.int32)
+    for t, (r, s) in enumerate(pairs):
+        code |= parity(gens[:, r] & gens[:, s] >> p).astype(np.int32) << t
+    return code
+
+
+def _bit_texts(n: int) -> list[str]:
+    """Code m as text: character t is bit t of m."""
+    return [format(m, f"0{n}b")[::-1] if n else "" for m in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,41 +155,30 @@ class ParityStrings(NamedTuple):
     mu: str
 
 
-def parity_strings(table: Sequence[Sequence[int]]) -> ParityStrings:
-    """Self- and mutual-parity strings of a parity table over the ascending
-    alpha basis: its diagonal, then its upper triangle row by row."""
-    rows = ["".join(map(str, row)) for row in table]
-    se = "".join([row[i] for i, row in enumerate(rows)])
-    mu = "".join([row[i + 1 :] for i, row in enumerate(rows)])
-    return ParityStrings(se, mu)
-
-
 def mutual_parity(c: CartanSubalgebra) -> ParityStrings:
     """Self- and mutual-parity strings of a top-kind subalgebra over the
-    ascending unit-vector basis."""
+    ascending unit-vector basis: the parity table's diagonal, then its
+    upper triangle row by row."""
     if c.kind != c.p:
         raise ValueError("mutual parity is defined on the top kind; lift first")
-    return parity_strings(c.parity_table)
+    rows = ["".join(map(str, row)) for row in c.parity_table]
+    se = "".join([row[i] for i, row in enumerate(rows)])
+    return ParityStrings(se, "".join([row[i + 1 :] for i, row in enumerate(rows)]))
 
 
-def lift_keys(shell: Sequence[CartanSubalgebra], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units, lifted) of the local lift of every member of a shell, one
-    array row per member.  units masks the words e_j off the pivots of its
-    reduced alpha basis.  Each factor h[0|e_j] is the transvection
-    x -> x ^ h on the keys whose zeta has bit j; the factors have zeta 0
-    and commute, so the lift is x -> x ^ ((x & units) << p) on the p basis
-    keys.  Gauss-Jordan on the p alpha bits gives the lifted basis, row i
-    with alpha e_(p-1-i): the reduced echelon basis of a top-kind member."""
-    basis = basis_array(shell, p)
-    # smear each alpha (16 bits at most) below its top bit: lead ^ (lead >> 1)
-    # is then the row's pivot, 0 on a diagonal row
+def lift_keys(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units, lifted) of the local lift of every row of an (N, p) array of
+    bases.  units masks the words e_j off the pivots of its reduced alpha
+    basis.  The factors h[0|e_j] have zeta 0 and commute, so the lift is
+    x -> x ^ ((x & units) << p) on the p basis keys; Gauss-Jordan on the p
+    alpha bits gives the lifted echelon basis, row i with alpha e_(p-1-i)."""
+    # smear each alpha below its top bit: lead ^ (lead >> 1) is its pivot, 0 if diagonal
     lead = basis >> p
     for shift in (1, 2, 4, 8):
         lead |= lead >> shift
     units = ~np.bitwise_or.reduce(lead ^ (lead >> 1), axis=1) & ((1 << p) - 1)
     lifted = basis ^ ((basis & units[:, None]) << p)
-    top = np.ones(len(shell), dtype=bool)
-    members = np.arange(len(shell))
+    top, members = np.ones(len(basis), dtype=bool), np.arange(len(basis))
     for i in range(p):
         bit = 2 * p - 1 - i
         candidates = lifted[:, i:] >> bit & 1
@@ -186,7 +189,7 @@ def lift_keys(shell: Sequence[CartanSubalgebra], p: int) -> tuple[np.ndarray, np
         lifted ^= (lifted >> bit & 1) * row[:, None]
         lifted[:, i] = row
     if not top.all():
-        c = shell[int(top.argmin())]
+        c = CartanSubalgebra.from_basis(p, basis[top.argmin()].tolist())
         raise InvariantError(f"local lift of {c.label} failed to reach the top kind")
     return units, lifted
 
@@ -196,7 +199,7 @@ def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     factors, one new independent partitioning direction per factor: the
     unit words off the pivots of the reduced alpha basis, ascending."""
     p = c.p
-    units, lifted = lift_keys([c], p)
+    units, lifted = lift_keys(np.array([c.basis_keys]), p)
     factors = (BasicTransform(1 << (p + j), p) for j in range(p) if units[0] >> j & 1)
     return SymbolicCircuit(tuple(factors)), CartanSubalgebra.from_basis(p, lifted[0].tolist())
 
@@ -208,23 +211,30 @@ def se_normalizer(se: str) -> SymbolicCircuit:
     return SymbolicCircuit(tuple(BasicTransform(1 << i, p) for i in range(p) if se[i] == "1"))
 
 
+def class_codes(basis: np.ndarray, p: int) -> np.ndarray:
+    """The local-equivalence class of every row of an (N, p) array of bases:
+    bit t is mutual parity t (i < j, row by row) of its local lift."""
+    gens = lift_keys(basis, p)[1][:, ::-1]
+    return _codes(gens, p, [(i, j) for i in range(p) for j in range(i + 1, p)])
+
+
 def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
     """Partition the atlas into local-equivalence classes keyed by the
-    mutual-parity string of the (self-parity-normalized) local lift.  The
-    lift's generator i has alpha e_i, so entry (i, j) of its parity table
-    is bit j of its zeta; a shell is lifted in one batch."""
-    p = atlas.p
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    mu_texts = [format(m, f"0{len(pairs)}b") if pairs else "" for m in range(1 << len(pairs))]
+    mutual-parity string of the (self-parity-normalized) local lift."""
+    texts = _bit_texts(atlas.p * (atlas.p - 1) // 2)
     index: dict[str, list[CartanSubalgebra]] = {}
-    for shell in atlas.shells():
-        gens = lift_keys(shell, p)[1][:, ::-1]
-        mu = np.zeros(len(shell), dtype=np.int64)
-        for i, j in pairs:
-            mu = mu << 1 | gens[:, i] >> j & 1
-        for m, c in zip(mu.tolist(), shell):
-            index.setdefault(mu_texts[m], []).append(c)
+    for k, basis in atlas.by_kind.items():
+        for m, c in zip(class_codes(basis, atlas.p).tolist(), atlas.members(k)):
+            index.setdefault(texts[m], []).append(c)
     return index
+
+
+def class_sizes(atlas: CartanAtlas) -> dict[str, int]:
+    """The size of every nonempty class of classify_local, by ascending key."""
+    p, n = atlas.p, atlas.p * (atlas.p - 1) // 2
+    sizes = sum(np.bincount(class_codes(b, p), minlength=1 << n) for b in atlas.by_kind.values())
+    texts = _bit_texts(n)
+    return dict(sorted((texts[m], size) for m, size in enumerate(sizes.tolist()) if size))
 
 
 def class_connector(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra, str]:
@@ -278,29 +288,19 @@ def nonlocal_connector(
 def atlas_jsonl(atlas: CartanAtlas) -> str:
     """One JSON object per subalgebra, keys sorted: label, kind, parity
     strings, canonical element list, spanned ascending from the basis."""
-    texts = np.array([json.dumps(t) for t in key_texts(atlas.p)], dtype=object)
-    lines: list[str] = []
-    for shell in atlas.shells():
-        lines += _jsonl_lines(shell, atlas.p, texts)
+    p, lines = atlas.p, []
+    texts = np.array([json.dumps(t) for t in key_texts(p)], dtype=object)
+    for k, basis in atlas.by_kind.items():
+        gens, upper = basis[:, :k][:, ::-1], [(r, s) for r in range(k) for s in range(r, k)]
+        # eps_se, eps_mu and superscript: one text table per kind, read by parity code
+        tables = ([(r, r) for r in range(k)], [(r, s) for r, s in upper if r < s], upper)
+        se, mu, sup = (np.array(_bit_texts(len(t)), dtype=object)[_codes(gens, p, t)].tolist()
+                       for t in tables)
+        spans, last = texts[gf2_span(basis[:, ::-1])].tolist(), None
+        for elements, alphas, s, m, superscript in zip(spans, (gens >> p).tolist(), se, mu, sup):
+            if alphas != last:  # one alpha basis's members are adjacent: format it once
+                last = alphas  # the label around a '|' superscript; the 0th kind has none
+                before, _, after = label_text(p, "|", alphas).partition("|")
+            lines.append(f'{{"elements": [{", ".join(elements)}], "eps_mu": "{m}", '
+                         f'"eps_se": "{s}", "kind": {k}, "label": "{before}{superscript}{after}"}}')
     return "\n".join(lines) + "\n"
-
-
-def _jsonl_lines(shell: Sequence[CartanSubalgebra], p: int, texts: np.ndarray) -> list[str]:
-    """The JSON lines of one shell, formatted directly in sorted-key order.
-    Members at one Gray-code step share their parity table across alpha
-    bases, so its strings are built once per table.  Each member holds its
-    table while the shell is read, so a table's id names that table."""
-    basis = basis_array(shell, p)
-    spans = texts[gf2_span(basis[:, ::-1])].tolist()
-    strings: dict[int, tuple[str, str, str]] = {}  # id(table) -> (se, mu, superscript)
-    lines = []
-    for c, elements, row in zip(shell, spans, (basis >> p).tolist()):
-        table, alphas = c.parity_table, [a for a in reversed(row) if a]
-        if id(table) not in strings:
-            strings[id(table)] = (*parity_strings(table), parity_superscript(table))
-        se, mu, sup = strings[id(table)]
-        lines.append(
-            f'{{"elements": [{", ".join(elements)}], "eps_mu": "{mu}", "eps_se": "{se}", '
-            f'"kind": {len(alphas)}, "label": "{label_text(p, sup, alphas)}"}}'
-        )
-    return lines

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -168,6 +168,26 @@ class ClosureReport:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _sweep_tables(p: int) -> tuple[np.ndarray, ...]:
+    """The read-only tables of verify_closure's sweep at width p: the keys,
+    unit[b, y] = omega(2^b, y), anti[j, y] = omega(j, y) for j < 2^L, and
+    the x < y mask of a diagonal block."""
+    n, bits = 1 << (2 * p), min(2 * p, 7)
+    rows = 1 << bits
+    keys = np.arange(n)
+    swapped = ((keys & ((1 << p) - 1)) << p) | (keys >> p)
+    unit = (swapped >> np.arange(2 * p)[:, None] & 1).astype(bool)
+    anti = np.empty((rows, n), dtype=bool)  # doubled over the bits of j
+    anti[0] = False
+    for b in range(bits):
+        np.bitwise_xor(anti[: 1 << b], unit[b], out=anti[1 << b : 2 << b])
+    tables = keys, unit, anti, keys[:rows, None] < keys[:rows]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     """Exhaustively check the quaternion closure law on every anti-commuting
     pair x < y of covered spinors, in row-major order.
@@ -195,14 +215,7 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
             return ClosureReport(False, 0, failures)
     n, bits = cid.size, min(2 * p, 7)
     rows = 1 << bits
-    keys = np.arange(n)
-    swapped = ((keys & ((1 << p) - 1)) << p) | (keys >> p)
-    unit = (swapped >> np.arange(2 * p)[:, None] & 1).astype(bool)  # omega(2^b, y)
-    anti = np.empty((rows, n), dtype=bool)  # omega(j, y), doubled over the bits of j
-    anti[0] = False
-    for b in range(bits):
-        np.bitwise_xor(anti[: 1 << b], unit[b], out=anti[1 << b : 2 << b])
-    upper = keys[:rows, None] < keys[:rows]
+    keys, unit, anti, upper = _sweep_tables(p)
     covered = cid >= 0
     partial = not covered.all()
     flat = [np.empty(rows * n, dtype=t) for t in (cid.dtype, bool, bool)]

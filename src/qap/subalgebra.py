@@ -457,11 +457,6 @@ class LabelError(ValueError):
         super().__init__(f"bad label {text!r} at position {position}: {reason}")
 
 
-def parity_superscript(table: Sequence[Sequence[int]]) -> str:
-    """The parities of a label's superscript: r <= s, row by row."""
-    return "".join(["".join(map(str, row[r:])) for r, row in enumerate(table)])
-
-
 def label_text(p: int, superscript: str, alphas: Sequence[int]) -> str:
     """The label grammar: C_[0...0] for the 0th kind, else the parity
     superscript over the ascending alpha basis words."""
@@ -472,8 +467,9 @@ def label_text(p: int, superscript: str, alphas: Sequence[int]) -> str:
 
 
 def format_label(c: CartanSubalgebra) -> str:
-    p, gens = c.p, c.generator_keys
-    return label_text(p, parity_superscript(c.parity_table) if gens else "", [g >> p for g in gens])
+    """The label, its superscript the parities r <= s, row by row."""
+    superscript = "".join(["".join(map(str, row[r:])) for r, row in enumerate(c.parity_table)])
+    return label_text(c.p, superscript, [g >> c.p for g in c.generator_keys])
 
 
 def _scan_label(text: str) -> tuple[Optional[str], str]:

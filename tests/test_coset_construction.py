@@ -158,7 +158,7 @@ def ref_phase_pairs(c) -> set[tuple[frozenset[int], frozenset[frozenset[int]]]]:
 
 
 def ref_commuting_bisubalgebra(s, c) -> frozenset[int]:
-    diag = [Spinor(z, BitWord.zero(c.p)) for z in c.diag_phase_group.basis]
+    diag = [Spinor(z, BitWord(0, c.p)) for z in c.diag_phase_group.basis]
     gens = [*diag, *c.generators]
     anti = [g for g in gens if not commutes(s, g)]
     if not anti:

@@ -5,14 +5,16 @@ import random
 import re
 from typing import Iterable
 
+import numpy as np
 import pytest
 
 from conftest import atlas
-from qap.bitcore import InvariantError, gf2_echelon, gf2_span
+from qap import cli, extension
+from qap.bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
 from qap.extension import (
     CartanAtlas,
-    basis_array,
     class_connector,
+    class_sizes,
     classify_local,
     count_kind,
     count_total,
@@ -138,7 +140,7 @@ def test_label_route_matches_bfs_shell_by_shell(p):
     # the direct route and the paper's shell construction give the same
     # members in the same order, shell by shell
     a = atlas(p)
-    assert [[c.elements.keys for c in a.by_kind[k]] for k in range(p + 1)] == shells_by_bfs(p)
+    assert [[c.elements.keys for c in a.members(k)] for k in range(p + 1)] == shells_by_bfs(p)
 
 
 def test_label_route_at_p5():
@@ -151,7 +153,116 @@ def test_label_route_at_p5():
 
 def test_enumerate_guard():
     with pytest.raises(ValueError):
-        enumerate_all(6)
+        enumerate_all(7)
+    with pytest.raises(ValueError, match="guarded to p <= 5"):
+        next(CartanAtlas(6, {0: np.array([[32, 16, 8, 4, 2, 1]])}).members())
+
+
+# -- the array shells against the walk they replace -------------------------------
+
+
+def ref_shell(p: int, k: int):
+    """The kind-k members, one per label, walked one at a time.
+
+    Alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.
+    Each unit u_i = 2^b_i is reduced once against the echelon basis of the
+    rows' diagonal kernel.  As u_i . a_j = delta_ij and the kernel is
+    orthogonal to every row, parity matrix eps gives row j the reduced
+    phase XOR_i eps_ij u_i, and eps is the member's parity table.  eps is
+    walked in Gray-code order, an entry and its mirror per step.  A
+    member's basis is its generator keys, descending, then the kernel rows."""
+    upper = [(r, s) for r in range(k) for s in range(r, k)]
+    bits = [tuple(m >> j & 1 for j in range(k)) for m in range(1 << k)]
+    eps = [0] * k  # row r of eps as a bit mask
+    walk = []  # (the entry flipped at this step, eps after it)
+    for step in range(1 << len(upper)):
+        flip = upper[(step & -step).bit_length() - 1] if step else None
+        if flip:
+            r, s = flip
+            eps[r] ^= 1 << s
+            eps[s] ^= (r != s) << r
+        walk.append((flip, tuple(bits[m] for m in eps)))
+    for pivots in itertools.combinations(range(p), k):
+        fills = [gf2_span([1 << j for j in range(b) if j not in pivots]) for b in pivots]
+        for low in itertools.product(*fills):
+            rows = [(1 << b) | f for b, f in zip(pivots, low)]
+            kernel = gf2_echelon(gf2_nullspace(rows, p))
+            units = [gf2_reduce(1 << b, kernel) for b in pivots]
+            phases = [0] * k
+            for flip, table in walk:
+                if flip:
+                    r, s = flip
+                    phases[r] ^= units[s]
+                    if r != s:
+                        phases[s] ^= units[r]
+                gens = [(a << p) | z for a, z in zip(rows, phases)]
+                yield CartanSubalgebra.from_basis(p, gens[::-1] + kernel, table)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_array_shells_equal_the_reference_walk_row_by_row(p):
+    a = enumerate_all(p)
+    for k in range(p + 1):
+        ref = sorted(ref_shell(p, k), key=lambda c: c.basis_keys[::-1])
+        assert a.by_kind[k].tolist() == [list(c.basis_keys) for c in ref], (p, k)
+        if p <= 4:  # a member's derived parity table is the one its walk carried
+            assert [c.parity_table for c in a.members(k)] == [c.parity_table for c in ref]
+
+
+def repeat_a_toggle(base, toggles):
+    toggles[0, 1] = toggles[0, 0]
+
+
+def toggle_an_alpha_bit(base, toggles):
+    toggles[0, 0, 0] ^= base[0, 0]
+
+
+def repeat_a_leading_bit(base, toggles):
+    base[0, -1] = base[0, -2]
+
+
+def zero_a_row(base, toggles):
+    base[-1, -1] = 0
+
+
+def give_a_kernel_row_an_alpha_bit(base, toggles):
+    base[-1, 2] |= 1 << 4  # below the generator keys' leading bits, above the other row's
+
+
+def repeat_an_alpha_basis(base, toggles):
+    base[1], toggles[1] = base[0], toggles[0]
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (repeat_a_toggle, "appears twice"),
+    (toggle_an_alpha_bit, "not a kind-2 basis"),
+    (repeat_a_leading_bit, "distinct leading bits"),
+    (zero_a_row, "distinct leading bits"),
+    (give_a_kernel_row_an_alpha_bit, "not a kind-2 basis"),
+    (repeat_an_alpha_basis, "appears twice"),
+])
+def test_a_corrupted_toggle_or_a_forged_row_fails_enumeration(monkeypatch, mutate, match):
+    real = extension._label_rows
+
+    def corrupted(p, k):
+        base, toggles = real(p, k)
+        if k == 2:
+            mutate(base, toggles)
+        return base, toggles
+
+    monkeypatch.setattr(extension, "_label_rows", corrupted)
+    with pytest.raises(InvariantError, match=match):
+        enumerate_all(4)
+
+
+def test_atlas_commands_build_no_subalgebra(monkeypatch, capsys):
+    def refuse(cls, *args, **kwargs):
+        raise RuntimeError("CartanSubalgebra.from_basis called")
+
+    monkeypatch.setattr(CartanSubalgebra, "from_basis", classmethod(refuse))
+    for command in ("count", "classify", "enumerate"):
+        assert cli.main([command, "--p", "4"]) == 0
+    assert capsys.readouterr().out.endswith('"label": "C^{1111111111}_{[0001,0010,0100,1000]}"}\n')
 
 
 def test_completeness_by_independent_exhaustive_search():
@@ -241,7 +352,7 @@ def test_mutual_parity_rejects_lower_kind():
 def test_mutual_parity_symmetry(atlas3):
     from qap.bitcore import dot
 
-    for c in atlas3.by_kind[3]:
+    for c in atlas3.members(3):
         gens = c.generators
         for gi, gj in itertools.combinations(gens, 2):
             assert dot(gi.zeta, gj.alpha) == dot(gj.zeta, gi.alpha)
@@ -271,11 +382,12 @@ def test_local_lift_everywhere(atlas3):
 
 
 def test_classify_counts():
-    for p in (2, 3):
+    for p in (2, 3, 4):
         a = atlas(p)
         index = classify_local(a)
         assert len(index) == 1 << (p * (p - 1) // 2)
         assert sum(len(v) for v in index.values()) == a.total
+        assert class_sizes(a) == {mu: len(v) for mu, v in sorted(index.items())}
 
 
 def test_class_connector_reaches_common_representative(atlas2, atlas3):
@@ -292,7 +404,7 @@ def test_class_connector_reaches_common_representative(atlas2, atlas3):
 
 
 def test_nonlocal_connector_cases(atlas2):
-    kind2 = atlas2.by_kind[2]
+    kind2 = list(atlas2.members(2))
     c1 = kind2[0]
     circ, target = nonlocal_connector(c1, c1)
     assert len(circ) == 0 and target == c1
@@ -362,6 +474,12 @@ def ref_classes(members: Iterable[CartanSubalgebra]) -> dict[str, list[frozenset
     return out
 
 
+def atlas_of(p: int, shells: dict[int, list[CartanSubalgebra]]) -> CartanAtlas:
+    """An atlas whose key arrays hold the given members' bases."""
+    arrays = {k: np.array([c.basis_keys for c in v], dtype=np.int64) for k, v in shells.items()}
+    return CartanAtlas(p, {k: keys.reshape(-1, p) for k, keys in arrays.items()})
+
+
 def label_data_cases() -> list[list[CartanSubalgebra]]:
     """Every member at p <= 4, then a seeded sample of p = 5 members."""
     sample = random.Random(11).sample(list(enumerate_all(5).members()), 400)
@@ -380,7 +498,7 @@ def test_label_data_matches_the_reference_derivation():
             assert lifted.basis_keys == ref_basis(ref_lifted), c.label
             assert lifted.parity_table == ref_parity_table(ref_lifted), c.label
         p = members[0].p
-        a = CartanAtlas(p, {k: [c for c in members if c.kind == k] for k in range(p + 1)})
+        a = atlas_of(p, {k: [c for c in members if c.kind == k] for k in range(p + 1)})
         got = classify_local(a)
         assert {mu: [c.elements.keys for c in v] for mu, v in got.items()} == ref_classes(a.members())
 
@@ -389,16 +507,16 @@ def shuffled_atlas(members: list[CartanSubalgebra], seed: int) -> CartanAtlas:
     """The members shuffled into three shells of mixed kinds."""
     members = random.Random(seed).sample(members, len(members))
     third = -(-len(members) // 3)
-    return CartanAtlas(members[0].p, {i: members[i * third : (i + 1) * third] for i in range(3)})
+    return atlas_of(members[0].p, {i: members[i * third : (i + 1) * third] for i in range(3)})
 
 
 def test_batched_lift_matches_the_reference_row_by_row():
     for seed, members in enumerate(label_data_cases()):
         a = shuffled_atlas(members, seed)
-        for shell in a.shells():
-            units, lifted = lift_keys(shell, a.p)
-            assert units.shape == (len(shell),) and lifted.shape == (len(shell), a.p)
-            for c, mask, row in zip(shell, units.tolist(), lifted.tolist()):
+        for i, basis in a.by_kind.items():
+            units, lifted = lift_keys(basis, a.p)
+            assert units.shape == (len(basis),) and lifted.shape == (len(basis), a.p)
+            for c, mask, row in zip(a.members(i), units.tolist(), lifted.tolist()):
                 ref_circuit, ref_lifted = ref_local_lift(c)
                 assert mask == sum(f.key >> a.p for f in ref_circuit.factors), c.label
                 assert tuple(row) == ref_basis(ref_lifted), c.label
@@ -414,17 +532,17 @@ def test_a_lift_that_misses_the_top_kind_names_its_member():
     with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
         local_lift(forged)
     members = list(atlas(2).members())
-    a = CartanAtlas(2, {0: members[:7], 1: members[7:10] + [forged] + members[10:]})
+    a = atlas_of(2, {0: members[:7], 1: members[7:10] + [forged] + members[10:]})
     with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
         classify_local(a)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_batched_span_is_every_element_list(p):
-    for shell in atlas(p).shells():
-        spans = gf2_span(basis_array(shell, p)[:, ::-1])
-        assert spans.shape == (len(shell), 1 << p)
-        assert spans.tolist() == [c.element_keys() for c in shell]
+    for k, basis in atlas(p).by_kind.items():
+        spans = gf2_span(basis[:, ::-1])
+        assert spans.shape == (len(basis), 1 << p)
+        assert spans.tolist() == [c.element_keys() for c in atlas(p).members(k)]
 
 
 def test_parsed_labels_store_the_reference_basis():
@@ -444,7 +562,8 @@ def test_parsed_labels_store_the_reference_basis():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_ascending_bases_sort_shells_as_element_lists_do(p):
     rng = random.Random(p)
-    for shell in atlas(p).by_kind.values():
+    for k in atlas(p).by_kind:
+        shell = list(atlas(p).members(k))
         shuffled = rng.sample(shell, len(shell))
         by_basis = sorted(shuffled, key=lambda c: c.basis_keys[::-1])
         by_elements = sorted(shuffled, key=lambda c: sorted(c.elements.keys))
@@ -456,6 +575,7 @@ def test_ascending_bases_sort_shells_as_element_lists_do(p):
 def test_members_round_trip_through_label_and_element_set(p):
     members = list(atlas(p).members())
     assert len(set(members)) == len(members)
+    assert [atlas(p).member(i) for i in range(len(members))] == members
     for c in members:
         parsed = parse_label(c.label)
         assert parsed == c and hash(parsed) == hash(c), c.label

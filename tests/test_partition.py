@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import atlas, qap_of
+from qap import partition
 from qap.bitcore import InvariantError
 from qap.partition import (
     CellKey,
@@ -532,6 +533,29 @@ def test_doubled_sweep_matches_row_blocks_at_p5():
         for what, tampered in (*rng.sample(flips, 3), moved, dropped):
             full = not what.startswith("flip")
             assert_sweep_matches_row_blocks(tampered, f"{c.label} {what}", full)
+
+
+def test_cached_sweep_tables_report_what_fresh_tables_report():
+    # the sweep's per-width tables are built once and kept read-only; calls
+    # interleaved over p = 3, 4 and 5, on passing and flipped partitions,
+    # report exactly what a call with freshly built tables reports
+    rng = random.Random(16)
+    cases = []
+    for p in (3, 4, 5):
+        for c in seeded_cartans(p, 3, 16 + p):
+            q = build_qap(c, verify=False)
+            cases += [q, flipped(q, rng.randrange(1, 1 << p))]
+    rng.shuffle(cases)
+    fresh = []
+    for q in cases:
+        partition._sweep_tables.cache_clear()
+        fresh.append(verify_closure(q, 3))
+    assert sum(report.ok for report in fresh) == 9
+    for q, report in zip(cases, fresh):
+        assert verify_closure(q, 3) == report
+    assert partition._sweep_tables.cache_info().currsize == 3
+    for table in partition._sweep_tables(4):
+        assert not table.flags.writeable
 
 
 def test_identity_outside_the_center_fails_with_its_cell():

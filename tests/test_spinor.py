@@ -29,7 +29,7 @@ S = Spinor.make
 
 
 def identity_spinor(p: int) -> Spinor:
-    return Spinor(BitWord.zero(p), BitWord.zero(p))
+    return Spinor(BitWord(0, p), BitWord(0, p))
 
 
 def phased_product(s: PhasedSpinor, t: PhasedSpinor) -> PhasedSpinor:

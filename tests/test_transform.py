@@ -147,7 +147,7 @@ def test_factor_text_parses_back_to_key_and_inverse(atlas3):
     steps = ((0b011, 0b001, [0b100]), (0b110, 0b010, []), (0b101, 0b111, [0b001]))
     circuits = [build_exchange_step(src, dst, 3, frozen) for src, dst, frozen in steps]
     circuits += [local_lift(c)[0] for c in list(atlas3.members())[::7]]
-    kind3 = atlas3.by_kind[3]
+    kind3 = list(atlas3.members(3))
     circuits += [nonlocal_connector(kind3[0], c)[0] for c in kind3[::5]]
     assert sum(len(q) for q in circuits) > 20
     for q in circuits:
