@@ -31,7 +31,7 @@ GUARDS = {
     "verify": 4,
     "oracle": oracle.ORACLE_GUARD_P,
     "classify": extension.ENUMERATION_MAX_P,
-    "connect": 4,
+    "connect": 5,
 }
 
 # The bundled reference tables carry the source captions as aliases; the

@@ -11,6 +11,7 @@ referential one anchored at the diagonal subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bitcore import InvariantError, _check_width, gf2_echelon, gf2_rank, solve_affine
@@ -109,13 +110,25 @@ class SymbolicCircuit:
         """JSON-friendly mirror of the text form (same right-to-left order)."""
         return [str(f) for f in reversed(self.factors)]
 
+    def map_keys(self, keys: Iterable[int], p: int) -> list[int]:
+        """Keys of width p through the circuit, phases dropped: one GF(2)-linear
+        map M(k) = lo[k & mask] ^ hi[k >> p], spanned from its 2p unit images."""
+        if any(f.p != p for f in self.factors):
+            raise ValueError("factor width mismatch")
+        if not self.factors:
+            return list(keys)
+        mask, lo, hi = self._key_tables
+        return [lo[k & mask] ^ hi[k >> p] for k in keys]
 
-def conjugate_by_circuit(q: SymbolicCircuit, s: PhasedSpinor | Spinor) -> PhasedSpinor:
-    if isinstance(s, Spinor):
-        s = PhasedSpinor(0, s)
-    for f in q.factors:
-        s = conjugate(f, s)
-    return s
+    @cached_property
+    def _key_tables(self) -> tuple[int, list[int], list[int]]:
+        p = self.factors[0].p
+        units = transvect((f.key for f in self.factors), [1 << b for b in range(2 * p)], p)
+        lo, hi = [0], [0]
+        for b, image in enumerate(units):
+            table = lo if b < p else hi
+            table += [k ^ image for k in table]
+        return (1 << p) - 1, lo, hi
 
 
 def transvect(factor_keys: Iterable[int], keys: Iterable[int], p: int) -> Iterable[int]:
@@ -129,9 +142,7 @@ def transvect(factor_keys: Iterable[int], keys: Iterable[int], p: int) -> Iterab
 
 def apply_circuit(q: SymbolicCircuit, x: SpinorSet) -> SpinorSet:
     """Elementwise conjugation of a spinor set, phases dropped."""
-    if any(f.p != x.p for f in q.factors):
-        raise ValueError("factor width mismatch")
-    return SpinorSet(x.p, transvect((f.key for f in q.factors), x.keys, x.p))
+    return SpinorSet(x.p, q.map_keys(x.keys, x.p))
 
 
 def apply_to_cartan(q: SymbolicCircuit, c: CartanSubalgebra) -> CartanSubalgebra:
@@ -146,16 +157,6 @@ def h_matrix(h: BasicTransform) -> GaussianMatrix:
     coeff = 1 + 3 * key_self_parity(h.key, h.p)  # i * (-i)^(zeta.alpha)
     m = GaussianMatrix.identity(n) + to_matrix(h.spinor).times_i_pow(coeff)
     return m.dagger() if h.inverse else m
-
-
-def circuit_matrix(q: SymbolicCircuit, p: int) -> tuple[GaussianMatrix, int]:
-    """(U, k) with U = (sqrt 2)^k times the circuit unitary."""
-    u = GaussianMatrix.identity(1 << p)
-    for f in q.factors:
-        if f.p != p:
-            raise ValueError("factor width mismatch")
-        u = h_matrix(f) @ u
-    return u, len(q.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +181,10 @@ def _cell_signature(cell: SpinorSet) -> tuple[int, int]:
     """(common binary partitioning, sigma) of a diagonal-partition cell
     W^sigma_alpha = {S[zeta|alpha] : zeta.alpha = 1 + sigma}."""
     p = cell.p
-    alphas = {k >> p for k in cell.keys}
-    parities = {key_self_parity(k, p) for k in cell.keys}
-    if len(alphas) != 1 or len(parities) != 1:
+    signatures = {(k >> p, 1 ^ (k >> p & k).bit_count() & 1) for k in cell.keys}
+    if len(signatures) != 1:
         raise ValueError("not a conditioned subspace of the diagonal subalgebra")
-    return alphas.pop(), 1 ^ parities.pop()
+    return signatures.pop()
 
 
 def build_P(images: Sequence[SpinorSet]) -> SymbolicCircuit:

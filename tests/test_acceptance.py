@@ -28,14 +28,13 @@ from qap.subalgebra import (
     sqcap,
 )
 from qap.transform import (
-    circuit_matrix,
-    conjugate_by_circuit,
     connect,
     apply_to_cartan,
     apply_circuit,
     random_sequence,
     referential_cell,
 )
+from test_transform import circuit_matrix, conjugate_by_circuit
 
 
 @contextlib.contextmanager

@@ -247,6 +247,28 @@ def test_connect_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("stage", ["E", "P"])
+def test_a_broken_connector_stage_fails_connect(capsys, monkeypatch, stage):
+    # E loses its last factor, or P is left out: the rechecks inside
+    # connect raise, and the command exits 1 with the failure line
+    import qap.cli
+    from qap.transform import SymbolicCircuit
+
+    transform = qap.cli.transform
+    if stage == "E":
+        build_E = transform.build_E
+        monkeypatch.setattr(transform, "build_E", lambda a, p: SymbolicCircuit(build_E(a, p).factors[:-1]))
+    else:
+        monkeypatch.setattr(transform, "build_P", lambda images: SymbolicCircuit())
+    code, out = run(capsys, "connect", "--p", "3", "--n", "5")
+    assert code == 1 and out.startswith("connector FAILED after ")
+
+
+def test_connect_at_its_guard(capsys):
+    assert run(capsys, "connect", "--p", "5", "--n", "20") == (0, "20/20 sequences connected at p=5 (seed 0)\n")
+    assert run(capsys, "connect", "--p", "6")[0] == 2
+
+
 def test_lift(capsys):
     code, out = run(capsys, "lift", "C^{1}_{[100]}", "--format", "json")
     assert code == 0

@@ -7,10 +7,11 @@ import re
 import pytest
 
 from conftest import atlas, qap_of
-from qap.bitcore import BitWord, gf2_echelon
+from qap import transform
+from qap.bitcore import BitWord, InvariantError, gf2_echelon
 from qap.extension import local_lift, nonlocal_connector
 from qap.partition import DecompositionSequence
-from qap.spinor import PhasedSpinor, Spinor, key_of, pack, to_matrix
+from qap.spinor import GaussianMatrix, PhasedSpinor, Spinor, key_of, pack, to_matrix
 from qap.subalgebra import SpinorSet, intrinsic_cartan, parse_label
 from qap.transform import (
     BasicTransform,
@@ -21,13 +22,12 @@ from qap.transform import (
     build_P,
     build_R,
     build_exchange_step,
-    circuit_matrix,
     conjugate,
-    conjugate_by_circuit,
     connect,
     h_matrix,
     random_sequence,
     referential_cell,
+    transvect,
 )
 
 S = Spinor.make
@@ -43,6 +43,25 @@ def intrinsic_cell(p: int, alpha: str, sigma: int) -> SpinorSet:
     return SpinorSet(
         p, ((a.bits << p) | z for z in range(1 << p) if (z & a.bits).bit_count() & 1 == 1 - sigma)
     )
+
+
+def conjugate_by_circuit(q: SymbolicCircuit, s: PhasedSpinor | Spinor) -> PhasedSpinor:
+    """s conjugated by every factor in turn, phase kept."""
+    if isinstance(s, Spinor):
+        s = PhasedSpinor(0, s)
+    for f in q.factors:
+        s = conjugate(f, s)
+    return s
+
+
+def circuit_matrix(q: SymbolicCircuit, p: int) -> tuple[GaussianMatrix, int]:
+    """(U, k) with U = (sqrt 2)^k times the circuit unitary."""
+    u = GaussianMatrix.identity(1 << p)
+    for f in q.factors:
+        if f.p != p:
+            raise ValueError("factor width mismatch")
+        u = h_matrix(f) @ u
+    return u, len(q.factors)
 
 
 def element_image(q: SymbolicCircuit, c) -> frozenset[int]:
@@ -168,6 +187,8 @@ def test_apply_circuit_empty_and_cardinality():
     with pytest.raises(ValueError):
         apply_circuit(SymbolicCircuit.of(H("01", "01")), x)
     with pytest.raises(ValueError):
+        apply_circuit(SymbolicCircuit.of(H("011", "010"), H("01", "01")), x)
+    with pytest.raises(ValueError):
         conjugate(H("01", "01"), S("000", "000"))
 
 
@@ -196,6 +217,34 @@ def test_apply_circuit_matches_per_spinor_reference():
             size = 0 if trial == 0 else rng.randrange(1, min(16, 4**p) + 1)
             x = SpinorSet(p, rng.sample(range(4**p), size))
             assert apply_circuit(circ, x) == reference_apply_circuit(circ, x)
+
+
+def transvected(q: SymbolicCircuit, p: int) -> list[int]:
+    """Every key of width p pushed through q one transvection per factor."""
+    return list(transvect((f.key for f in q.factors), range(4**p), p))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_key_map_is_the_transvection_for_every_single_factor(p):
+    for key in range(4**p):
+        for inverse in (False, True):
+            q = SymbolicCircuit.of(BasicTransform(key, p, inverse))
+            assert q.map_keys(range(4**p), p) == transvected(q, p), (key, inverse)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_key_map_of_the_empty_circuit_is_the_identity(p):
+    assert SymbolicCircuit().map_keys(range(4**p), p) == list(range(4**p))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_key_map_is_the_transvection_for_seeded_circuits(p):
+    rng = random.Random(60 + p)
+    for length in range(1, 17):
+        q = SymbolicCircuit(tuple(
+            BasicTransform(rng.randrange(4**p), p, rng.random() < 0.5) for _ in range(length)
+        ))
+        assert q.map_keys(range(4**p), p) == transvected(q, p), str(q)
 
 
 def test_circuit_inversion_roundtrip():
@@ -260,6 +309,16 @@ def test_build_P_examples():
     for cell, alpha in zip(cells, ("100", "010", "001")):
         image = apply_circuit(p_circ, cell)
         assert image == intrinsic_cell(3, alpha, 0)
+
+
+def test_build_P_rejects_a_cell_off_one_conditioned_subspace():
+    # each key is read: one stray key of another alpha or self parity fails
+    for alpha in ("100", "011", "111"):
+        cell = intrinsic_cell(3, alpha, 0)
+        assert build_P([cell]) and len(cell) == 4
+        for stray in set(range(64)) - cell.keys:
+            with pytest.raises(ValueError, match="not a conditioned subspace"):
+                build_P([SpinorSet(3, cell.keys | {stray})])
 
 
 # -- exchange and E ---------------------------------------------------------------
@@ -358,6 +417,48 @@ def test_connect_matrix_level_p2():
                 image = conjugate_by_circuit(circ, PhasedSpinor(0, s))
                 assert image.body in target
                 assert lhs == to_matrix(image).scaled(scale)
+
+
+def seeded_connections(p: int, n: int) -> list[tuple[DecompositionSequence, SymbolicCircuit]]:
+    """n seeded sequences at width p, each with its connector."""
+    rng = random.Random(70 + p)
+    members = list(atlas(p).members())
+    seqs = [random_sequence(qap_of(rng.choice(members)), rng) for _ in range(n)]
+    return [(seq, connect(seq)) for seq in seqs]
+
+
+def exchange_length(seq: DecompositionSequence, q: SymbolicCircuit) -> int:
+    return len(q) - len(build_R(seq.center)) - 1
+
+
+# A lone exchange factor moves part of the diagonal off it, which the center
+# check sees first; a whole exchange step fixes the diagonal as a set, so only
+# the step cell check sees a missing one.
+@pytest.mark.parametrize("dropped, message", [
+    (1, "center onto the diagonal"), (2, "misses the referential cell at step"),
+])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_connect_recheck_catches_dropped_exchange_factors(monkeypatch, p, dropped, message):
+    connections = seeded_connections(p, 20)
+    build_E = transform.build_E
+    monkeypatch.setattr(transform, "build_E",
+                        lambda a, p: SymbolicCircuit(build_E(a, p).factors[:-dropped]))
+    broken = [seq for seq, q in connections if exchange_length(seq, q)]
+    assert len(broken) >= 10
+    for seq in broken:
+        with pytest.raises(InvariantError, match=message):
+            connect(seq)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_connect_catches_a_missing_parity_correction(monkeypatch, p):
+    connections = seeded_connections(p, 20)
+    monkeypatch.setattr(transform, "build_P", lambda images: SymbolicCircuit())
+    broken = [seq for seq, q in connections if q.factors[len(build_R(seq.center))].key]
+    assert len(broken) >= 10
+    for seq in broken:
+        with pytest.raises(InvariantError):
+            connect(seq)
 
 
 def random_label(rng: random.Random, p: int) -> str:
