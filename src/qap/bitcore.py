@@ -191,28 +191,6 @@ def span(generators: Iterable[BitWord], p: Optional[int] = None) -> BitSubgroup:
     return BitSubgroup.span(generators, p)
 
 
-def maximal_subgroups(g: BitSubgroup) -> list[BitSubgroup]:
-    """All index-2 subgroups of g (2^rank - 1 of them), sorted by basis."""
-    k = g.rank
-    if k == 0:
-        return []
-    out = []
-    for f in range(1, 1 << k):
-        # kernel of the coordinate functional f over the basis of g
-        piv = (f & -f).bit_length() - 1
-        kernel_words = []
-        for j in range(k):
-            if j == piv:
-                continue
-            w = g.basis[j].bits
-            if (f >> j) & 1:
-                w ^= g.basis[piv].bits
-            kernel_words.append(BitWord(w, g.p))
-        out.append(BitSubgroup.span(kernel_words, g.p))
-    out.sort(key=lambda s: tuple(b.bits for b in s.basis))
-    return out
-
-
 def solve_affine(constraints: Sequence[tuple[int, int]], p: int) -> Optional[int]:
     """Lexicographically smallest p-bit x with parity(x & row_i) = b_i, or None.
 

@@ -59,12 +59,13 @@ class CartanAtlas:
                 yield CartanSubalgebra.from_basis(self.p, row)
 
     def member(self, i: int) -> CartanSubalgebra:
-        """Member i in members() order."""
+        """Member i in members() order, for 0 <= i < total."""
+        if not 0 <= i < self.total:
+            raise IndexError(f"atlas member {i} out of range 0..{self.total - 1}")
         for keys in self.by_kind.values():
             if i < len(keys):
                 return CartanSubalgebra.from_basis(self.p, keys[i].tolist())
             i -= len(keys)
-        raise IndexError(f"atlas member {i} out of range")
 
 
 def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,13 @@
 matrix realization.  Everything here is integer arithmetic; a failure
 report carries the first witness.
 
-The realization of all 4^p spinors is built once per check and stacked
-into one Gaussian-integer matrix of shape (4^p, 2^p, 2^p), indexed by the
-packed key (alpha << p) | zeta.  The rules under test, spinor's own
-omega, key_product and key_conjugate, run once over the arrays of all key
-pairs, and each check turns into one boolean mask over them.
+Each check realizes all 4^p keys in one call to spinor.realize, a
+Gaussian-integer stack of shape (4^p, 2^p, 2^p) indexed by the packed key
+(alpha << p) | zeta and built factor by factor from the one-qubit
+matrices, never from the rules it checks.  The rules under test,
+spinor's own omega, key_product and key_conjugate, run once over the
+arrays of all key pairs, and each check turns into one boolean mask over
+them.
 
 Every realized spinor matrix is monomial: each row and each column holds
 exactly one nonzero, a unit of Z[i].  That is checked exactly on the dense
@@ -30,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spinor import (
-    GaussianMatrix, Spinor, key_conjugate, key_product, key_self_parity, omega, spinor_of_key,
-    to_matrix,
+    GaussianMatrix, key_conjugate, key_product, key_self_parity, key_text, omega, realize,
 )
 from .transform import BasicTransform, h_matrix
 
@@ -66,17 +67,6 @@ class OracleReport:
         lines = [f"oracle {status}: {self.checks} exact matrix checks"]
         lines += self.failures[:5]
         return "\n".join(lines)
-
-
-def all_spinors(p: int) -> list[Spinor]:
-    """Every spinor of width p; the list index is (alpha << p) | zeta."""
-    return [spinor_of_key(k, p) for k in range(1 << (2 * p))]
-
-
-def _realize(spinors: list[Spinor]) -> GaussianMatrix:
-    """The spinors' matrices, stacked in list order."""
-    mats = [to_matrix(s) for s in spinors]
-    return GaussianMatrix(np.stack([m.re for m in mats]), np.stack([m.im for m in mats]))
 
 
 def _gather(stack: GaussianMatrix, e: np.ndarray, keys: np.ndarray) -> GaussianMatrix:
@@ -163,9 +153,8 @@ def _dense_product_masks(stack, e, body):
 def check_products(p: int, max_failures: int = 1) -> OracleReport:
     """key_product and omega vs exact Kronecker matrices, all pairs; the
     product body must also be the bi-addition x ^ y."""
-    spinors = all_spinors(p)
-    stack = _realize(spinors)
-    keys = np.arange(len(spinors), dtype=np.int64)
+    keys = np.arange(1 << 2 * p, dtype=np.int64)
+    stack = realize(keys, p)
     x, y = keys[:, None], keys[None, :]
     e, body = key_product(x, y, p)
     comm = omega(x, y, p) == 0
@@ -175,8 +164,8 @@ def check_products(p: int, max_failures: int = 1) -> OracleReport:
     anti_bad = ~comm & ~anti_zero
     failures: list[str] = []
     for flat in map(int, np.flatnonzero(~prod_ok | comm_bad | anti_bad | ~sums_ok)):
-        i, j = divmod(flat, len(spinors))
-        s, t = spinors[i], spinors[j]
+        i, j = divmod(flat, len(keys))
+        s, t = key_text(i, p), key_text(j, p)
         if not prod_ok[i, j]:
             failures.append(f"product mismatch at {s} * {t}")
         if comm_bad[i, j]:
@@ -250,20 +239,19 @@ def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     """key_conjugate vs h s h-dagger for every basic transformation and
     spinor, both directions; compared after scaling by 2 to stay within
     the Gaussian integers."""
-    spinors = all_spinors(p)
-    stack = _realize(spinors)
-    keys = np.arange(len(spinors), dtype=np.int64)
-    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(len(spinors))]
+    keys = np.arange(1 << 2 * p, dtype=np.int64)
+    stack = realize(keys, p)
+    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(len(keys))]
     coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrix
     e, out = zip(*(key_conjugate(keys[:, None], inverse, keys[None, :], p)
                    for inverse in (False, True)))
     ok = _conjugation_ok(p, stack, hms, coeff, e, out)
     failures: list[str] = []
     for flat in map(int, np.flatnonzero(~ok)):
-        hk, rest = divmod(flat, 2 * len(spinors))
+        hk, rest = divmod(flat, 2 * len(keys))
         j, f = divmod(rest, 2)
-        h = BasicTransform(hk, p)
-        failures.append(f"conjugation mismatch: {h.inverted() if f else h} on {spinors[j]}")
+        h = BasicTransform(hk, p, bool(f))
+        failures.append(f"conjugation mismatch: {h} on {key_text(j, p)}")
         if len(failures) >= max_failures:
             return OracleReport(False, flat + 1, failures)
     return OracleReport(not failures, ok.size, failures)

@@ -2,9 +2,11 @@
 
 The calculus is four GF(2) rules on packed keys, each written once for a
 Python int or a numpy integer array: omega, key_product, key_self_parity
-and key_conjugate.  A Kronecker-product matrix realization over exact
-Gaussian integers backs every rule as a test oracle; all matrix entries
-stay integral because the only scalars that ever appear are powers of i.
+and key_conjugate.  realize builds the Kronecker-product matrices of a
+whole key array, one tensor position at a time from the four real
+one-qubit factors, over exact Gaussian integers; they back every rule as a
+test oracle, and all matrix entries stay integral because the only scalars
+that ever appear are powers of i.
 """
 
 from __future__ import annotations
@@ -192,15 +194,6 @@ class GaussianMatrix:
             self.re @ other.im + self.im @ other.re,
         )
 
-    def kron(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        (m, n), (r, c) = self.re.shape, other.re.shape
-        a_re, a_im = self.re[:, None, :, None], self.im[:, None, :, None]
-        b_re, b_im = other.re[None, :, None, :], other.im[None, :, None, :]
-        return GaussianMatrix(
-            (a_re * b_re - a_im * b_im).reshape(m * r, n * c),
-            (a_re * b_im + a_im * b_re).reshape(m * r, n * c),
-        )
-
     def dagger(self) -> "GaussianMatrix":
         return GaussianMatrix(self.re.T.copy(), -self.im.T)
 
@@ -236,13 +229,26 @@ class GaussianMatrix:
         return f"GaussianMatrix(re={self.re!r}, im={self.im!r})"
 
 
-_FACTORS = {
-    # (epsilon, a) -> 2x2 factor |0><a| + (-1)^epsilon |1><1+a|
-    (0, 0): GaussianMatrix(np.array([[1, 0], [0, 1]]), np.zeros((2, 2), int)),
-    (1, 0): GaussianMatrix(np.array([[1, 0], [0, -1]]), np.zeros((2, 2), int)),
-    (0, 1): GaussianMatrix(np.array([[0, 1], [1, 0]]), np.zeros((2, 2), int)),
-    (1, 1): GaussianMatrix(np.array([[0, 1], [-1, 0]]), np.zeros((2, 2), int)),
-}
+# _FACTORS[epsilon, a] = |0><a| + (-1)^epsilon |1><1+a|, the one-qubit factor
+# of S[epsilon|a]; all four are real
+_FACTORS = np.array([[[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                     [[[1, 0], [0, -1]], [[0, 1], [-1, 0]]]], dtype=np.int64)
+
+
+def realize(keys, p: int) -> GaussianMatrix:
+    """The Kronecker matrices of a key array (or one int key), stacked along
+    its axes, exact over Z[i]: one step per tensor position from the left,
+    each multiplying in the factor picked by that position's zeta and alpha
+    bits."""
+    if p > ORACLE_MAX_P:
+        raise ValueError(f"matrix oracle capped at p <= {ORACLE_MAX_P}, got {p}")
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.ones(keys.shape + (1, 1), dtype=np.int64)
+    for shift in range(p - 1, -1, -1):
+        f = _FACTORS[(keys >> shift) & 1, (keys >> (p + shift)) & 1]
+        n = 2 * out.shape[-1]
+        out = (out[..., :, None, :, None] * f[..., None, :, None, :]).reshape(*keys.shape, n, n)
+    return GaussianMatrix(out, np.zeros_like(out))
 
 
 def to_matrix(ps: PhasedSpinor | Spinor, hermitian_norm: bool = False) -> GaussianMatrix:
@@ -253,17 +259,5 @@ def to_matrix(ps: PhasedSpinor | Spinor, hermitian_norm: bool = False) -> Gaussi
     """
     if isinstance(ps, Spinor):
         ps = PhasedSpinor(0, ps)
-    s = ps.body
-    p = s.p
-    if p > ORACLE_MAX_P:
-        raise ValueError(f"matrix oracle capped at p <= {ORACLE_MAX_P}, got {p}")
-    out: GaussianMatrix | None = None
-    for pos in range(1, p + 1):
-        eps = (s.zeta.bits >> (p - pos)) & 1
-        a = (s.alpha.bits >> (p - pos)) & 1
-        f = _FACTORS[(eps, a)]
-        out = f if out is None else out.kron(f)
-    if out is None:
-        raise InvariantError("a spinor has at least one tensor factor")
-    k = ps.i_exp + (self_parity(s) if hermitian_norm else 0)
-    return out.times_i_pow(k)
+    k = ps.i_exp + (self_parity(ps.body) if hermitian_norm else 0)
+    return realize(key_of(ps.body), ps.body.p).times_i_pow(k)

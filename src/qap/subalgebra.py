@@ -306,17 +306,6 @@ class BiSubalgebra:
         return f"<BiSubalgebra[{self.flavor}] {{{names}}}>"
 
 
-def bit_type_maximal(c: CartanSubalgebra, sub: BitSubgroup) -> BiSubalgebra:
-    """Elements of c whose binary partitioning lies in a maximal subgroup."""
-    if c.kind == 0:
-        raise ValueError("a 0th-kind subalgebra has no bit-type maximal bi-subalgebra")
-    if sub.rank != c.kind - 1 or not sub.is_subgroup_of(c.alpha_group):
-        raise ValueError("sub must be a maximal subgroup of the alpha group")
-    members = set(sub.member_bits())
-    keep = frozenset(k for k in c.elements.keys if k >> c.p in members)
-    return BiSubalgebra(SpinorSet(c.p, keep), c)
-
-
 def phase_type_generator_keys(
     c: CartanSubalgebra, kernel_sub: BitSubgroup, coset_choice: int
 ) -> list[int]:
@@ -337,22 +326,6 @@ def phase_type_generator_keys(
     for j, g in enumerate(c.generator_keys):
         gen_keys.append(g ^ delta if (coset_choice >> j) & 1 else g)
     return gen_keys
-
-
-def phase_type_maximal(
-    c: CartanSubalgebra, kernel_sub: BitSubgroup, coset_choice: int
-) -> BiSubalgebra:
-    """Bisect c through a maximal subgroup of the diagonal phase strings.
-
-    coset_choice bit j-1 picks, for the j-th canonical generator, which of
-    the two kernel-subcosets of its phase block enters the generating
-    union (0 = the half holding the block's smallest phase).
-    """
-    gen_keys = phase_type_generator_keys(c, kernel_sub, coset_choice)
-    elements = SpinorSet(c.p, _span_keys(gen_keys))
-    if len(elements) != 1 << (c.p - 1):
-        raise InvariantError(f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements")
-    return BiSubalgebra(elements, c)
 
 
 def sqcap(b1: BiSubalgebra, b2: BiSubalgebra) -> BiSubalgebra:

@@ -26,8 +26,8 @@ from .spinor import (
     key_text,
     omega,
     pack,
+    realize,
     spinor_of_key,
-    to_matrix,
 )
 from .subalgebra import CartanSubalgebra, SpinorSet, intrinsic_cartan
 
@@ -48,10 +48,6 @@ class BasicTransform:
         _check_width(self.p)
         if not 0 <= self.key < 1 << (2 * self.p):
             raise ValueError(f"key {self.key:#x} out of range for width {self.p}")
-
-    @property
-    def spinor(self) -> Spinor:
-        return spinor_of_key(self.key, self.p)
 
     @property
     def is_local(self) -> bool:
@@ -155,7 +151,7 @@ def h_matrix(h: BasicTransform) -> GaussianMatrix:
     """sqrt(2) times the unitary of h, exact over the Gaussian integers."""
     n = 1 << h.p
     coeff = 1 + 3 * key_self_parity(h.key, h.p)  # i * (-i)^(zeta.alpha)
-    m = GaussianMatrix.identity(n) + to_matrix(h.spinor).times_i_pow(coeff)
+    m = GaussianMatrix.identity(n) + realize(h.key, h.p).times_i_pow(coeff)
     return m.dagger() if h.inverse else m
 
 

@@ -7,7 +7,9 @@ earlier constructions: bit- and phase-type candidates deduplicated and
 indexed greedily over coset leaders found by a commutant nullspace solve,
 a four-deep search for the anti-commuting product that labels a composite
 pair, one nullspace solve per phase-type generator set, and a generator
-cut for the commuting bi-subalgebra.
+cut for the commuting bi-subalgebra.  The bit- and phase-type
+constructions, and the maximal subgroups they range over, live here
+only; test_bitcore and test_subalgebra check them on worked examples.
 """
 
 from __future__ import annotations
@@ -21,26 +23,26 @@ import pytest
 import qap.subalgebra
 from conftest import atlas
 from qap.bitcore import (
+    BitSubgroup,
     BitWord,
     InvariantError,
     gf2_echelon,
     gf2_nullspace,
     gf2_reduce,
-    maximal_subgroups,
 )
 from qap.partition import build_qap
 from qap.spinor import Spinor, bi_add, commutes
 from qap.subalgebra import (
+    BiSubalgebra,
     CartanSubalgebra,
+    SpinorSet,
     all_maximal,
-    bit_type_maximal,
     commuting_bisubalgebra,
     intrinsic_cartan,
     key_of,
     omega,
     parse_label,
     phase_type_generator_keys,
-    phase_type_maximal,
     spinor_of_key,
     swap_key,
 )
@@ -52,6 +54,55 @@ def span_keys(gen_keys) -> frozenset[int]:
     for g in gf2_echelon(gen_keys):
         vals += [v ^ g for v in vals]
     return frozenset(vals)
+
+
+def maximal_subgroups(g: BitSubgroup) -> list[BitSubgroup]:
+    """All index-2 subgroups of g (2^rank - 1 of them), sorted by basis."""
+    k = g.rank
+    if k == 0:
+        return []
+    out = []
+    for f in range(1, 1 << k):
+        # kernel of the coordinate functional f over the basis of g
+        piv = (f & -f).bit_length() - 1
+        kernel_words = []
+        for j in range(k):
+            if j == piv:
+                continue
+            w = g.basis[j].bits
+            if (f >> j) & 1:
+                w ^= g.basis[piv].bits
+            kernel_words.append(BitWord(w, g.p))
+        out.append(BitSubgroup.span(kernel_words, g.p))
+    out.sort(key=lambda s: tuple(b.bits for b in s.basis))
+    return out
+
+
+def bit_type_maximal(c: CartanSubalgebra, sub: BitSubgroup) -> BiSubalgebra:
+    """Elements of c whose binary partitioning lies in a maximal subgroup."""
+    if c.kind == 0:
+        raise ValueError("a 0th-kind subalgebra has no bit-type maximal bi-subalgebra")
+    if sub.rank != c.kind - 1 or not sub.is_subgroup_of(c.alpha_group):
+        raise ValueError("sub must be a maximal subgroup of the alpha group")
+    members = set(sub.member_bits())
+    keep = frozenset(k for k in c.elements.keys if k >> c.p in members)
+    return BiSubalgebra(SpinorSet(c.p, keep), c)
+
+
+def phase_type_maximal(
+    c: CartanSubalgebra, kernel_sub: BitSubgroup, coset_choice: int
+) -> BiSubalgebra:
+    """Bisect c through a maximal subgroup of the diagonal phase strings.
+
+    coset_choice bit j-1 picks, for the j-th canonical generator, which of
+    the two kernel-subcosets of its phase block enters the generating
+    union (0 = the half holding the block's smallest phase).
+    """
+    gen_keys = phase_type_generator_keys(c, kernel_sub, coset_choice)
+    elements = SpinorSet(c.p, span_keys(gen_keys))
+    if len(elements) != 1 << (c.p - 1):
+        raise InvariantError(f"a bi-subalgebra of {c.label} must hold 2^(p-1) elements")
+    return BiSubalgebra(elements, c)
 
 
 def commutant_rows(gen_keys, p):

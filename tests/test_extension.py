@@ -582,6 +582,14 @@ def test_members_round_trip_through_label_and_element_set(p):
         assert CartanSubalgebra(c.elements) == c, c.label
 
 
+@pytest.mark.parametrize("i", [-1, -2, 15, 16])
+def test_a_member_index_outside_the_atlas_names_itself(i):
+    """At p = 2 the atlas has 15 members; -1 used to return member 0, and
+    15 was reported as member 0."""
+    with pytest.raises(IndexError, match=rf"^atlas member {i} out of range 0\.\.14$"):
+        atlas(2).member(i)
+
+
 def test_enumeration_and_classification_build_no_element_set():
     a = enumerate_all(4)
     classify_local(a)

@@ -11,13 +11,11 @@ import pytest
 import qap.oracle as oracle
 import qap.spinor
 import qap.transform
-from qap.oracle import (
-    OracleReport,
-    all_spinors,
-    check_conjugations,
-    check_products,
+from qap.bitcore import BitWord
+from qap.oracle import OracleReport, check_conjugations, check_products, run_oracle
+from qap.spinor import (
+    GaussianMatrix, PhasedSpinor, Spinor, bi_add, commutes, key_of, product, spinor_of_key,
 )
-from qap.spinor import GaussianMatrix, PhasedSpinor, Spinor, bi_add, commutes, key_of, product
 from qap.transform import BasicTransform, conjugate, h_matrix
 
 S = Spinor.parse
@@ -26,19 +24,30 @@ S = Spinor.parse
 # ---------------------------------------------------------------------------
 # reference: one pair at a time, every matrix rebuilt where it is used.  The
 # Spinor-level rules read the key rules of qap.spinor and qap.transform, and
-# the realization is read through the qap.oracle module, so a fault planted
-# there reaches both sides.
+# the realization is read one key at a time through the qap.oracle module's
+# realize, so a fault planted there reaches both sides.
+
+
+def all_spinors(p: int) -> list[Spinor]:
+    """Every spinor of width p; the list index is (alpha << p) | zeta."""
+    return [spinor_of_key(k, p) for k in range(1 << (2 * p))]
+
+
+def matrix(ps: PhasedSpinor | Spinor) -> GaussianMatrix:
+    """One (phased) spinor's matrix, realized through the oracle's binding."""
+    ps = ps if isinstance(ps, PhasedSpinor) else PhasedSpinor(0, ps)
+    return oracle.realize(key_of(ps.body), ps.body.p).times_i_pow(ps.i_exp)
 
 
 def reference_products(p: int, max_failures: int = 1) -> OracleReport:
     spinors = all_spinors(p)
-    mats = {s: oracle.to_matrix(s) for s in spinors}
+    mats = {s: matrix(s) for s in spinors}
     checks = 0
     failures: list[str] = []
     for s, t in itertools.product(spinors, repeat=2):
         checks += 1
         lhs = mats[s] @ mats[t]
-        if lhs != oracle.to_matrix(product(s, t)):
+        if lhs != matrix(product(s, t)):
             failures.append(f"product mismatch at {s} * {t}")
         st, ts = lhs, mats[t] @ mats[s]
         if commutes(s, t) != (st - ts).is_zero:
@@ -64,9 +73,9 @@ def reference_conjugations(p: int, max_failures: int = 1) -> OracleReport:
             for factor in (h, h.inverted()):
                 checks += 1
                 out = conjugate(factor, PhasedSpinor(0, s))
-                m = oracle.to_matrix(s)
+                m = matrix(s)
                 lhs = (hd @ m) @ hm if factor.inverse else (hm @ m) @ hd
-                if lhs != oracle.to_matrix(out).scaled(2):
+                if lhs != matrix(out).scaled(2):
                     failures.append(f"conjugation mismatch: {factor} on {s}")
                     if len(failures) >= max_failures:
                         return OracleReport(False, checks, failures)
@@ -141,39 +150,35 @@ def inject_conjugate_phase(monkeypatch, h0: Spinor, s0: Spinor) -> None:
 
 
 def inject_matrix_entry(monkeypatch, target: Spinor) -> None:
-    """One entry of one spinor's matrix is off by one; a phased argument gets
-    i^k times the corrupted matrix, as the realization is linear in phase."""
-    real = oracle.to_matrix
+    """One entry of target's matrix is off by one wherever the oracle
+    realizes it, in its stack and in the reference alike; h_matrix keeps
+    its own binding, so only the stack disagrees with it."""
+    real = oracle.realize
 
-    def to_matrix(ps):
-        ps = ps if isinstance(ps, PhasedSpinor) else PhasedSpinor(0, ps)
-        m = real(ps.body)
-        if ps.body == target:
-            m.re[0, -1] += 1
-        return m.times_i_pow(ps.i_exp)
+    def realize(keys, p):
+        m = real(keys, p)
+        m.re[..., 0, -1] += np.asarray(keys) == key_of(target)
+        return m
 
-    monkeypatch.setattr(oracle, "to_matrix", to_matrix)
+    monkeypatch.setattr(oracle, "realize", realize)
 
 
 def sign_fault(target: Spinor, real):
     """real with the nonzero entry in row 0 of target's matrix negated: the
     matrix stays monomial, so the oracle's fast path must catch it."""
-    def to_matrix(ps, hermitian_norm=False):
-        m = real(ps, hermitian_norm)
-        body = ps.body if isinstance(ps, PhasedSpinor) else ps
-        if body != target:
-            return m
-        sign = np.ones((len(m.re), 1), dtype=np.int64)
-        sign[0] = -1
+    def realize(keys, p):
+        m = real(keys, p)
+        sign = np.ones(m.re.shape[:-1] + (1,), dtype=np.int64)
+        sign[..., 0, :] -= 2 * (np.asarray(keys) == key_of(target))[..., None]
         return GaussianMatrix(sign * m.re, sign * m.im)
 
-    return to_matrix
+    return realize
 
 
 def inject_matrix_sign(monkeypatch, target: Spinor) -> None:
-    """The sign fault wherever a qap module binds to_matrix, so h_matrix
+    """The sign fault wherever a qap module binds realize, so h_matrix
     realizes h from the same faulted matrix as the oracle's stack."""
-    plant(monkeypatch, "to_matrix", lambda real: sign_fault(target, real))
+    plant(monkeypatch, "realize", lambda real: sign_fault(target, real))
 
 
 FAULTS = {
@@ -279,11 +284,11 @@ def test_only_a_realization_fault_takes_the_dense_path(monkeypatch, fault, dense
 @pytest.mark.parametrize("max_failures", [1, 3])
 @pytest.mark.parametrize("p", [1, 2])
 def test_an_h_matrix_fault_fails_the_conjugation_check(monkeypatch, p, max_failures):
-    """h_matrix realizes h from its own to_matrix binding; faulted there
+    """h_matrix realizes h from its own realize binding; faulted there
     alone, it disagrees with the stack, and the oracle reports the
     reference's witness."""
     target = _pair(p)[0]
-    monkeypatch.setattr(qap.transform, "to_matrix", sign_fault(target, qap.transform.to_matrix))
+    monkeypatch.setattr(qap.transform, "realize", sign_fault(target, qap.transform.realize))
     assert check_products(p) == OracleReport(True, 16**p)
     report = check_conjugations(p, max_failures)
     assert not report.ok and report.failures
@@ -291,7 +296,7 @@ def test_an_h_matrix_fault_fails_the_conjugation_check(monkeypatch, p, max_failu
 
 
 def test_the_monomial_form_needs_units_in_a_permutation_pattern():
-    stack = oracle._realize(all_spinors(2))
+    stack = oracle.realize(np.arange(16), 2)
     col, ph = oracle._monomial(stack)
     rows = np.arange(4)
     for k in range(16):
@@ -302,3 +307,17 @@ def test_the_monomial_form_needs_units_in_a_permutation_pattern():
     repeated = GaussianMatrix(stack.re.copy(), stack.im.copy())
     repeated.re[5, 0], repeated.im[5, 0] = stack.re[5, 1], stack.im[5, 1]
     assert oracle._monomial(doubled) is None and oracle._monomial(repeated) is None
+
+
+def test_a_passing_oracle_builds_no_word_objects_and_one_stack_per_check(monkeypatch):
+    """Each check realizes the 4^p keys in one call and prints its witnesses
+    from keys, so a pass constructs no BitWord and no Spinor."""
+    made = []
+    for cls in (BitWord, Spinor):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: made.append(self) or real(self))
+    stacks = []
+    realize = oracle.realize
+    monkeypatch.setattr(oracle, "realize", lambda keys, p: stacks.append(keys.tolist()) or realize(keys, p))
+    assert run_oracle(2) == OracleReport(True, 3 * 16**2)
+    assert made == [] and stacks == [list(range(16))] * 2

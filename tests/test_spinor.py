@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -21,6 +22,7 @@ from qap.spinor import (
     key_texts,
     omega,
     product,
+    realize,
     self_parity,
     to_matrix,
 )
@@ -131,13 +133,24 @@ def test_writing_into_a_matrix_leaves_later_realizations_alone():
     assert to_matrix(S("0", "1")) == GaussianMatrix(np.array([[0, 1], [1, 0]]), np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((4, 2), (2, 8)), ((1, 3), (4, 1))])
-def test_kron_matches_numpy_kron(shapes):
-    rng = np.random.default_rng(7)
-    a, b = (GaussianMatrix(*rng.integers(-3, 4, size=(2, *shape))) for shape in shapes)
-    want_re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
-    want_im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
-    assert a.kron(b) == GaussianMatrix(want_re, want_im)
+# the one-qubit factor of S[epsilon|a]: |0><a| + (-1)^epsilon |1><1+a|
+ONE_QUBIT = {
+    (0, 0): np.array([[1, 0], [0, 1]]),
+    (1, 0): np.array([[1, 0], [0, -1]]),
+    (0, 1): np.array([[0, 1], [1, 0]]),
+    (1, 1): np.array([[0, 1], [-1, 0]]),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_realize_matches_numpy_kron_folded_over_the_factors(p):
+    stack = realize(np.arange(1 << (2 * p)), p)
+    assert stack.re.shape == (4**p, 2**p, 2**p) and not stack.im.any()
+    for key in range(4**p):
+        z, a = key & ((1 << p) - 1), key >> p
+        bits = [((z >> (p - pos)) & 1, (a >> (p - pos)) & 1) for pos in range(1, p + 1)]
+        assert np.array_equal(stack.re[key], functools.reduce(np.kron, [ONE_QUBIT[b] for b in bits]))
+        assert realize(key, p) == GaussianMatrix(stack.re[key], stack.im[key])
 
 
 def test_hermitian_norm_makes_hermitian():

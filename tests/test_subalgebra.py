@@ -12,7 +12,6 @@ from qap.subalgebra import (
     CartanSubalgebra,
     SpinorSet,
     all_maximal,
-    bit_type_maximal,
     build_kth_kind,
     commuting_bisubalgebra,
     dual_map,
@@ -20,9 +19,9 @@ from qap.subalgebra import (
     intrinsic_cartan,
     is_cartan,
     parse_label,
-    phase_type_maximal,
     sqcap,
 )
+from test_coset_construction import bit_type_maximal, maximal_subgroups, phase_type_maximal
 
 S = Spinor.make
 W = BitWord.parse
@@ -198,8 +197,6 @@ def test_phase_type_rejects_bad_kernel():
 def test_phase_type_count(label):
     c = parse_label(label)
     p, k = c.p, c.kind
-    from qap.bitcore import maximal_subgroups
-
     seen = set()
     for kernel in maximal_subgroups(c.diag_phase_group):
         for choice in range(1 << k):
