@@ -10,8 +10,8 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import extension, oracle, partition, transform
@@ -46,16 +46,7 @@ TABLE_ALIASES = {
 DEFAULT_P, DEFAULT_SEED, DEFAULT_N = 3, 0, 100
 
 
-@dataclass
-class RunConfig:
-    p: Optional[int] = DEFAULT_P  # None: a label command takes p from its label
-    fmt: str = "text"
-    seed: Optional[int] = None  # None: not given, a sampling command uses DEFAULT_SEED
-    out: Optional[str] = None
-    n: Optional[int] = None  # None: not given, a sampling command uses DEFAULT_N
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     """Write the output to stdout or the --out file; a failed write or
     close, such as on a full disk, is a usage error."""
     text = text if text.endswith("\n") else text + "\n"
@@ -101,7 +92,7 @@ def _guard(command: str, p: int) -> None:
         raise SystemExit2(f"{command} is guarded to 1 <= p <= {GUARDS[command]}")
 
 
-def _trials(cfg: RunConfig) -> tuple[int, int]:
+def _trials(cfg: argparse.Namespace) -> tuple[int, int]:
     """(--n, --seed) with their defaults filled in; --n must be at least 1."""
     n = DEFAULT_N if cfg.n is None else cfg.n
     if n < 1:
@@ -122,10 +113,13 @@ def _resolve_label(text: str, p: Optional[int]) -> CartanSubalgebra:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed namespace, which carries p (None only
+# for a label command given no --p: it takes p from its label) and out, fmt
+# where it prints more than one form, and seed and n (None where not given)
+# where it samples
 
 
-def cmd_count(cfg: RunConfig) -> int:
+def cmd_count(cfg: argparse.Namespace) -> int:
     _guard("count", cfg.p)
     atlas = enumerate_all(cfg.p)  # raises if enumeration != closed form
     enumerated = [len(atlas.by_kind[k]) for k in range(cfg.p + 1)]
@@ -139,37 +133,37 @@ def cmd_count(cfg: RunConfig) -> int:
     return PASS
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(cfg: argparse.Namespace) -> int:
     _guard("enumerate", cfg.p)
     atlas = enumerate_all(cfg.p)
     _emit(cfg, extension.atlas_jsonl(atlas))
     return PASS
 
 
-def cmd_table(cfg: RunConfig, label: str) -> int:
-    c = _resolve_label(label, cfg.p)
+def cmd_table(cfg: argparse.Namespace) -> int:
+    c = _resolve_label(cfg.label, cfg.p)
     _guard("table", c.p)
     _emit(cfg, render_table(build_qap(c)))
     return PASS
 
 
-def cmd_qap(cfg: RunConfig, label: str) -> int:
-    c = _resolve_label(label, cfg.p)
+def cmd_qap(cfg: argparse.Namespace) -> int:
+    c = _resolve_label(cfg.label, cfg.p)
     _guard("qap", c.p)
     q = build_qap(c)
     _emit(cfg, qap_to_json(q) if cfg.fmt == "json" else render_table(q))
     return PASS
 
 
-def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
-    c = _resolve_label(label, cfg.p)
+def cmd_coqa(cfg: argparse.Namespace) -> int:
+    c = _resolve_label(cfg.label, cfg.p)
     _guard("coqa", c.p)
     q = build_qap(c)
-    try:
-        b_part, e_part = cell.split("/")
-        key = (int(b_part.split(":")[1]), int(e_part.split(":")[1]))
-    except (ValueError, IndexError):
+    cell = cfg.cell
+    parts = re.fullmatch(r"B:([0-9]+)/eps:([01])", cell)
+    if parts is None:
         raise SystemExit2(f"cannot parse cell {cell!r}; expected B:<i>/eps:<0|1>")
+    key = (int(parts[1]), int(parts[2]))
     if key not in q.cells:
         raise SystemExit2(f"no cell {cell!r} at p={c.p}; expected 0 <= i < {1 << c.p}, eps 0 or 1")
     if key[0] == 0:
@@ -188,7 +182,7 @@ def cmd_coqa(cfg: RunConfig, label: str, cell: str) -> int:
     return PASS
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     _guard("verify", cfg.p)
     n, seed = _trials(cfg)
     if cfg.p <= 3 and (cfg.n is not None or cfg.seed is not None):
@@ -217,14 +211,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return PASS
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: argparse.Namespace) -> int:
     _guard("oracle", cfg.p)
     report = oracle.run_oracle(cfg.p)
     _emit(cfg, str(report))
     return PASS if report.ok else FAIL
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: argparse.Namespace) -> int:
     _guard("classify", cfg.p)
     atlas = enumerate_all(cfg.p)
     sizes = extension.class_sizes(atlas)
@@ -239,7 +233,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     return PASS if ok else FAIL
 
 
-def cmd_connect(cfg: RunConfig) -> int:
+def cmd_connect(cfg: argparse.Namespace) -> int:
     _guard("connect", cfg.p)
     n, seed = _trials(cfg)
     atlas = enumerate_all(cfg.p)
@@ -261,8 +255,8 @@ def cmd_connect(cfg: RunConfig) -> int:
     return PASS
 
 
-def cmd_lift(cfg: RunConfig, label: str) -> int:
-    c = _resolve_label(label, cfg.p)
+def cmd_lift(cfg: argparse.Namespace) -> int:
+    c = _resolve_label(cfg.label, cfg.p)
     _guard("lift", c.p)
     circuit, lifted = extension.local_lift(c)
     payload = {
@@ -290,8 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, label_arg: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, run: Callable[[argparse.Namespace], int], help_text: str,
+            label_arg: bool = False) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run)
         if label_arg:
             sp.add_argument("label", help="Cartan label, e.g. C^{110}_{[001,100]}")
         sp.add_argument(
@@ -301,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"word width (default {DEFAULT_P}); a label command checks it against the label",
         )
         sp.add_argument("--out", default=None)
-        sp.set_defaults(fmt="text", seed=None, n=None)  # RunConfig reads all three
         return sp
 
     # --format only where a command prints more than one form, --seed and
@@ -315,46 +310,36 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=None,
                         help=f"trial count for randomized audits (default {DEFAULT_N})")
 
-    formats(add("count", "Cartan subalgebra counts by kind, enumeration vs closed form"),
+    formats(add("count", cmd_count, "Cartan subalgebra counts by kind, enumeration vs closed form"),
             "text", "json", "csv")
-    add("enumerate", "export the full atlas as JSON lines")
-    add("table", "render the quotient-algebra table for a label", label_arg=True)
-    formats(add("qap", "dump the partition cells for a label", label_arg=True), "text", "json")
-    coqa = add("coqa", "re-pair the partition around a conditioned subspace", label_arg=True)
+    add("enumerate", cmd_enumerate, "export the full atlas as JSON lines")
+    add("table", cmd_table, "render the quotient-algebra table for a label", label_arg=True)
+    formats(add("qap", cmd_qap, "dump the partition cells for a label", label_arg=True),
+            "text", "json")
+    coqa = add("coqa", cmd_coqa, "re-pair the partition around a conditioned subspace",
+               label_arg=True)
     coqa.add_argument("--cell", required=True, help="center cell, e.g. B:1/eps:1")
-    sampling(add("verify", "closure verification across partitions"))
-    add("oracle", "exact matrix-oracle self-test")
-    formats(add("classify", "local-equivalence classes of the atlas"), "text", "json")
-    sampling(add("connect", "randomized connector audits"))
-    formats(add("lift", "local lift of a label to the top kind", label_arg=True), "text", "json")
+    sampling(add("verify", cmd_verify, "closure verification across partitions"))
+    add("oracle", cmd_oracle, "exact matrix-oracle self-test")
+    formats(add("classify", cmd_classify, "local-equivalence classes of the atlas"), "text", "json")
+    sampling(add("connect", cmd_connect, "randomized connector audits"))
+    formats(add("lift", cmd_lift, "local lift of a label to the top kind", label_arg=True),
+            "text", "json")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return USAGE if exc.code not in (0, None) else PASS
-    p = args.p if args.p is not None or "label" in args else DEFAULT_P
-    cfg = RunConfig(p=p, fmt=args.fmt, seed=args.seed, out=args.out, n=args.n)
-    handlers: dict[str, Callable[[], int]] = {
-        "count": lambda: cmd_count(cfg),
-        "enumerate": lambda: cmd_enumerate(cfg),
-        "table": lambda: cmd_table(cfg, args.label),
-        "qap": lambda: cmd_qap(cfg, args.label),
-        "coqa": lambda: cmd_coqa(cfg, args.label, args.cell),
-        "verify": lambda: cmd_verify(cfg),
-        "oracle": lambda: cmd_oracle(cfg),
-        "classify": lambda: cmd_classify(cfg),
-        "connect": lambda: cmd_connect(cfg),
-        "lift": lambda: cmd_lift(cfg, args.label),
-    }
+    if cfg.p is None and "label" not in cfg:
+        cfg.p = DEFAULT_P
     probed = bool(cfg.out) and not os.path.lexists(cfg.out)
     try:
         if cfg.out:
             _open_out(cfg.out, "a").close()
-        return handlers[args.command]()
+        return cfg.run(cfg)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -11,19 +11,18 @@ arrays of all key pairs, and each check turns into one boolean mask over
 them.
 
 Every realized spinor matrix is monomial: each row and each column holds
-exactly one nonzero, a unit of Z[i].  That is checked exactly on the dense
-stack, which is then read as col[k, r], the column of the nonzero in row
-r, and ph[k, r], its power of i.  A product of two monomial matrices is a
-gather of col plus an addition of ph mod 4, with no multiply, so the
-products run over all pairs at once.  A conjugation reads
+exactly one nonzero, a unit of Z[i].  That is checked exactly on the
+realized stack, which is then read as col[k, r], the column of the
+nonzero in row r, and ph[k, r], its power of i.  A product of two
+monomial matrices is a gather of col plus an addition of ph mod 4, with no
+multiply, so the products run over all pairs at once.  A conjugation reads
 sqrt(2) h = I + i^c S_h (checked against h_matrix for every h), so each
-sandwich is four monomial terms; they are added into a dense integer
+sandwich is four monomial terms; they are added into one integer
 accumulator per (h, spinor) together with -2 i^e S_out, and must cancel.
 
 A stack that is not monomial, or an h_matrix that disagrees with it, is a
-realization fault.  The same masks are then computed by dense int64
-products of the stacked matrices, so both paths feed one witness loop and
-report the same checks and failure texts."""
+realization fault: the check compares no rule and reports the matrix at
+fault as its one failure, with 0 checks."""
 
 from __future__ import annotations
 
@@ -37,10 +36,6 @@ from .spinor import (
 from .transform import BasicTransform, h_matrix
 
 ORACLE_GUARD_P = 4
-
-# i^k = _I_RE[k] + i·_I_IM[k]
-_I_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-_I_IM = np.array([0, 1, 0, -1], dtype=np.int64)
 
 # i^k as one accumulator cell, re + 16 im
 _CELL = np.array([1, 16, -1, -16], dtype=np.int16)
@@ -69,36 +64,37 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _gather(stack: GaussianMatrix, e: np.ndarray, keys: np.ndarray) -> GaussianMatrix:
-    """i^e times the stacked matrix of each key, in key order."""
-    c, s = _I_RE[e % 4][..., None, None], _I_IM[e % 4][..., None, None]
-    re, im = stack.re[keys], stack.im[keys]
-    return GaussianMatrix(c * re - s * im, s * re + c * im)
+def _realization_fault(text: str) -> OracleReport:
+    return OracleReport(False, 0, [f"realization fault: {text}"])
 
 
-def _equal(a: GaussianMatrix, b: GaussianMatrix) -> np.ndarray:
-    return ((a.re == b.re) & (a.im == b.im)).all(axis=(-2, -1))
-
-
-def _is_zero(a: GaussianMatrix) -> np.ndarray:
-    return ~(a.re.any(axis=(-2, -1)) | a.im.any(axis=(-2, -1)))
+def _report(bad: np.ndarray, texts, max_failures: int) -> OracleReport:
+    """The witnesses of the flagged checks in order, texts(flat) naming
+    those of one flat index; a run stopped at max_failures counts the
+    checks up to the one that stopped it."""
+    failures: list[str] = []
+    for flat in map(int, np.flatnonzero(bad)):
+        failures += texts(flat)
+        if len(failures) >= max_failures:
+            return OracleReport(False, flat + 1, failures)
+    return OracleReport(not failures, bad.size, failures)
 
 
 # ---------------------------------------------------------------------------
 # monomial form: a matrix is (col, ph), row r holding i^ph[r] in column col[r]
 
 
-def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """(col, ph) of every stacked matrix, or None unless each one has exactly
-    one nonzero per row and per column and that nonzero is 1, i, -1 or -i."""
+def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | int:
+    """(col, ph) of every stacked matrix if each one has exactly one nonzero
+    per row and per column and that nonzero is 1, i, -1 or -i; otherwise
+    the index of the first matrix that does not."""
     nonzero = (stack.re != 0) | (stack.im != 0)
-    if not ((nonzero.sum(axis=-1) == 1).all() and (nonzero.sum(axis=-2) == 1).all()):
-        return None
     col = nonzero.argmax(axis=-1)
     re = np.take_along_axis(stack.re, col[..., None], -1)[..., 0]
     im = np.take_along_axis(stack.im, col[..., None], -1)[..., 0]
-    if not (np.abs(re) + np.abs(im) == 1).all():
-        return None
+    unit = (nonzero.sum(axis=-1) == 1) & (nonzero.sum(axis=-2) == 1) & (np.abs(re) + np.abs(im) == 1)
+    if not unit.all():
+        return int(np.argmin(unit.all(axis=-1)))
     # int8 keeps the pair arrays small: a column is below 2^p, and a phase
     # sum of at most three factors stays below 10 until it is taken mod 4
     return col.astype(np.int8), np.where(re != 0, 1 - re, 2 - im).astype(np.int8)
@@ -122,61 +118,38 @@ def _dagger(m: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 # products
 
 
-def _product_masks(stack, e, body):
-    """(product ok, commutator zero, anti-commutator zero) for every pair
-    (x, y): S_x S_y against i^e S_body, and S_x S_y -/+ S_y S_x."""
-    mono = _monomial(stack)
-    if mono is None:
-        return _dense_product_masks(stack, e, body)
-    col, ph = mono
-    s, t = (col[:, None], ph[:, None]), (col[None], ph[None])
-    st_col, st_ph = _times(s, t)
-    ts_col, ts_ph = _times(t, s)
-    prod_ok = (st_col == col[body]) & ((st_ph - ph[body] - e[..., None]) % 4 == 0)
-    same, d = st_col == ts_col, (st_ph - ts_ph) % 4
-    return prod_ok.all(-1), (same & (d == 0)).all(-1), (same & (d == 2)).all(-1)
-
-
-def _dense_product_masks(stack, e, body):
-    """The masks of _product_masks from dense products, one left key at a
-    time; exact for any stack."""
-    n_keys = len(body)
-    prod_ok, comm_zero, anti_zero = (np.empty((n_keys, n_keys), dtype=bool) for _ in range(3))
-    for x in range(n_keys):
-        m = GaussianMatrix(stack.re[x], stack.im[x])
-        st, ts = m @ stack, stack @ m
-        prod_ok[x] = _equal(st, _gather(stack, e[x], body[x]))
-        comm_zero[x], anti_zero[x] = _is_zero(st - ts), _is_zero(st + ts)
-    return prod_ok, comm_zero, anti_zero
-
-
 def check_products(p: int, max_failures: int = 1) -> OracleReport:
     """key_product and omega vs exact Kronecker matrices, all pairs; the
     product body must also be the bi-addition x ^ y."""
     keys = np.arange(1 << 2 * p, dtype=np.int64)
-    stack = realize(keys, p)
+    mono = _monomial(realize(keys, p))
+    if isinstance(mono, int):
+        return _realization_fault(f"{key_text(mono, p)} is not a monomial matrix")
+    col, ph = mono
     x, y = keys[:, None], keys[None, :]
     e, body = key_product(x, y, p)
+    # S_x S_y against i^e S_body, and S_x S_y -/+ S_y S_x
+    mx, my = (col[:, None], ph[:, None]), (col[None], ph[None])
+    st_col, st_ph = _times(mx, my)
+    ts_col, ts_ph = _times(my, mx)
+    prod_ok = ((st_col == col[body]) & ((st_ph - ph[body] - e[..., None]) % 4 == 0)).all(-1)
+    same, d = st_col == ts_col, (st_ph - ts_ph) % 4
     comm = omega(x, y, p) == 0
+    comm_bad = comm != (same & (d == 0)).all(-1)
+    anti_bad = ~comm & ~(same & (d == 2)).all(-1)
     sums_ok = body == (x ^ y)
-    prod_ok, comm_zero, anti_zero = _product_masks(stack, e, body)
-    comm_bad = comm != comm_zero
-    anti_bad = ~comm & ~anti_zero
-    failures: list[str] = []
-    for flat in map(int, np.flatnonzero(~prod_ok | comm_bad | anti_bad | ~sums_ok)):
+
+    def texts(flat: int) -> list[str]:
         i, j = divmod(flat, len(keys))
         s, t = key_text(i, p), key_text(j, p)
-        if not prod_ok[i, j]:
-            failures.append(f"product mismatch at {s} * {t}")
-        if comm_bad[i, j]:
-            failures.append(f"commutation mismatch at {s}, {t}")
-        if anti_bad[i, j]:
-            failures.append(f"anti-commutator does not vanish at {s}, {t}")
-        if not sums_ok[i, j]:
-            failures.append(f"bi_add disagrees with the product body at {s}, {t}")
-        if len(failures) >= max_failures:
-            return OracleReport(False, flat + 1, failures)
-    return OracleReport(not failures, prod_ok.size, failures)
+        return [text for bad, text in (
+            (not prod_ok[i, j], f"product mismatch at {s} * {t}"),
+            (comm_bad[i, j], f"commutation mismatch at {s}, {t}"),
+            (anti_bad[i, j], f"anti-commutator does not vanish at {s}, {t}"),
+            (not sums_ok[i, j], f"bi_add disagrees with the product body at {s}, {t}"),
+        ) if bad]
+
+    return _report(~prod_ok | comm_bad | anti_bad | ~sums_ok, texts, max_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +161,7 @@ def _sandwich_zero(s, left, right, c, target):
     (axis 0) and every spinor x (axis 1)?  With R the conjugate transpose
     of L, the left side is one direction of the sandwich h S_x h-dagger
     scaled by 2.  Its four monomial terms, and the target twice with its
-    sign flipped, are added into one dense accumulator per (h, x).  A cell
+    sign flipped, are added into one accumulator per (h, x).  A cell
     holds re + 16 im, and |re|, |im| <= 6, so it is zero only when both
     parts are."""
     ls, sr = _times(left, s), _times(s, right)
@@ -202,15 +175,30 @@ def _sandwich_zero(s, left, right, c, target):
     return ~acc.reshape(*rows.shape[:2], -1).any(-1)
 
 
-def _conjugation_ok(p, stack, hms, coeff, e, out):
-    """ok[h, x, f]: direction f of h conjugates S_x as its matrix sandwich
-    does, from the monomial form when the stack and every h_matrix allow."""
-    n_keys = len(hms)
+def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
+    """key_conjugate vs h s h-dagger for every basic transformation and
+    spinor, both directions; compared after scaling by 2 to stay within
+    the Gaussian integers."""
+    keys = np.arange(1 << 2 * p, dtype=np.int64)
+    n_keys = len(keys)
+    stack = realize(keys, p)
     mono = _monomial(stack)
-    h_dense = GaussianMatrix(np.stack([m.re for m in hms]), np.stack([m.im for m in hms]))
-    from_stack = _gather(stack, coeff, np.arange(n_keys)) + GaussianMatrix.identity(1 << p)
-    if mono is None or not _equal(h_dense, from_stack).all():
-        return _dense_conjugation_ok(stack, hms, e, out)
+    if isinstance(mono, int):
+        return _realization_fault(f"{key_text(mono, p)} is not a monomial matrix")
+    coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrix
+    # i^c S_h is S_h where the self parity is odd (c = 4), and -im + i re
+    # where it is even (c = 1)
+    odd = (coeff == 4)[:, None, None]
+    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(n_keys)]
+    eye = np.eye(1 << p, dtype=np.int64)
+    agree = ((np.stack([m.re for m in hms]) == eye + np.where(odd, stack.re, -stack.im))
+             & (np.stack([m.im for m in hms]) == np.where(odd, stack.im, stack.re))).all(axis=(1, 2))
+    if not agree.all():
+        hk = int(np.argmin(agree))
+        return _realization_fault(f"sqrt(2) {BasicTransform(hk, p)} is not I + i^c {key_text(hk, p)}")
+    e, out = zip(*(key_conjugate(keys[:, None], inverse, keys[None, :], p)
+                   for inverse in (False, True)))
+    # ok[h, x, f]: direction f of h conjugates S_x as its matrix sandwich does
     col, ph = mono
     s, dagger = (col[None], ph[None]), _dagger(mono)
     ok = np.empty((n_keys, n_keys, 2), dtype=bool)
@@ -221,43 +209,18 @@ def _conjugation_ok(p, stack, hms, coeff, e, out):
             left, right = ((m_col[hs, None], m_ph[hs, None]) for m_col, m_ph in (left, right))
             target = (col[out[f][hs]], ph[out[f][hs]] + e[f][hs, :, None])
             ok[hs, :, f] = _sandwich_zero(s, left, right, c[hs, None, None], target)
-    return ok
 
-
-def _dense_conjugation_ok(stack, hms, e, out):
-    """The mask of _conjugation_ok from dense sandwiches, one h at a time;
-    exact for any stack and any h_matrix."""
-    ok = np.empty((len(hms), len(hms), 2), dtype=bool)
-    for hk, hm in enumerate(hms):
-        hd = hm.dagger()
-        for f, lhs in enumerate(((hm @ stack) @ hd, (hd @ stack) @ hm)):
-            ok[hk, :, f] = _equal(lhs, _gather(stack, e[f][hk], out[f][hk]).scaled(2))
-    return ok
-
-
-def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
-    """key_conjugate vs h s h-dagger for every basic transformation and
-    spinor, both directions; compared after scaling by 2 to stay within
-    the Gaussian integers."""
-    keys = np.arange(1 << 2 * p, dtype=np.int64)
-    stack = realize(keys, p)
-    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(len(keys))]
-    coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrix
-    e, out = zip(*(key_conjugate(keys[:, None], inverse, keys[None, :], p)
-                   for inverse in (False, True)))
-    ok = _conjugation_ok(p, stack, hms, coeff, e, out)
-    failures: list[str] = []
-    for flat in map(int, np.flatnonzero(~ok)):
-        hk, rest = divmod(flat, 2 * len(keys))
+    def texts(flat: int) -> list[str]:
+        hk, rest = divmod(flat, 2 * n_keys)
         j, f = divmod(rest, 2)
-        h = BasicTransform(hk, p, bool(f))
-        failures.append(f"conjugation mismatch: {h} on {key_text(j, p)}")
-        if len(failures) >= max_failures:
-            return OracleReport(False, flat + 1, failures)
-    return OracleReport(not failures, ok.size, failures)
+        return [f"conjugation mismatch: {BasicTransform(hk, p, bool(f))} on {key_text(j, p)}"]
+
+    return _report(~ok, texts, max_failures)
 
 
 def run_oracle(p: int) -> OracleReport:
     if p > ORACLE_GUARD_P:
         raise ValueError(f"oracle sweeps guarded to p <= {ORACLE_GUARD_P}")
-    return check_products(p).merge(check_conjugations(p))
+    products = check_products(p)
+    # a non-monomial stack stops both checks at the same witness; name it once
+    return products if products.checks == 0 else products.merge(check_conjugations(p))

@@ -279,6 +279,24 @@ def test_cli_under_python_O(argv, stdout):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
 
+def test_a_realization_fault_fails_the_oracle_under_python_O():
+    """The oracle's verdict on a non-monomial realization is a report, not an
+    assert, so it holds with asserts stripped."""
+    proc = _run_optimized("-c", (
+        "import sys, qap.cli, qap.oracle\n"
+        "real = qap.oracle.realize\n"
+        "def realize(keys, p):\n"
+        "    m = real(keys, p)\n"
+        "    m.re[5] *= 2\n"
+        "    return m\n"
+        "qap.oracle.realize = realize\n"
+        "sys.exit(qap.cli.main(['oracle', '--p', '2']))\n"
+    ))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "oracle FAIL: 0 exact matrix checks\nrealization fault: S[01|01] is not a monomial matrix\n", ""
+    )
+
+
 def test_invariants_survive_python_O():
     proc = _run_optimized("-c", "from qap.spinor import Spinor; Spinor.make(1, 1)")
     assert proc.returncode == 1

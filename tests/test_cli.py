@@ -82,6 +82,24 @@ def test_invariant_failures_exit_1(capsys, monkeypatch):
     assert run(capsys, "oracle", "--p", "1")[0] == 1
 
 
+def test_a_non_monomial_realization_fails_the_oracle_with_its_witness(capsys, monkeypatch):
+    """A realization that is not monomial is an invariant failure: exit 1,
+    0 checks and the matrix at fault on stdout, nothing on stderr."""
+    real = qap.oracle.realize
+
+    def realize(keys, p):
+        m = real(keys, p)
+        m.re[5] *= 2
+        return m
+
+    monkeypatch.setattr(qap.oracle, "realize", realize)
+    code = main(["oracle", "--p", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "oracle FAIL: 0 exact matrix checks\nrealization fault: S[01|01] is not a monomial matrix\n", ""
+    )
+
+
 def test_qap_json(capsys):
     code, out = run(capsys, "qap", "C_[00]", "--format", "json")
     assert code == 0
@@ -315,7 +333,11 @@ def test_verify_rejects_sampling_flags_where_it_checks_every_partition(capsys, a
     )
 
 
-@pytest.mark.parametrize("cell", ["B:9/eps:1", "B:1/eps:2", "B:-1/eps:0", "B:8/eps:0"])
+@pytest.mark.parametrize(
+    "cell",
+    ["B:9/eps:1", "B:1/eps:2", "B:-1/eps:0", "B:8/eps:0",
+     "X:1/Y:1", "B:1:9/eps:1", "B:1/eps:1:junk", "B: 1/eps:1"],
+)
 def test_coqa_unknown_cell_is_usage_error(capsys, cell):
     code = main(["coqa", "C_[000]", "--cell", cell])
     captured = capsys.readouterr()

@@ -1,5 +1,8 @@
 """The batched matrix oracle against a per-pair reference, clean and under
-injected faults in each rule it checks."""
+injected faults in each rule it checks.  A fault in the realization that
+leaves every matrix monomial is caught rule by rule, with the reference's
+witness; one that does not, or an h_matrix that disagrees with the stack,
+fails both sides, and the oracle names the matrix at fault."""
 
 from __future__ import annotations
 
@@ -199,7 +202,12 @@ def test_batched_oracle_matches_reference(monkeypatch, fault, p, max_failures):
         FAULTS[fault](monkeypatch, p)
     got = (check_products(p, max_failures), check_conjugations(p, max_failures))
     want = (reference_products(p, max_failures), reference_conjugations(p, max_failures))
-    assert got == want
+    if fault == "matrix_entry":
+        witness = f"realization fault: {_pair(p)[1]} is not a monomial matrix"
+        assert got == (OracleReport(False, 0, [witness]),) * 2
+        assert not want[0].ok and not want[1].ok
+    else:
+        assert got == want
     products, conjugations = got
     merged = products.merge(conjugations)
     if fault is None:
@@ -263,50 +271,59 @@ def test_fewer_failures_than_the_limit_still_fail(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the monomial fast path and the dense path it falls back to
+# the monomial form, and the realization faults that stop the oracle before it
 
 
-@pytest.mark.parametrize("fault,dense", [(None, False), ("matrix_sign", False), ("matrix_entry", True)])
-def test_only_a_realization_fault_takes_the_dense_path(monkeypatch, fault, dense):
-    """A stack that stays monomial is checked in monomial form, the sign
-    fault included; a non-monomial one falls back to dense products."""
-    calls = []
-    for name in ("_dense_product_masks", "_dense_conjugation_ok"):
-        real = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+@pytest.mark.parametrize("fault,realization", [(None, False), ("matrix_sign", False), ("matrix_entry", True)])
+def test_only_a_realization_fault_is_reported_as_one(monkeypatch, fault, realization):
+    """A stack that stays monomial is checked rule by rule, the sign fault
+    included; a non-monomial one stops both checks before any rule, with
+    the matrix at fault as the witness.  Neither calls GaussianMatrix's
+    matrix product."""
+    products = []
+    real = GaussianMatrix.__matmul__
+    monkeypatch.setattr(GaussianMatrix, "__matmul__", lambda a, b: products.append(1) or real(a, b))
     if fault is not None:
         FAULTS[fault](monkeypatch, 2)
     got = (check_products(2, 3), check_conjugations(2, 3))
-    assert got == (reference_products(2, 3), reference_conjugations(2, 3))
-    assert calls == (["_dense_product_masks", "_dense_conjugation_ok"] if dense else [])
+    assert products == []
+    if realization:
+        witness = f"realization fault: {_pair(2)[1]} is not a monomial matrix"
+        assert got == (OracleReport(False, 0, [witness]),) * 2
+        assert run_oracle(2) == OracleReport(False, 0, [witness])
+    else:
+        assert got == (reference_products(2, 3), reference_conjugations(2, 3))
+        assert not any(f.startswith("realization fault") for r in got for f in r.failures)
 
 
 @pytest.mark.parametrize("max_failures", [1, 3])
 @pytest.mark.parametrize("p", [1, 2])
 def test_an_h_matrix_fault_fails_the_conjugation_check(monkeypatch, p, max_failures):
     """h_matrix realizes h from its own realize binding; faulted there
-    alone, it disagrees with the stack, and the oracle reports the
-    reference's witness."""
+    alone, it disagrees with the stack, so the conjugation check names that
+    h and compares no rule, and the reference fails too."""
     target = _pair(p)[0]
     monkeypatch.setattr(qap.transform, "realize", sign_fault(target, qap.transform.realize))
     assert check_products(p) == OracleReport(True, 16**p)
-    report = check_conjugations(p, max_failures)
-    assert not report.ok and report.failures
-    assert report == reference_conjugations(p, max_failures)
+    h = BasicTransform(key_of(target), p)
+    assert check_conjugations(p, max_failures) == OracleReport(
+        False, 0, [f"realization fault: sqrt(2) {h} is not I + i^c {target}"]
+    )
+    assert not reference_conjugations(p, max_failures).ok
 
 
 def test_the_monomial_form_needs_units_in_a_permutation_pattern():
     stack = oracle.realize(np.arange(16), 2)
     col, ph = oracle._monomial(stack)
-    rows = np.arange(4)
+    rows, i_re, i_im = np.arange(4), np.array([1, 0, -1, 0]), np.array([0, 1, 0, -1])
     for k in range(16):
-        assert (stack.re[k, rows, col[k]] == oracle._I_RE[ph[k]]).all()
-        assert (stack.im[k, rows, col[k]] == oracle._I_IM[ph[k]]).all()
+        assert (stack.re[k, rows, col[k]] == i_re[ph[k]]).all()
+        assert (stack.im[k, rows, col[k]] == i_im[ph[k]]).all()
     doubled = GaussianMatrix(stack.re.copy(), stack.im.copy())
-    doubled.re[5] *= 2
+    doubled.re[[5, 9]] *= 2
     repeated = GaussianMatrix(stack.re.copy(), stack.im.copy())
     repeated.re[5, 0], repeated.im[5, 0] = stack.re[5, 1], stack.im[5, 1]
-    assert oracle._monomial(doubled) is None and oracle._monomial(repeated) is None
+    assert oracle._monomial(doubled) == 5 and oracle._monomial(repeated) == 5
 
 
 def test_a_passing_oracle_builds_no_word_objects_and_one_stack_per_check(monkeypatch):
