@@ -87,11 +87,6 @@ def _open_out(path: str, mode: str):
         raise SystemExit2(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
-def _guard(command: str, p: int) -> None:
-    if not 1 <= p <= GUARDS[command]:
-        raise SystemExit2(f"{command} is guarded to 1 <= p <= {GUARDS[command]}")
-
-
 def _trials(cfg: argparse.Namespace) -> tuple[int, int]:
     """(--n, --seed) with their defaults filled in; --n must be at least 1."""
     n = DEFAULT_N if cfg.n is None else cfg.n
@@ -113,14 +108,13 @@ def _resolve_label(text: str, p: Optional[int]) -> CartanSubalgebra:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the parsed namespace, which carries p (None only
-# for a label command given no --p: it takes p from its label) and out, fmt
-# where it prints more than one form, and seed and n (None where not given)
-# where it samples
+# subcommands: each takes the parsed namespace once main has checked p
+# against the command's guard.  It carries p and out, cartan (the
+# subalgebra its label names) for a label command, fmt where it prints more
+# than one form, and seed and n (None where not given) where it samples
 
 
 def cmd_count(cfg: argparse.Namespace) -> int:
-    _guard("count", cfg.p)
     atlas = enumerate_all(cfg.p)  # raises if enumeration != closed form
     enumerated = [len(atlas.by_kind[k]) for k in range(cfg.p + 1)]
     if cfg.fmt == "json":
@@ -134,38 +128,33 @@ def cmd_count(cfg: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(cfg: argparse.Namespace) -> int:
-    _guard("enumerate", cfg.p)
     atlas = enumerate_all(cfg.p)
     _emit(cfg, extension.atlas_jsonl(atlas))
     return PASS
 
 
 def cmd_table(cfg: argparse.Namespace) -> int:
-    c = _resolve_label(cfg.label, cfg.p)
-    _guard("table", c.p)
-    _emit(cfg, render_table(build_qap(c)))
+    _emit(cfg, render_table(build_qap(cfg.cartan)))
     return PASS
 
 
 def cmd_qap(cfg: argparse.Namespace) -> int:
-    c = _resolve_label(cfg.label, cfg.p)
-    _guard("qap", c.p)
-    q = build_qap(c)
+    q = build_qap(cfg.cartan)
     _emit(cfg, qap_to_json(q) if cfg.fmt == "json" else render_table(q))
     return PASS
 
 
 def cmd_coqa(cfg: argparse.Namespace) -> int:
-    c = _resolve_label(cfg.label, cfg.p)
-    _guard("coqa", c.p)
-    q = build_qap(c)
+    q = build_qap(cfg.cartan)
     cell = cfg.cell
     parts = re.fullmatch(r"B:([0-9]+)/eps:([01])", cell)
     if parts is None:
         raise SystemExit2(f"cannot parse cell {cell!r}; expected B:<i>/eps:<0|1>")
     key = (int(parts[1]), int(parts[2]))
     if key not in q.cells:
-        raise SystemExit2(f"no cell {cell!r} at p={c.p}; expected 0 <= i < {1 << c.p}, eps 0 or 1")
+        raise SystemExit2(
+            f"no cell {cell!r} at p={cfg.p}; expected 0 <= i < {1 << cfg.p}, eps 0 or 1"
+        )
     if key[0] == 0:
         raise SystemExit2(f"cell {cell!r} is degrade; a co-quotient view needs B:<i> with i >= 1")
     view = partition.coquotient_view(q, key)
@@ -183,7 +172,6 @@ def cmd_coqa(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    _guard("verify", cfg.p)
     n, seed = _trials(cfg)
     if cfg.p <= 3 and (cfg.n is not None or cfg.seed is not None):
         raise SystemExit2("verify checks every partition at p <= 3; --n and --seed apply from p = 4")
@@ -212,14 +200,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_oracle(cfg: argparse.Namespace) -> int:
-    _guard("oracle", cfg.p)
     report = oracle.run_oracle(cfg.p)
     _emit(cfg, str(report))
     return PASS if report.ok else FAIL
 
 
 def cmd_classify(cfg: argparse.Namespace) -> int:
-    _guard("classify", cfg.p)
     atlas = enumerate_all(cfg.p)
     sizes = extension.class_sizes(atlas)
     expected = 1 << (cfg.p * (cfg.p - 1) // 2)
@@ -234,7 +220,6 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_connect(cfg: argparse.Namespace) -> int:
-    _guard("connect", cfg.p)
     n, seed = _trials(cfg)
     atlas = enumerate_all(cfg.p)
     rng = random.Random(seed)
@@ -256,11 +241,9 @@ def cmd_connect(cfg: argparse.Namespace) -> int:
 
 
 def cmd_lift(cfg: argparse.Namespace) -> int:
-    c = _resolve_label(cfg.label, cfg.p)
-    _guard("lift", c.p)
-    circuit, lifted = extension.local_lift(c)
+    circuit, lifted = extension.local_lift(cfg.cartan)
     payload = {
-        "source": c.label,
+        "source": cfg.cartan.label,
         "circuit": str(circuit),
         "factors": circuit.factor_strings(),
         "local": circuit.is_local,
@@ -333,12 +316,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return USAGE if exc.code not in (0, None) else PASS
-    if cfg.p is None and "label" not in cfg:
-        cfg.p = DEFAULT_P
     probed = bool(cfg.out) and not os.path.lexists(cfg.out)
     try:
         if cfg.out:
             _open_out(cfg.out, "a").close()
+        if "label" in cfg:  # a label command takes p from its label
+            cfg.cartan = _resolve_label(cfg.label, cfg.p)
+            cfg.p = cfg.cartan.p
+        elif cfg.p is None:
+            cfg.p = DEFAULT_P
+        if not 1 <= cfg.p <= GUARDS[cfg.command]:
+            raise SystemExit2(f"{cfg.command} is guarded to 1 <= p <= {GUARDS[cfg.command]}")
         return cfg.run(cfg)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -350,24 +350,24 @@ class DecompositionSequence:
 
 def render_table(q: QAPartition) -> str:
     """Text table: center header, one row per conjugate pair, then the
-    complete maximal-bi-subalgebra list."""
-    texts = key_texts(q.p, hermitian_norm=True)
+    complete maximal-bi-subalgebra list, read from the MaxBiGroup arrays."""
+    texts, g = key_texts(q.p, hermitian_norm=True), q.maxbi
 
-    def row(cell: SpinorSet) -> str:
-        return ", ".join(texts[k] for k in sorted(cell.keys))
+    def row(keys) -> str:
+        return ", ".join(texts[k] for k in sorted(keys))
 
-    lines = [q.cartan.label, "  " + row(q.cartan.elements), ""]
+    lines = [q.cartan.label, "  " + row(g.keys.tolist()), ""]
     n = 1 << q.p
     for i in range(1, n):
-        lines.append(f"B_{i} | W: {row(q.cells[(i, 1)])} | Ŵ: {row(q.cells[(i, 0)])}")
+        lines.append(f"B_{i} | W: {row(q.cells[(i, 1)].keys)} | Ŵ: {row(q.cells[(i, 0)].keys)}")
     lines.append("")
     for i in range(1, n):
-        lines.append(f"B_{i} = {{ {row(q.maxbi.members[i].elements)} }}")
+        lines.append(f"B_{i} = {{ {row(g.keys[g.comm[i]].tolist())} }}")
     return "\n".join(lines) + "\n"
 
 
 def qap_to_json(q: QAPartition) -> str:
-    texts = key_texts(q.p)
+    texts, g = key_texts(q.p), q.maxbi
     payload = {
         "label": q.cartan.label,
         "p": q.p,
@@ -377,8 +377,7 @@ def qap_to_json(q: QAPartition) -> str:
             for key, cell in sorted(q.cells.items())
         },
         "maximal": {
-            f"B:{i}": [texts[k] for k in sorted(q.maxbi.members[i].elements.keys)]
-            for i in range(1 << q.p)
+            f"B:{i}": [texts[k] for k in g.keys[row].tolist()] for i, row in enumerate(g.comm)
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -20,8 +20,10 @@ from .bitcore import (
     BitSubgroup,
     BitWord,
     InvariantError,
+    _check_width,
     gf2_echelon,
     gf2_nullspace,
+    gf2_rank,
     gf2_reduce,
     gf2_span,
     solve_affine,
@@ -44,6 +46,9 @@ class SpinorSet:
         if not spinors:
             raise ValueError("cannot infer width from an empty spinor list")
         p = spinors[0].p
+        for s in spinors:
+            if s.p != p:
+                raise ValueError(f"width mismatch: {s.p} vs {p}")
         return cls(p, (key_of(s) for s in spinors))
 
     @classmethod
@@ -81,10 +86,6 @@ class SpinorSet:
 
     def __repr__(self) -> str:
         return f"SpinorSet(p={self.p}, {{{', '.join(str(s) for s in self.spinors())}}})"
-
-
-def _span_keys(gen_keys: Iterable[int]) -> frozenset[int]:
-    return frozenset(gf2_span(gf2_echelon(gen_keys)))
 
 
 def is_cartan(s: SpinorSet, scan: Optional[bool] = None) -> bool:
@@ -130,13 +131,11 @@ class CartanSubalgebra:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_basis(cls, p: int, basis: Sequence[int], parity=None) -> "CartanSubalgebra":
+    def from_basis(cls, p: int, basis: Sequence[int]) -> "CartanSubalgebra":
         """Trusted: the subalgebra spanned by its fully reduced echelon
-        basis, descending, with its parity table when the caller has it."""
+        basis, descending."""
         c = cls.__new__(cls)
         c.p, c.basis_keys = p, tuple(basis)
-        if parity is not None:
-            c.__dict__["parity_table"] = parity
         return c
 
     @classmethod
@@ -236,7 +235,7 @@ class CartanSubalgebra:
 
 def intrinsic_cartan(p: int) -> CartanSubalgebra:
     """All diagonal generators {S[nu|0...0]}; the 0th kind."""
-    return CartanSubalgebra.from_basis(p, [1 << j for j in reversed(range(p))], ())
+    return CartanSubalgebra.from_basis(p, [1 << j for j in reversed(range(p))])
 
 
 def build_kth_kind(gens: Sequence[Spinor]) -> CartanSubalgebra:
@@ -258,10 +257,12 @@ class BiSubalgebra:
 
     __slots__ = ("elements", "parent")
 
-    def __init__(self, elements: SpinorSet, parent: CartanSubalgebra, _trusted: bool = False):
-        if not _trusted and not elements.keys <= parent.elements.keys:
+    def __init__(self, elements: SpinorSet, parent: CartanSubalgebra):
+        if elements.p != parent.p:
+            raise ValueError(f"width mismatch: {elements.p} vs {parent.p}")
+        if not elements.keys <= parent.elements.keys:
             raise ValueError("bi-subalgebra must be a subset of its parent")
-        if not _trusted and _span_keys(elements.keys) != elements.keys:
+        if len(elements) != 1 << gf2_rank(elements.keys):  # the span of its keys holds 2^rank
             raise ValueError("set is not closed under bi-addition")
         self.elements = elements
         self.parent = parent
@@ -364,18 +365,17 @@ class MaxBiGroup:
     spells B_i.  Since the leaders are XOR-linear in i and
     B_u sqcap B_v = B_(u+v), index(b1 sqcap b2) = index(b1) ^ index(b2),
     with index 0 the parent itself.  (For the intrinsic subalgebra this
-    reproduces B_alpha -> alpha.)
+    reproduces B_alpha -> alpha.)  The group is these arrays; members,
+    its BiSubalgebra objects, are built on first read.
     """
 
-    __slots__ = ("parent", "members", "leaders", "keys", "comm", "_index_by_keys")
+    __slots__ = ("parent", "leaders", "keys", "comm", "__dict__")
 
-    def __init__(self, parent, members, leaders, keys, comm):
+    def __init__(self, parent, leaders, keys, comm):
         self.parent = parent
-        self.members = members
         self.leaders = leaders
         self.keys = keys
         self.comm = comm
-        self._index_by_keys = {b.elements.keys: i for i, b in enumerate(members)}
 
     @classmethod
     def build(cls, c: CartanSubalgebra) -> "MaxBiGroup":
@@ -392,19 +392,22 @@ class MaxBiGroup:
         shifted = anti[:, np.searchsorted(keys, keys[None, :] ^ basis[:, None])]
         if (shifted != anti[:, None, :] ^ anti[:, np.searchsorted(keys, basis), None]).any():
             raise InvariantError(f"a bi-subalgebra of {c.label} is not closed under bi-addition")
-        members = [
-            BiSubalgebra(SpinorSet(p, keys[row].tolist()), c, _trusted=True) for row in comm
-        ]
-        return cls(c, members, leaders, keys, comm)
+        return cls(c, leaders, keys, comm)
+
+    @cached_property
+    def members(self) -> list[BiSubalgebra]:
+        c = self.parent
+        return [BiSubalgebra(SpinorSet(c.p, self.keys[row].tolist()), c) for row in self.comm]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.comm)
 
     def __iter__(self) -> Iterator[BiSubalgebra]:
         return iter(self.members)
 
     def index_of(self, b: BiSubalgebra) -> int:
-        return self._index_by_keys[b.elements.keys]
+        """KeyError for a bi-subalgebra that is not a member."""
+        return {m: i for i, m in enumerate(self.members)}[b]
 
 
 def all_maximal(c: CartanSubalgebra) -> MaxBiGroup:
@@ -414,6 +417,8 @@ def all_maximal(c: CartanSubalgebra) -> MaxBiGroup:
 def commuting_bisubalgebra(s: Spinor, c: CartanSubalgebra) -> BiSubalgebra:
     """The unique maximal bi-subalgebra of c commuting with s: the kernel
     of the commutation form with s on c."""
+    if s.p != c.p:
+        raise ValueError(f"width mismatch: {s.p} vs {c.p}")
     x = key_of(s)
     return BiSubalgebra(SpinorSet(c.p, (k for k in c.elements.keys if not omega(x, k, c.p))), c)
 
@@ -445,8 +450,8 @@ def format_label(c: CartanSubalgebra) -> str:
     return label_text(c.p, superscript, [g >> c.p for g in c.generator_keys])
 
 
-def _scan_label(text: str) -> tuple[Optional[str], str]:
-    """Split a label into (parity superscript, alpha list body); braces are
+def _scan_label(text: str) -> tuple[Optional[str], list[str]]:
+    """Split a label into (parity superscript, alpha words); braces are
     optional, every structural slip reports its offset."""
     pos = 0
 
@@ -489,7 +494,7 @@ def _scan_label(text: str) -> tuple[Optional[str], str]:
         expect("}")
     if pos != len(text):
         raise LabelError(text, pos, "trailing characters")
-    return parities, ",".join(alphas)
+    return parities, alphas
 
 
 def parse_label(text: str, p: Optional[int] = None) -> CartanSubalgebra:
@@ -498,21 +503,23 @@ def parse_label(text: str, p: Optional[int] = None) -> CartanSubalgebra:
     The parity superscript must carry all k(k+1)/2 parities in the order
     1 <= r <= s <= k over the ascending alpha basis.
     """
-    parities, alpha_part = _scan_label(text.replace(" ", ""))
-    alpha_words = [BitWord.parse(a) for a in alpha_part.split(",")]
-    width = alpha_words[0].p
-    if any(a.p != width for a in alpha_words):
-        raise ValueError(f"alpha words {alpha_part} differ in width")
+    parities, words = _scan_label(text.replace(" ", ""))
+    for w in words:
+        _check_width(len(w))
+    width = len(words[0])
+    if any(len(w) != width for w in words):
+        raise ValueError(f"alpha words {','.join(words)} differ in width")
     if p is not None and p != width:
         raise ValueError(f"label width {width} does not match p={p}")
-    if all(a.is_zero for a in alpha_words):
+    alphas = [int(w, 2) for w in words]
+    if alphas == [0]:
         if parities:
             raise ValueError("the 0th kind carries no parity superscript")
         return intrinsic_cartan(width)
-    if any(a.is_zero for a in alpha_words):
+    if 0 in alphas:
         raise ValueError("alpha basis words must be nonzero")
-    k = len(alpha_words)
-    if len(gf2_echelon(a.bits for a in alpha_words)) != k:
+    k = len(alphas)
+    if len(gf2_echelon(alphas)) != k:
         raise ValueError("alpha basis words must be independent")
     if parities is None or len(parities) != k * (k + 1) // 2:
         raise ValueError(
@@ -524,12 +531,8 @@ def parse_label(text: str, p: Optional[int] = None) -> CartanSubalgebra:
     for r in range(k):
         for s in range(r, k):
             eps[r][s] = eps[s][r] = int(next(it))
-    gens = []
-    for i, a in enumerate(alpha_words):
-        constraints = [(alpha_words[j].bits, eps[i][j]) for j in range(k)]
-        z = solve_affine(constraints, width)
-        if z is None:
-            raise ValueError("inconsistent parity superscript")
-        gens.append(Spinor(BitWord(z, width), a))
-    c = CartanSubalgebra.from_generators(gens)
-    return c
+    # generator i has zeta_i . alpha_j = eps[i][j]; eps is symmetric, so the
+    # generators commute, and the alphas are independent, so each solves
+    gens = [pack(solve_affine(list(zip(alphas, row)), width), a, width)
+            for a, row in zip(alphas, eps)]
+    return CartanSubalgebra.from_basis(width, gf2_echelon(gens + gf2_nullspace(alphas, width)))

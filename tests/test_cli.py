@@ -371,6 +371,23 @@ def test_mixed_width_label_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("table", "C_[0,0]"), "alpha basis words must be nonzero"),
+        (("qap", "C_[00,00]"), "alpha basis words must be nonzero"),
+        (("lift", "C_[000,000,000]"), "alpha basis words must be nonzero"),
+        (("coqa", "C_[00,00]", "--cell", "B:1/eps:1"), "alpha basis words must be nonzero"),
+        (("table", "C^{1}_{[00000000000000001]}"), "word width must be in 1..16, got 17"),
+    ],
+)
+def test_label_that_names_no_subalgebra_is_usage_error(capsys, argv, err):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("table", "C_[000]"),

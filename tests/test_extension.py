@@ -162,7 +162,8 @@ def test_enumerate_guard():
 
 
 def ref_shell(p: int, k: int):
-    """The kind-k members, one per label, walked one at a time.
+    """The kind-k members, one per label, walked one at a time, each with
+    the parity table its walk carried.
 
     Alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.
     Each unit u_i = 2^b_i is reduced once against the echelon basis of the
@@ -196,17 +197,17 @@ def ref_shell(p: int, k: int):
                     if r != s:
                         phases[s] ^= units[r]
                 gens = [(a << p) | z for a, z in zip(rows, phases)]
-                yield CartanSubalgebra.from_basis(p, gens[::-1] + kernel, table)
+                yield CartanSubalgebra.from_basis(p, gens[::-1] + kernel), table
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_array_shells_equal_the_reference_walk_row_by_row(p):
     a = enumerate_all(p)
     for k in range(p + 1):
-        ref = sorted(ref_shell(p, k), key=lambda c: c.basis_keys[::-1])
-        assert a.by_kind[k].tolist() == [list(c.basis_keys) for c in ref], (p, k)
+        ref = sorted(ref_shell(p, k), key=lambda ct: ct[0].basis_keys[::-1])
+        assert a.by_kind[k].tolist() == [list(c.basis_keys) for c, _ in ref], (p, k)
         if p <= 4:  # a member's derived parity table is the one its walk carried
-            assert [c.parity_table for c in a.members(k)] == [c.parity_table for c in ref]
+            assert [c.parity_table for c in a.members(k)] == [table for _, table in ref]
 
 
 def repeat_a_toggle(base, toggles):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from qap.bitcore import BitWord, span
-from qap.partition import build_qap
-from qap.spinor import Spinor, bi_add, commutes
+from qap.bitcore import BitWord, gf2_echelon, solve_affine, span
+from qap.partition import build_qap, qap_to_json, render_table
+from qap.spinor import Spinor, bi_add, commutes, spinor_of_key
 from qap.subalgebra import (
     BiSubalgebra,
     CartanSubalgebra,
@@ -18,6 +19,7 @@ from qap.subalgebra import (
     format_label,
     intrinsic_cartan,
     is_cartan,
+    _scan_label,
     parse_label,
     sqcap,
 )
@@ -332,6 +334,73 @@ def test_label_errors():
         parse_label("nonsense")
     with pytest.raises(ValueError):
         parse_label("C^{1}_{[000]}")
+    # only a single all-zero word names the 0th kind
+    for label in ("C_[0,0]", "C_[00,00]", "C_[000,000,000]"):
+        with pytest.raises(ValueError, match="^alpha basis words must be nonzero$"):
+            parse_label(label)
+
+
+def ref_parse_label(text: str) -> CartanSubalgebra:
+    """The word-object parse: BitWord alphas, Spinor generators and the
+    validating from_generators."""
+    parities, words = _scan_label(text.replace(" ", ""))
+    alpha_words = [BitWord.parse(a) for a in words]
+    width = alpha_words[0].p
+    if alpha_words == [BitWord(0, width)]:
+        return intrinsic_cartan(width)
+    k = len(alpha_words)
+    eps = [[0] * k for _ in range(k)]
+    it = iter(parities)
+    for r in range(k):
+        for s in range(r, k):
+            eps[r][s] = eps[s][r] = int(next(it))
+    gens = []
+    for i, a in enumerate(alpha_words):
+        z = solve_affine([(alpha_words[j].bits, eps[i][j]) for j in range(k)], width)
+        gens.append(Spinor(BitWord(z, width), a))
+    return CartanSubalgebra.from_generators(gens)
+
+
+def random_label(rng: random.Random, p: int, k: int) -> str:
+    """A kind-k label over k random independent alpha words in the order
+    drawn, so mostly not in echelon form, with random parities."""
+    if k == 0:
+        return f"C_[{'0' * p}]"
+    words: list[int] = []
+    while len(words) < k:
+        w = rng.randrange(1, 1 << p)
+        if len(gf2_echelon(words + [w])) > len(words):
+            words.append(w)
+    parities = "".join(str(rng.randrange(2)) for _ in range(k * (k + 1) // 2))
+    return f"C^{{{parities}}}_{{[{','.join(format(w, f'0{p}b') for w in words)}]}}"
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_parse_label_matches_the_word_object_reference(p):
+    rng = random.Random(p)
+    labels = [random_label(rng, p, k) for k in range(p + 1) for _ in range(60)]
+    unsorted = 0
+    for label in labels:
+        got, want = parse_label(label), ref_parse_label(label)
+        assert (got.basis_keys, got.label) == (want.basis_keys, want.label), label
+        words = [int(w, 2) for w in _scan_label(label)[1]]
+        unsorted += words != sorted(words)
+    assert p == 1 or unsorted > 0
+
+
+def test_parse_label_builds_no_word_objects(monkeypatch):
+    made = []
+    for cls in (BitWord, Spinor):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: made.append(self) or real(self))
+
+    def refuse(cls, gens):
+        raise AssertionError("from_generators called")
+
+    monkeypatch.setattr(CartanSubalgebra, "from_generators", classmethod(refuse))
+    rng = random.Random(7)
+    cs = [parse_label(random_label(rng, p, k)) for p in range(1, 7) for k in range(p + 1)]
+    assert made == [] and [c.kind for c in cs] == [k for p in range(1, 7) for k in range(p + 1)]
 
 
 @pytest.mark.parametrize("label", ["C_[00,000]", "C^{101}_{[01,100]}", "C^{101}_{[100,01]}"])
@@ -346,3 +415,41 @@ def test_bisubalgebra_validation():
         BiSubalgebra(SpinorSet.parse(["S[01|00]", "S[10|00]"]), c)  # not closed
     with pytest.raises(ValueError):
         BiSubalgebra(SpinorSet.parse(["S[00|00]", "S[01|01]"]), c)  # not subset
+
+
+def test_spinor_set_parse_rejects_mixed_widths():
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 2$"):
+        SpinorSet.parse(["S[01|00]", "S[001|000]"])
+
+
+def test_bisubalgebra_rejects_a_parent_of_another_width():
+    # keys 0 and 1 are S[00|00], S[01|00] at p = 2 and a subset of C_[000]
+    with pytest.raises(ValueError, match="^width mismatch: 2 vs 3$"):
+        BiSubalgebra(SpinorSet(2, [0, 1]), intrinsic_cartan(3))
+
+
+def test_commuting_bisubalgebra_rejects_a_spinor_of_another_width():
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 2$"):
+        commuting_bisubalgebra(Spinor.parse("S[000|101]"), intrinsic_cartan(2))
+
+
+def test_printing_a_partition_builds_no_bisubalgebra(monkeypatch):
+    """G(C) is its arrays: build, render and dump read them, and members,
+    built on first read, equal the commutants of the coset leaders."""
+    made = []
+    real = BiSubalgebra.__init__
+    monkeypatch.setattr(
+        BiSubalgebra, "__init__", lambda self, *a: made.append(a) or real(self, *a)
+    )
+    for label in ("C_[000]", "C^{110}_{[001,100]}", "C^{101011}_{[001,010,100]}", "C^{1}_{[0110]}"):
+        c = parse_label(label)
+        q = build_qap(c)
+        render_table(q), qap_to_json(q)
+        assert made == [] and len(q.maxbi) == 1 << c.p, label
+        eager = [commuting_bisubalgebra(spinor_of_key(v, c.p), c) for v in q.maxbi.leaders]
+        assert q.maxbi.members == eager == list(q.maxbi)
+        for i, b in enumerate(eager):
+            assert q.pair(i).determinant == b and q.maxbi.index_of(b) == i
+        made.clear()
+    with pytest.raises(KeyError):
+        q.maxbi.index_of(BiSubalgebra(SpinorSet(c.p, [0]), c))  # not maximal
