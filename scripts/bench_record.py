@@ -11,6 +11,9 @@ Each end-to-end metric is summarised per side as median, q1 and q3 over
 the seeds, with every run kept.  One ``--trace 1`` run of the first
 workload per side adds its per-layer metrics.  DIR is a second checkout
 of the commit compared against (``git clone`` plus ``git checkout``).
+
+The change side must be a clean git tree, committed with nothing untracked
+outside .gitignore, so that the commit it records is the code it measured.
 """
 
 from __future__ import annotations
@@ -43,6 +46,15 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, trace: int) -> tu
     return env, result
 
 
+def dirty_files(checkout: pathlib.Path) -> list[str]:
+    """`git status --porcelain` of the checkout; a failing git counts as dirty."""
+    proc = subprocess.run(["git", "status", "--porcelain"], cwd=checkout, capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        return [f"git status exited {proc.returncode}: {proc.stderr.strip()}"]
+    return proc.stdout.splitlines()
+
+
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
@@ -53,6 +65,10 @@ def main() -> int:
     parser.add_argument("--parent", required=True, type=pathlib.Path)
     parser.add_argument("--out", required=True, type=pathlib.Path)
     args = parser.parse_args()
+    dirty = dirty_files(ROOT)
+    if dirty:
+        raise SystemExit(f"{ROOT}: commit the change before recording it; the tree is dirty:\n"
+                         + "\n".join(dirty[:20]))
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {side: {w: {} for w in WORKLOADS} for side in sides}
     envs, units = {}, {}

@@ -7,22 +7,24 @@ Gaussian-integer stack of shape (4^p, 2^p, 2^p) indexed by the packed key
 (alpha << p) | zeta and built factor by factor from the one-qubit
 matrices, never from the rules it checks.  The rules under test,
 spinor's own omega, key_product and key_conjugate, run once over the
-arrays of all key pairs, and each check turns into one boolean mask over
-them.
+arrays of all key pairs, and each check turns into one boolean mask.
 
-Every realized spinor matrix is monomial: each row and each column holds
-exactly one nonzero, a unit of Z[i].  That is checked exactly on the
-realized stack, which is then read as col[k, r], the column of the
-nonzero in row r, and ph[k, r], its power of i.  A product of two
-monomial matrices is a gather of col plus an addition of ph mod 4, with no
-multiply, so the products run over all pairs at once.  A conjugation reads
-sqrt(2) h = I + i^c S_h (checked against h_matrix for every h), so each
-sandwich is four monomial terms; they are added into one integer
-accumulator per (h, spinor) together with -2 i^e S_out, and must cancel.
+The stack is first certified, from its entries alone, to be the Pauli
+group: each matrix is monomial, read as col[k, r], the column of the
+one nonzero in row r, and ph[k, r], its power of i, with
+col[k, r] = r ^ a and ph[k, r] = c + 2 b.r (mod 4) on every row r (the
+(a, b, c) view of Aaronson and Gottesman, PRA 70, 052328).  The group is
+closed under products and conjugate transposes, and two of its elements
+are equal when they agree on rows 0 and e_j (j < p), so a product, a
+gather of col plus an addition of ph, is taken on those p + 1 rows only.
+A conjugation reads sqrt(2) h = I + i^c S_h (checked against h_matrices
+for every h), so a sandwich scaled by 2, less 2 i^e S_out, is six group
+elements; as the X^a Z^b are linearly independent, they sum to zero iff
+each class (a, b) does.  Blocks of keys only bound memory.
 
-A stack that is not monomial, or an h_matrix that disagrees with it, is a
-realization fault: the check compares no rule and reports the matrix at
-fault as its one failure, with 0 checks."""
+A stack that is not monomial or not the Pauli group, or an h_matrices
+that disagrees with it, is a realization fault: the check compares no
+rule and reports the matrix at fault as its one failure, with 0 checks."""
 
 from __future__ import annotations
 
@@ -33,15 +35,13 @@ import numpy as np
 from .spinor import (
     GaussianMatrix, key_conjugate, key_product, key_self_parity, key_text, omega, realize,
 )
-from .transform import BasicTransform, h_matrix
+from .transform import BasicTransform, h_matrices
 
-ORACLE_GUARD_P = 4
+ORACLE_GUARD_P = 5
 
-# i^k as one accumulator cell, re + 16 im
+# i^k as one cell, re + 16 im: exact for a sum of at most six units
 _CELL = np.array([1, 16, -1, -16], dtype=np.int16)
-# accumulator cells per block of h in the conjugation check; at p = 3 a
-# block's arrays then stay near 1 MB, so the oracle's peak memory barely moves
-_BLOCK_CELLS = 1 << 16
+_BLOCK_PAIRS = 1 << 11  # key pairs per block of either check
 
 
 @dataclass
@@ -81,7 +81,7 @@ def _report(bad: np.ndarray, texts, max_failures: int) -> OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# monomial form: a matrix is (col, ph), row r holding i^ph[r] in column col[r]
+# the certificate: a matrix is (col, ph), row r holding i^ph[r] in column col[r]
 
 
 def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | int:
@@ -95,23 +95,61 @@ def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | int:
     unit = (nonzero.sum(axis=-1) == 1) & (nonzero.sum(axis=-2) == 1) & (np.abs(re) + np.abs(im) == 1)
     if not unit.all():
         return int(np.argmin(unit.all(axis=-1)))
-    # int8 keeps the pair arrays small: a column is below 2^p, and a phase
-    # sum of at most three factors stays below 10 until it is taken mod 4
+    # int8: a column is below 2^p, and a phase sum stays small until taken mod 4 (& 3)
     return col.astype(np.int8), np.where(re != 0, 1 - re, 2 - im).astype(np.int8)
 
 
-def _times(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
-    """The monomial product a b, broadcast over the leading axes: row r of a
-    picks row col_a[r] of b."""
-    (a_col, a_ph), (b_col, b_ph) = a, b
-    return np.take_along_axis(b_col, a_col, -1), a_ph + np.take_along_axis(b_ph, a_col, -1)
+def _certified(p: int) -> OracleReport | tuple[np.ndarray, GaussianMatrix, tuple[np.ndarray, ...]]:
+    """(keys, stack, (col, ph)) of all 4^p keys once every realized matrix
+    is certified to be X^a Z^b up to i^c, with a and c read on row 0 and
+    bit j of b on row e_j; otherwise the realization fault."""
+    keys = np.arange(1 << 2 * p, dtype=np.int64)
+    stack = realize(keys, p)
+    mono = _monomial(stack)
+    if isinstance(mono, int):
+        return _realization_fault(f"{key_text(mono, p)} is not a monomial matrix")
+    col, ph = mono
+    r = np.arange(1 << p)
+    b = ph[:, 1 << np.arange(p)] - ph[:, :1] & 2  # 2 b_j
+    r_bits = r[:, None] >> np.arange(p) & 1
+    pauli = ((col == r ^ col[:, :1]) & (ph - ph[:, :1] - b @ r_bits.T & 3 == 0)).all(-1)
+    if not pauli.all():
+        return _realization_fault(f"{key_text(int(np.argmin(pauli)), p)} is not in the Pauli group")
+    return keys, stack, mono
 
 
-def _dagger(m: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugate transpose: row col[r] holds i^-ph[r] in column r."""
-    col, ph = m
-    inv = np.argsort(col, axis=-1)
-    return inv, -np.take_along_axis(ph, inv, -1)
+def _on_rows(m: tuple[np.ndarray, np.ndarray], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(col, ph) on rows 0 and e_j (j < p) only, rows first: row 0 fixes a
+    and c of a group element, row e_j bit j of b."""
+    return tuple(np.ascontiguousarray(a[:, [0, *(1 << j for j in range(p))]].T) for a in m)
+
+
+def _times(a, b: np.ndarray, full):
+    """Rows of the monomial products A B: A given on some rows (axis 0) as
+    a = (col, ph), B as b, the index of its matrix in the stack
+    full = (col, ph).  Row r of A picks row col_a[r] of B."""
+    (a_col, a_ph), (f_col, f_ph) = a, full
+    at = b * f_col.shape[-1] + a_col
+    return f_col.ravel().take(at), a_ph + f_ph.ravel().take(at)
+
+
+def _vanishes(col: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Whether each sum of the group elements stacked on axis 0 is zero,
+    every element given on rows 0 and e_j (axis 1): whether each class
+    (a, b) sums to zero.  Summing by rows is not enough, since
+    X^a (1 - Z_1)(1 - Z_2) vanishes on these rows but not on e_1 ^ e_2."""
+    p = col.shape[1] - 1
+    c = ph[:, 0]
+    cls = col[:, 0].astype(np.int16)  # a + 2^p b, below 4^p
+    for j in range(p):
+        cls += (ph[:, 1 + j] - c & 2) * np.int16(1 << p + j - 1)
+    sums = ((cls[:, None] == cls[None]) * _CELL.take(c & 3)[None]).sum(1, dtype=np.int16)
+    return ~sums.any(0)
+
+
+def _blocks(n_keys: int):
+    step = max(1, _BLOCK_PAIRS // n_keys)
+    return (slice(lo, lo + step) for lo in range(0, n_keys, step))
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +159,24 @@ def _dagger(m: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def check_products(p: int, max_failures: int = 1) -> OracleReport:
     """key_product and omega vs exact Kronecker matrices, all pairs; the
     product body must also be the bi-addition x ^ y."""
-    keys = np.arange(1 << 2 * p, dtype=np.int64)
-    mono = _monomial(realize(keys, p))
-    if isinstance(mono, int):
-        return _realization_fault(f"{key_text(mono, p)} is not a monomial matrix")
-    col, ph = mono
+    cert = _certified(p)
+    if isinstance(cert, OracleReport):
+        return cert
+    keys, _, mono = cert
     x, y = keys[:, None], keys[None, :]
     e, body = key_product(x, y, p)
-    # S_x S_y against i^e S_body, and S_x S_y -/+ S_y S_x
-    mx, my = (col[:, None], ph[:, None]), (col[None], ph[None])
-    st_col, st_ph = _times(mx, my)
-    ts_col, ts_ph = _times(my, mx)
-    prod_ok = ((st_col == col[body]) & ((st_ph - ph[body] - e[..., None]) % 4 == 0)).all(-1)
-    same, d = st_col == ts_col, (st_ph - ts_ph) % 4
+    # S_x S_y against i^e S_body, and S_x S_y -/+ S_y S_x, on the rows
+    col, ph = _on_rows(mono, p)
+    prod_ok, commute, anti = (np.empty(body.shape, dtype=bool) for _ in range(3))
+    for xs in _blocks(len(keys)):
+        st_col, st_ph = _times((col[:, xs, None], ph[:, xs, None]), keys, mono)
+        ts_col, ts_ph = _times((col[:, None], ph[:, None]), x[xs], mono)
+        out = body[xs]
+        prod_ok[xs] = ((st_col == col[:, out]) & (st_ph - ph[:, out] - e[xs] & 3 == 0)).all(0)
+        same, d = st_col == ts_col, st_ph - ts_ph & 3
+        commute[xs], anti[xs] = (same & (d == 0)).all(0), (same & (d == 2)).all(0)
     comm = omega(x, y, p) == 0
-    comm_bad = comm != (same & (d == 0)).all(-1)
-    anti_bad = ~comm & ~(same & (d == 2)).all(-1)
+    comm_bad, anti_bad = comm != commute, ~comm & ~anti
     sums_ok = body == (x ^ y)
 
     def texts(flat: int) -> list[str]:
@@ -156,59 +196,43 @@ def check_products(p: int, max_failures: int = 1) -> OracleReport:
 # conjugations
 
 
-def _sandwich_zero(s, left, right, c, target):
-    """Is (I + i^c L) S_x (I + i^-c R) equal to 2 target, for a block of h
-    (axis 0) and every spinor x (axis 1)?  With R the conjugate transpose
-    of L, the left side is one direction of the sandwich h S_x h-dagger
-    scaled by 2.  Its four monomial terms, and the target twice with its
-    sign flipped, are added into one accumulator per (h, x).  A cell
-    holds re + 16 im, and |re|, |im| <= 6, so it is zero only when both
-    parts are."""
-    ls, sr = _times(left, s), _times(s, right)
-    terms = ((s, 0), (ls, c), (sr, -c), (_times(ls, right), 0), (target, 2), (target, 2))
-    n = s[0].shape[-1]
-    rows = np.arange(target[0].size).reshape(target[0].shape) * n
-    acc = np.zeros(rows.size * n, dtype=np.int16)
-    for (t_col, t_ph), shift in terms:
-        cells = np.broadcast_to(_CELL[(t_ph + shift) % 4], rows.shape)
-        np.add.at(acc, (rows + t_col).ravel(), cells.ravel())
-    return ~acc.reshape(*rows.shape[:2], -1).any(-1)
-
-
 def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     """key_conjugate vs h s h-dagger for every basic transformation and
     spinor, both directions; compared after scaling by 2 to stay within
     the Gaussian integers."""
-    keys = np.arange(1 << 2 * p, dtype=np.int64)
+    cert = _certified(p)
+    if isinstance(cert, OracleReport):
+        return cert
+    keys, stack, mono = cert
     n_keys = len(keys)
-    stack = realize(keys, p)
-    mono = _monomial(stack)
-    if isinstance(mono, int):
-        return _realization_fault(f"{key_text(mono, p)} is not a monomial matrix")
-    coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrix
-    # i^c S_h is S_h where the self parity is odd (c = 4), and -im + i re
-    # where it is even (c = 1)
-    odd = (coeff == 4)[:, None, None]
-    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(n_keys)]
-    eye = np.eye(1 << p, dtype=np.int64)
-    agree = ((np.stack([m.re for m in hms]) == eye + np.where(odd, stack.re, -stack.im))
-             & (np.stack([m.im for m in hms]) == np.where(odd, stack.im, stack.re))).all(axis=(1, 2))
+    coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrices
+    hm, odd = h_matrices(keys, p), (coeff == 4)[:, None, None]
+    agree = ((hm.re == np.eye(1 << p, dtype=np.int64) + np.where(odd, stack.re, -stack.im))
+             & (hm.im == np.where(odd, stack.im, stack.re))).all(axis=(1, 2))
     if not agree.all():
         hk = int(np.argmin(agree))
         return _realization_fault(f"sqrt(2) {BasicTransform(hk, p)} is not I + i^c {key_text(hk, p)}")
     e, out = zip(*(key_conjugate(keys[:, None], inverse, keys[None, :], p)
                    for inverse in (False, True)))
-    # ok[h, x, f]: direction f of h conjugates S_x as its matrix sandwich does
-    col, ph = mono
-    s, dagger = (col[None], ph[None]), _dagger(mono)
+    # ok[h, x, f]: direction f of h conjugates S_x as its matrix sandwich does;
+    # (I + i^c L) S_x (I + i^-c R) - 2 i^e S_out, R the conjugate transpose
+    # of L, must vanish.  A conjugate transpose holds i^-ph[r] at (col[r], r),
+    # and col, r -> r ^ a, is its own inverse
+    e, c = np.array(e, dtype=np.int8), coeff.astype(np.int8)
+    col, ph = _on_rows(mono, p)
+    dagger = (mono[0], -np.take_along_axis(mono[1], mono[0], -1))
+    sandwiches = (((col, ph), dagger, c), (_on_rows(dagger, p), mono, -c))
+    s = (col[:, None], ph[:, None])
     ok = np.empty((n_keys, n_keys, 2), dtype=bool)
-    step = max(1, _BLOCK_CELLS // (n_keys << 2 * p))
-    for lo in range(0, n_keys, step):
-        hs = slice(lo, lo + step)
-        for f, (left, right, c) in enumerate(((mono, dagger, coeff), (dagger, mono, -coeff))):
-            left, right = ((m_col[hs, None], m_ph[hs, None]) for m_col, m_ph in (left, right))
-            target = (col[out[f][hs]], ph[out[f][hs]] + e[f][hs, :, None])
-            ok[hs, :, f] = _sandwich_zero(s, left, right, c[hs, None, None], target)
+    for hs in _blocks(n_keys):
+        h = keys[hs, None]
+        for f, ((l_col, l_ph), right, c_f) in enumerate(sandwiches):
+            ls = _times((l_col[:, hs, None], l_ph[:, hs, None]), keys, mono)
+            sr, lsr, o = _times(s, h, right), _times(ls, h, right), out[f][hs]
+            target = (col[:, o], ph[:, o] + e[f, hs] + 2)
+            c_h = c_f[hs, None]
+            terms = (s, (ls[0], ls[1] + c_h), (sr[0], sr[1] - c_h), lsr, target, target)
+            ok[hs, :, f] = _vanishes(*(np.stack(np.broadcast_arrays(*t)) for t in zip(*terms)))
 
     def texts(flat: int) -> list[str]:
         hk, rest = divmod(flat, 2 * n_keys)
@@ -222,5 +246,5 @@ def run_oracle(p: int) -> OracleReport:
     if p > ORACLE_GUARD_P:
         raise ValueError(f"oracle sweeps guarded to p <= {ORACLE_GUARD_P}")
     products = check_products(p)
-    # a non-monomial stack stops both checks at the same witness; name it once
+    # a realization fault stops both checks at the same witness; name it once
     return products if products.checks == 0 else products.merge(check_conjugations(p))

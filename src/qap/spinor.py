@@ -12,6 +12,7 @@ that ever appear are powers of i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,12 +85,14 @@ def key_text(key: int, p: int, hermitian_norm: bool = False) -> str:
     return f"i·{text}" if hermitian_norm and key_self_parity(key, p) else text
 
 
-def key_texts(p: int, hermitian_norm: bool = False) -> list[str]:
+@lru_cache(maxsize=None)
+def key_texts(p: int, hermitian_norm: bool = False) -> tuple[str, ...]:
     """key_text of every key 0..4^p - 1, in key order, composed from the
-    2^p word strings; the i-prefix of key k is read at alpha & zeta."""
+    2^p word strings; the i-prefix of key k is read at alpha & zeta.  Built
+    once per (p, hermitian_norm) and shared, so it is a tuple."""
     words = list(enumerate(f"{w:0{p}b}" for w in range(1 << p)))
     prefix = ["i·" if hermitian_norm and parity(w) else "" for w, _ in words]
-    return [f"{prefix[a & z]}S[{zw}|{aw}]" for a, aw in words for z, zw in words]
+    return tuple(f"{prefix[a & z]}S[{zw}|{aw}]" for a, aw in words for z, zw in words)
 
 
 @dataclass(frozen=True, order=False)

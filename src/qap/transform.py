@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .bitcore import InvariantError, _check_width, gf2_echelon, gf2_rank, solve_affine
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
@@ -147,11 +149,21 @@ def apply_to_cartan(q: SymbolicCircuit, c: CartanSubalgebra) -> CartanSubalgebra
     return CartanSubalgebra.from_basis(c.p, gf2_echelon(image.keys))
 
 
+def h_matrices(keys, p: int) -> GaussianMatrix:
+    """sqrt(2) times the unitaries of h[key] for a key array (or one int
+    key), stacked along its axes, exact over the Gaussian integers:
+    I + i (-i)^(zeta.alpha) S_key, that is I + i S_key for an even self
+    parity and I + S_key for an odd one."""
+    keys = np.asarray(keys, dtype=np.int64)
+    s = realize(keys, p)
+    even = key_self_parity(keys, p)[..., None, None] == 0
+    return GaussianMatrix(np.eye(1 << p, dtype=np.int64) + np.where(even, -s.im, s.re),
+                          np.where(even, s.re, s.im))
+
+
 def h_matrix(h: BasicTransform) -> GaussianMatrix:
     """sqrt(2) times the unitary of h, exact over the Gaussian integers."""
-    n = 1 << h.p
-    coeff = 1 + 3 * key_self_parity(h.key, h.p)  # i * (-i)^(zeta.alpha)
-    m = GaussianMatrix.identity(n) + realize(h.key, h.p).times_i_pow(coeff)
+    m = h_matrices(h.key, h.p)
     return m.dagger() if h.inverse else m
 
 

@@ -237,6 +237,7 @@ UNREFERENCED_ON_PURPOSE = {
     "class_connector": "the paper's local connector onto a class representative, checked by tests",
     "nonlocal_connector": "the paper's diagonal connector between top-kind subalgebras, checked by tests",
     "phase_type_generator_keys": "perfbench/tracing.py wraps it by name",
+    "h_matrix": "the one-transform case of h_matrices, used by tests; perfbench/tracing.py counts it",
 }
 
 

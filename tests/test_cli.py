@@ -65,7 +65,7 @@ def test_table_rejects_garbage(capsys):
 def test_guard_violations_are_usage_errors(capsys):
     assert run(capsys, "count", "--p", "7")[0] == 2
     assert run(capsys, "enumerate", "--p", "6")[0] == 2
-    assert run(capsys, "oracle", "--p", "5")[0] == 2
+    assert run(capsys, "oracle", "--p", "6")[0] == 2
     assert main(["nonsense"]) == 2
 
 
@@ -186,6 +186,10 @@ def test_verify_and_oracle(capsys):
 
 
 def test_oracle_at_its_guard(capsys):
+    assert run(capsys, "oracle", "--p", "5") == (0, "oracle pass: 3145728 exact matrix checks\n")
+
+
+def test_oracle_at_p4(capsys):
     assert run(capsys, "oracle", "--p", "4") == (0, "oracle pass: 196608 exact matrix checks\n")
 
 

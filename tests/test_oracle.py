@@ -1,8 +1,10 @@
-"""The batched matrix oracle against a per-pair reference, clean and under
-injected faults in each rule it checks.  A fault in the realization that
-leaves every matrix monomial is caught rule by rule, with the reference's
-witness; one that does not, or an h_matrix that disagrees with the stack,
-fails both sides, and the oracle names the matrix at fault."""
+"""The batched matrix oracle against a per-pair reference and an all-row
+reference, clean and under injected faults in each rule it checks.  A
+fault in the realization that leaves the stack in the Pauli group is
+caught rule by rule, with the reference's witness; one that does not (a
+non-monomial matrix, or a monomial one off the group), or an h_matrix that
+disagrees with the stack, fails both sides, and the oracle names the
+matrix at fault."""
 
 from __future__ import annotations
 
@@ -166,22 +168,24 @@ def inject_matrix_entry(monkeypatch, target: Spinor) -> None:
     monkeypatch.setattr(oracle, "realize", realize)
 
 
-def sign_fault(target: Spinor, real):
-    """real with the nonzero entry in row 0 of target's matrix negated: the
-    matrix stays monomial, so the oracle's fast path must catch it."""
+def sign_fault(target: Spinor, real, rows=slice(0, 1)):
+    """real with the nonzero entries in the given rows of target's matrix
+    negated (row 0 by default): the matrix stays monomial.  Negating row 0
+    alone leaves the Pauli group from p = 2 on; negating every row never
+    does, so the oracle must catch that fault rule by rule."""
     def realize(keys, p):
         m = real(keys, p)
         sign = np.ones(m.re.shape[:-1] + (1,), dtype=np.int64)
-        sign[..., 0, :] -= 2 * (np.asarray(keys) == key_of(target))[..., None]
+        sign[..., rows, :] -= 2 * (np.asarray(keys) == key_of(target))[..., None, None]
         return GaussianMatrix(sign * m.re, sign * m.im)
 
     return realize
 
 
-def inject_matrix_sign(monkeypatch, target: Spinor) -> None:
+def inject_matrix_sign(monkeypatch, target: Spinor, rows=slice(0, 1)) -> None:
     """The sign fault wherever a qap module binds realize, so h_matrix
     realizes h from the same faulted matrix as the oracle's stack."""
-    plant(monkeypatch, "realize", lambda real: sign_fault(target, real))
+    plant(monkeypatch, "realize", lambda real: sign_fault(target, real, rows))
 
 
 FAULTS = {
@@ -191,7 +195,18 @@ FAULTS = {
     "conjugate_phase": lambda mp, p: inject_conjugate_phase(mp, *_pair(p)),
     "matrix_entry": lambda mp, p: inject_matrix_entry(mp, _pair(p)[1]),
     "matrix_sign": lambda mp, p: inject_matrix_sign(mp, _pair(p)[1]),
+    "matrix_negated": lambda mp, p: inject_matrix_sign(mp, _pair(p)[1], slice(None)),
 }
+
+
+def realization_witness(fault: str | None, p: int) -> str | None:
+    """The oracle's one failure under a fault that stops it before any rule,
+    or None where it must compare rule by rule."""
+    if fault == "matrix_entry":
+        return f"realization fault: {_pair(p)[1]} is not a monomial matrix"
+    if fault == "matrix_sign" and p >= 2:
+        return f"realization fault: {_pair(p)[1]} is not in the Pauli group"
+    return None
 
 
 @pytest.mark.parametrize("max_failures", [1, 3])
@@ -202,8 +217,8 @@ def test_batched_oracle_matches_reference(monkeypatch, fault, p, max_failures):
         FAULTS[fault](monkeypatch, p)
     got = (check_products(p, max_failures), check_conjugations(p, max_failures))
     want = (reference_products(p, max_failures), reference_conjugations(p, max_failures))
-    if fault == "matrix_entry":
-        witness = f"realization fault: {_pair(p)[1]} is not a monomial matrix"
+    witness = realization_witness(fault, p)
+    if witness is not None:
         assert got == (OracleReport(False, 0, [witness]),) * 2
         assert not want[0].ok and not want[1].ok
     else:
@@ -222,7 +237,7 @@ def test_each_fault_is_caught_by_the_right_check(monkeypatch, fault):
     products, conjugations = check_products(2, 9), check_conjugations(2, 9)
     if fault == "conjugate_phase":
         assert products.ok and not conjugations.ok
-    elif fault in ("matrix_entry", "matrix_sign", "commutes_flip"):
+    elif fault in ("matrix_entry", "matrix_sign", "matrix_negated", "commutes_flip"):
         assert not products.ok and not conjugations.ok
     else:
         assert not products.ok and conjugations.ok
@@ -271,15 +286,18 @@ def test_fewer_failures_than_the_limit_still_fail(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the monomial form, and the realization faults that stop the oracle before it
+# the certificate, and the realization faults that stop the oracle before it
 
 
-@pytest.mark.parametrize("fault,realization", [(None, False), ("matrix_sign", False), ("matrix_entry", True)])
+@pytest.mark.parametrize("fault,realization", [
+    (None, False), ("matrix_negated", False), ("matrix_sign", True), ("matrix_entry", True),
+])
 def test_only_a_realization_fault_is_reported_as_one(monkeypatch, fault, realization):
-    """A stack that stays monomial is checked rule by rule, the sign fault
-    included; a non-monomial one stops both checks before any rule, with
-    the matrix at fault as the witness.  Neither calls GaussianMatrix's
-    matrix product."""
+    """A stack that stays in the Pauli group is checked rule by rule, the
+    negated matrix included; a non-monomial one, or a monomial one off the
+    group such as the row-0 sign fault at p = 2, stops both checks before
+    any rule, with the matrix at fault as the witness.  Neither calls
+    GaussianMatrix's matrix product."""
     products = []
     real = GaussianMatrix.__matmul__
     monkeypatch.setattr(GaussianMatrix, "__matmul__", lambda a, b: products.append(1) or real(a, b))
@@ -287,8 +305,9 @@ def test_only_a_realization_fault_is_reported_as_one(monkeypatch, fault, realiza
         FAULTS[fault](monkeypatch, 2)
     got = (check_products(2, 3), check_conjugations(2, 3))
     assert products == []
+    witness = realization_witness(fault, 2)
+    assert (witness is not None) == realization
     if realization:
-        witness = f"realization fault: {_pair(2)[1]} is not a monomial matrix"
         assert got == (OracleReport(False, 0, [witness]),) * 2
         assert run_oracle(2) == OracleReport(False, 0, [witness])
     else:
@@ -327,14 +346,189 @@ def test_the_monomial_form_needs_units_in_a_permutation_pattern():
 
 
 def test_a_passing_oracle_builds_no_word_objects_and_one_stack_per_check(monkeypatch):
-    """Each check realizes the 4^p keys in one call and prints its witnesses
-    from keys, so a pass constructs no BitWord and no Spinor."""
+    """Each check realizes the 4^p keys in one call, the conjugation check
+    gates all 4^p h matrices in one more, and witnesses print from keys, so
+    a pass constructs no BitWord and no Spinor."""
     made = []
     for cls in (BitWord, Spinor):
         real = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: made.append(self) or real(self))
-    stacks = []
-    realize = oracle.realize
+    stacks, gates = [], []
+    realize, h_matrices = oracle.realize, oracle.h_matrices
     monkeypatch.setattr(oracle, "realize", lambda keys, p: stacks.append(keys.tolist()) or realize(keys, p))
+    monkeypatch.setattr(oracle, "h_matrices", lambda keys, p: gates.append(keys.tolist()) or h_matrices(keys, p))
     assert run_oracle(2) == OracleReport(True, 3 * 16**2)
-    assert made == [] and stacks == [list(range(16))] * 2
+    assert made == [] and stacks == [list(range(16))] * 2 and gates == [list(range(16))]
+
+
+def test_a_monomial_stack_off_the_pauli_group_is_a_realization_fault(monkeypatch):
+    """S[01|01] with rows 2 and 3 swapped is still monomial, but its columns
+    are no longer r ^ a, so the certificate stops both checks there."""
+    real = oracle.realize
+
+    def realize(keys, p):
+        m = real(keys, p)
+        hit = np.asarray(keys) == 5
+        m.re[hit] = m.re[hit][:, [0, 1, 3, 2]]
+        return m
+
+    monkeypatch.setattr(oracle, "realize", realize)
+    witness = "realization fault: S[01|01] is not in the Pauli group"
+    assert check_products(2) == check_conjugations(2) == OracleReport(False, 0, [witness])
+    assert str(run_oracle(2)) == f"oracle FAIL: 0 exact matrix checks\n{witness}"
+
+
+# ---------------------------------------------------------------------------
+# sums compared by class: the p + 1 rows fix a group element, not a sum of them
+
+
+def trap_terms() -> tuple[np.ndarray, np.ndarray]:
+    """(1 - Z_1)(1 - Z_2) = S[00|00] - S[01|00] - S[10|00] + S[11|00], as four
+    group elements on rows 0, e_1 and e_2, where their sum is zero; on row
+    e_1 ^ e_2 it is 4."""
+    signs = np.array([1, -1, -1, 1])
+    stack = oracle.realize(np.arange(4), 2)
+    assert (signs[:, None, None] * stack.re).sum(0).tolist() == [[0] * 4] * 3 + [[0, 0, 0, 4]]
+    col, ph = oracle._monomial(stack)
+    rows = [0, 1, 2]
+    return col[:, rows], (ph + 1 - signs[:, None])[:, rows]
+
+
+def rowwise_vanishes(col: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """The unsound compare: the terms summed entry by entry, on the given
+    rows only."""
+    same = col[:, None] == col[None]
+    return ~(same * oracle._CELL.take(ph & 3)[None]).sum(1).any((0, 1))
+
+
+def test_a_sum_that_vanishes_on_the_p_plus_1_rows_is_not_zero():
+    assert not oracle._vanishes(*trap_terms())
+    col, ph = trap_terms()
+    assert oracle._vanishes(np.concatenate([col, col]), np.concatenate([ph, ph + 2]))
+
+
+def test_a_row_wise_compare_fails_the_trap(monkeypatch):
+    """The mutation the trap guards against: compared row by row on rows 0
+    and e_j, the trap sums to zero, so the trap test must fail."""
+    assert rowwise_vanishes(*trap_terms())
+    monkeypatch.setattr(oracle, "_vanishes", rowwise_vanishes)
+    with pytest.raises(AssertionError):
+        test_a_sum_that_vanishes_on_the_p_plus_1_rows_is_not_zero()
+
+
+# ---------------------------------------------------------------------------
+# the all-row reference: every product and sandwich on all 2^p rows, each
+# sandwich's terms added into a dense accumulator, behind the oracle's own
+# certificate and a per-h h_matrix gate
+
+
+# i^k as one accumulator cell, re + 16 im
+_CELL = np.array([1, 16, -1, -16], dtype=np.int16)
+# accumulator cells per block of h
+_BLOCK_CELLS = 1 << 16
+
+
+def _times(a, b):
+    """The monomial product a b, broadcast over the leading axes: row r of a
+    picks row col_a[r] of b."""
+    (a_col, a_ph), (b_col, b_ph) = a, b
+    return np.take_along_axis(b_col, a_col, -1), a_ph + np.take_along_axis(b_ph, a_col, -1)
+
+
+def _dagger(m):
+    """The conjugate transpose: row col[r] holds i^-ph[r] in column r."""
+    col, ph = m
+    inv = np.argsort(col, axis=-1)
+    return inv, -np.take_along_axis(ph, inv, -1)
+
+
+def _sandwich_zero(s, left, right, c, target):
+    """Is (I + i^c L) S_x (I + i^-c R) equal to 2 target, for a block of h
+    (axis 0) and every spinor x (axis 1)?  Its four monomial terms, and the
+    target twice with its sign flipped, are added into one accumulator per
+    (h, x); |re|, |im| <= 6, so a cell is zero only when both parts are."""
+    ls, sr = _times(left, s), _times(s, right)
+    terms = ((s, 0), (ls, c), (sr, -c), (_times(ls, right), 0), (target, 2), (target, 2))
+    n = s[0].shape[-1]
+    rows = np.arange(target[0].size).reshape(target[0].shape) * n
+    acc = np.zeros(rows.size * n, dtype=np.int16)
+    for (t_col, t_ph), shift in terms:
+        cells = np.broadcast_to(_CELL[(t_ph + shift) % 4], rows.shape)
+        np.add.at(acc, (rows + t_col).ravel(), cells.ravel())
+    return ~acc.reshape(*rows.shape[:2], -1).any(-1)
+
+
+def allrow_products(p: int, max_failures: int = 1) -> OracleReport:
+    cert = oracle._certified(p)
+    if isinstance(cert, OracleReport):
+        return cert
+    keys, _, (col, ph) = cert
+    x, y = keys[:, None], keys[None, :]
+    e, body = qap.spinor.key_product(x, y, p)
+    mx, my = (col[:, None], ph[:, None]), (col[None], ph[None])
+    st_col, st_ph = _times(mx, my)
+    ts_col, ts_ph = _times(my, mx)
+    prod_ok = ((st_col == col[body]) & ((st_ph - ph[body] - e[..., None]) % 4 == 0)).all(-1)
+    same, d = st_col == ts_col, (st_ph - ts_ph) % 4
+    comm = qap.spinor.omega(x, y, p) == 0
+    comm_bad = comm != (same & (d == 0)).all(-1)
+    anti_bad = ~comm & ~(same & (d == 2)).all(-1)
+    sums_ok = body == (x ^ y)
+
+    def texts(flat: int) -> list[str]:
+        i, j = divmod(flat, len(keys))
+        s, t = spinor_of_key(i, p), spinor_of_key(j, p)
+        return [text for bad, text in (
+            (not prod_ok[i, j], f"product mismatch at {s} * {t}"),
+            (comm_bad[i, j], f"commutation mismatch at {s}, {t}"),
+            (anti_bad[i, j], f"anti-commutator does not vanish at {s}, {t}"),
+            (not sums_ok[i, j], f"bi_add disagrees with the product body at {s}, {t}"),
+        ) if bad]
+
+    return oracle._report(~prod_ok | comm_bad | anti_bad | ~sums_ok, texts, max_failures)
+
+
+def allrow_conjugations(p: int, max_failures: int = 1) -> OracleReport:
+    cert = oracle._certified(p)
+    if isinstance(cert, OracleReport):
+        return cert
+    keys, stack, mono = cert
+    n_keys = len(keys)
+    coeff = 1 + 3 * qap.spinor.key_self_parity(keys, p)
+    odd = (coeff == 4)[:, None, None]
+    hms = [h_matrix(BasicTransform(hk, p)) for hk in range(n_keys)]
+    eye = np.eye(1 << p, dtype=np.int64)
+    agree = ((np.stack([m.re for m in hms]) == eye + np.where(odd, stack.re, -stack.im))
+             & (np.stack([m.im for m in hms]) == np.where(odd, stack.im, stack.re))).all(axis=(1, 2))
+    if not agree.all():
+        h = BasicTransform(int(np.argmin(agree)), p)
+        witness = f"realization fault: sqrt(2) {h} is not I + i^c {spinor_of_key(h.key, p)}"
+        return OracleReport(False, 0, [witness])
+    e, out = zip(*(qap.spinor.key_conjugate(keys[:, None], inverse, keys[None, :], p)
+                   for inverse in (False, True)))
+    col, ph = mono
+    s, dagger = (col[None], ph[None]), _dagger(mono)
+    ok = np.empty((n_keys, n_keys, 2), dtype=bool)
+    step = max(1, _BLOCK_CELLS // (n_keys << 2 * p))
+    for lo in range(0, n_keys, step):
+        hs = slice(lo, lo + step)
+        for f, (left, right, c) in enumerate(((mono, dagger, coeff), (dagger, mono, -coeff))):
+            left, right = ((m_col[hs, None], m_ph[hs, None]) for m_col, m_ph in (left, right))
+            target = (col[out[f][hs]], ph[out[f][hs]] + e[f][hs, :, None])
+            ok[hs, :, f] = _sandwich_zero(s, left, right, c[hs, None, None], target)
+
+    def texts(flat: int) -> list[str]:
+        hk, rest = divmod(flat, 2 * n_keys)
+        j, f = divmod(rest, 2)
+        return [f"conjugation mismatch: {BasicTransform(hk, p, bool(f))} on {spinor_of_key(j, p)}"]
+
+    return oracle._report(~ok, texts, max_failures)
+
+
+@pytest.mark.parametrize("p,fault", [(3, None), (4, None), *((3, f) for f in sorted(FAULTS))])
+def test_the_p_plus_1_row_checks_equal_the_all_row_reference(monkeypatch, p, fault):
+    if fault is not None:
+        FAULTS[fault](monkeypatch, p)
+    got = (check_products(p, 3), check_conjugations(p, 3))
+    assert got == (allrow_products(p, 3), allrow_conjugations(p, 3))
+    assert got[0].merge(got[1]).ok == (fault is None)

@@ -66,7 +66,8 @@ def test_text_forms():
 @pytest.mark.parametrize("hermitian_norm", [False, True])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_key_texts_is_key_text_of_every_key(p, hermitian_norm):
-    assert key_texts(p, hermitian_norm) == [key_text(k, p, hermitian_norm) for k in range(4**p)]
+    assert key_texts(p, hermitian_norm) == tuple(key_text(k, p, hermitian_norm) for k in range(4**p))
+    assert key_texts(p, hermitian_norm) is key_texts(p, hermitian_norm)
 
 
 def test_bi_add_examples():

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 
+import numpy as np
 import pytest
 
 from conftest import atlas, qap_of
@@ -11,7 +12,9 @@ from qap import transform
 from qap.bitcore import BitWord, InvariantError, gf2_echelon
 from qap.extension import local_lift, nonlocal_connector
 from qap.partition import DecompositionSequence
-from qap.spinor import GaussianMatrix, PhasedSpinor, Spinor, key_of, pack, to_matrix
+from qap.spinor import (
+    GaussianMatrix, PhasedSpinor, Spinor, key_of, pack, self_parity, spinor_of_key, to_matrix,
+)
 from qap.subalgebra import SpinorSet, intrinsic_cartan, parse_label
 from qap.transform import (
     BasicTransform,
@@ -24,6 +27,7 @@ from qap.transform import (
     build_exchange_step,
     conjugate,
     connect,
+    h_matrices,
     h_matrix,
     random_sequence,
     referential_cell,
@@ -114,6 +118,19 @@ def test_conjugation_matrix_oracle_sampled():
         got = conjugate(h, s)
         hm = h_matrix(h)
         assert (hm @ to_matrix(s)) @ hm.dagger() == to_matrix(got).scaled(2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_h_matrices_stacks_sqrt2_h_of_every_key(p):
+    """Row k of the batched form is h_matrix of key k, I + i (-i)^(zeta.alpha)
+    S_k, and h h-dagger is 2 I."""
+    stack = h_matrices(np.arange(4**p), p)
+    eye2 = GaussianMatrix.identity(1 << p).scaled(2)
+    for k in range(4**p):
+        h, s = BasicTransform(k, p), spinor_of_key(k, p)
+        want = GaussianMatrix.identity(1 << p) + to_matrix(s).times_i_pow(1 + 3 * self_parity(s))
+        assert GaussianMatrix(stack.re[k], stack.im[k]) == h_matrix(h) == want
+        assert h_matrix(h) @ h_matrix(h.inverted()) == eye2 == h_matrix(h.inverted()) @ h_matrix(h)
 
 
 def test_locality_classifier():
