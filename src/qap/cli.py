@@ -12,6 +12,7 @@ import os
 import random
 import re
 import sys
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import extension, oracle, partition, transform
@@ -260,6 +261,7 @@ def cmd_lift(cfg: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qap",
@@ -312,6 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one `qap` command and return its exit code: 0 pass, 1 invariant
+    failure, 2 usage error (argparse's own errors included; --help is 0).
+
+    The parser, with each subcommand's handler bound by
+    ``set_defaults(run=cmd_*)``, is built on the first call and reused by
+    every later one; each call parses into a new namespace, so calls in one
+    process are independent.  A test that changes what a command does
+    patches the module globals its handler reads, not the ``cmd_*``
+    functions themselves.
+    """
     try:
         cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes

@@ -590,6 +590,84 @@ def test_library_value_error_is_an_invariant_failure(capsys, monkeypatch):
     assert captured.err == "invariant failure: broken renderer\n"
 
 
+def _call(capsys, argv: list[str]) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+EVERY_COMMAND = [
+    ["count", "--p", "1"],
+    ["enumerate", "--p", "1"],
+    ["table", "C_[0]"],
+    ["qap", "C_[0]"],
+    ["coqa", "C_[00]", "--cell", "B:1/eps:1"],
+    ["verify", "--p", "1"],
+    ["oracle", "--p", "1"],
+    ["classify", "--p", "1"],
+    ["connect", "--p", "1", "--n", "2"],
+    ["lift", "C^{1}_{[1]}"],
+]
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    import argparse
+
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(qap.cli.GUARDS)
+    main(["count", "--p", "1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [_call(capsys, argv)[0] for argv in EVERY_COMMAND + [["count", "--seed", "1"], ["--help"]]]
+    assert codes == [0] * len(EVERY_COMMAND) + [2, 0]
+    assert built == []
+
+
+def test_the_parser_is_built_on_the_first_call_not_at_import():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qap.__file__).parent.parent))
+    script = ("import qap.cli as cli; n = cli._build_parser.cache_info().currsize; "
+              "cli.main(['count', '--p', '1']); print(n, cli._build_parser.cache_info().currsize)")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert (run.returncode, run.stdout) == (0, "1 2 | total 3\n0 1\n"), run.stderr
+
+
+def test_calls_in_one_process_are_independent(capsys):
+    """The same calls give the same results on a freshly built parser and on
+    the reused one; a label command's p does not leak into a later default."""
+    sequence = [
+        ["table", "C_[00000]"],
+        ["count"],
+        ["qap", "C_[000]", "--p", "4"],
+        ["count", "--seed", "1"],
+        ["coqa", "C_[000]", "--cell", "B:1/eps:1"],
+        ["verify", "--p", "4", "--n", "3", "--seed", "2"],
+    ]
+    qap.cli._build_parser.cache_clear()
+    first = [_call(capsys, argv) for argv in sequence]
+    second = [_call(capsys, argv) for argv in sequence]
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0]
+    assert first[1][1] == "1 14 56 64 | total 135\n"
+    assert first[2][2] == "error: label width 3 does not match p=4\n"
+    assert "error: unrecognized arguments: --seed 1" in first[3][2]
+
+
+def test_help_and_argparse_errors_keep_their_exit_codes(capsys):
+    calls = [["--help"], ["table", "--help"], []]
+    first = [_call(capsys, argv) for argv in calls]
+    assert [_call(capsys, argv) for argv in calls] == first
+    (top, top_out, top_err), (table, table_out, _), (bare, bare_out, bare_err) = first
+    assert top == 0 and top_out.startswith("usage: qap") and top_err == ""
+    assert table == 0 and table_out.startswith("usage: qap table")
+    assert bare == 2 and bare_out == "" and "error:" in bare_err
+
+
 def _bits(min_size: int, max_size: int):
     return st.text(alphabet="01", min_size=min_size, max_size=max_size)
 
