@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -611,8 +612,6 @@ EVERY_COMMAND = [
 
 
 def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
-    import argparse
-
     assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(qap.cli.GUARDS)
     main(["count", "--p", "1"])
     built = []
