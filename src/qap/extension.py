@@ -21,6 +21,7 @@ from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
 ENUMERATION_MAX_P = 6
 MEMBERS_MAX_P = 5  # member objects and the JSONL: 4 922 775 of them at p = 6
+_BLOCK_ROWS = 1 << 16  # bases per class_codes call of class_sizes: bounds its memory
 
 
 def count_kind(p: int, k: int) -> int:
@@ -172,23 +173,26 @@ def lift_keys(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     bases.  units masks the words e_j off the pivots of its reduced alpha
     basis.  The factors h[0|e_j] have zeta 0 and commute, so the lift is
     x -> x ^ ((x & units) << p) on the p basis keys; Gauss-Jordan on the p
-    alpha bits gives the lifted echelon basis, row i with alpha e_(p-1-i)."""
+    alpha bits gives the lifted echelon basis, row i with alpha e_(p-1-i).
+    It runs on the p basis columns: column i takes the bit from the first
+    later column that has it, then clears it from every other column."""
+    cols = basis.T.copy()
     # smear each alpha below its top bit: lead ^ (lead >> 1) is its pivot, 0 if diagonal
-    lead = basis >> p
+    lead = cols >> p
     for shift in (1, 2, 4, 8):
         lead |= lead >> shift
-    units = ~np.bitwise_or.reduce(lead ^ (lead >> 1), axis=1) & ((1 << p) - 1)
-    lifted = basis ^ ((basis & units[:, None]) << p)
-    top, members = np.ones(len(basis), dtype=bool), np.arange(len(basis))
+    units = ~np.bitwise_or.reduce(lead ^ (lead >> 1), axis=0) & ((1 << p) - 1)
+    cols ^= (cols & units) << p
+    cols, top = list(cols), np.ones(len(basis), dtype=bool)
     for i in range(p):
-        bit = 2 * p - 1 - i
-        candidates = lifted[:, i:] >> bit & 1
-        top &= candidates.any(axis=1)
-        pivot = i + candidates.argmax(axis=1)
-        row = lifted[members, pivot]
-        lifted[members, pivot] = lifted[:, i]
-        lifted ^= (lifted >> bit & 1) * row[:, None]
-        lifted[:, i] = row
+        bit, later = 2 * p - 1 - i, 0
+        for col in cols[:i:-1]:
+            later = np.where(col >> bit & 1, col, later)
+        cols[i] = pivot = np.where(cols[i] >> bit & 1, cols[i], cols[i] ^ later)
+        top &= (pivot >> bit & 1).astype(bool)
+        for col in cols[:i] + cols[i + 1 :]:
+            col ^= (col >> bit & 1) * pivot
+    lifted = np.stack(cols).T
     if not top.all():
         c = CartanSubalgebra.from_basis(p, basis[top.argmin()].tolist())
         raise InvariantError(f"local lift of {c.label} failed to reach the top kind")
@@ -230,10 +234,21 @@ def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
     return index
 
 
+def _row_blocks(arrays: Sequence[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The arrays' rows in order, size at a time (the last block may be
+    shorter); a block runs on from one array into the next."""
+    starts = np.cumsum([0] + [len(a) for a in arrays]).tolist()
+    for lo in range(0, starts[-1], size):
+        yield np.concatenate([a[max(lo - s, 0) : max(lo + size - s, 0)] for a, s in zip(arrays, starts)])
+
+
 def class_sizes(atlas: CartanAtlas) -> dict[str, int]:
-    """The size of every nonempty class of classify_local, by ascending key."""
+    """The size of every nonempty class of classify_local, by ascending key;
+    the atlas is lifted in blocks of _BLOCK_ROWS bases across its shells."""
     p, n = atlas.p, atlas.p * (atlas.p - 1) // 2
-    sizes = sum(np.bincount(class_codes(b, p), minlength=1 << n) for b in atlas.by_kind.values())
+    sizes = np.zeros(1 << n, dtype=np.intp)
+    for block in _row_blocks(list(atlas.by_kind.values()), _BLOCK_ROWS):
+        sizes += np.bincount(class_codes(block, p), minlength=1 << n)
     texts = _bit_texts(n)
     return dict(sorted((texts[m], size) for m, size in enumerate(sizes.tolist()) if size))
 

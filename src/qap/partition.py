@@ -52,15 +52,16 @@ class ConjugatePair:
 
 def conjugate_pair_of(c: CartanSubalgebra, b: BiSubalgebra) -> ConjugatePair:
     """The coset of c whose commutant in c is b, bisected by b; the half
-    holding the coset's smallest spinor is returned as w."""
+    holding the coset's smallest spinor, its leader, is returned as w:
+    w = leader + b and w_hat = leader + (c - b)."""
     if b.parent != c:
         raise ValueError("bi-subalgebra does not belong to this Cartan subalgebra")
     if not b.is_maximal():
         raise ValueError("not a maximal bi-subalgebra")
-    q = build_qap(c, verify=False)
-    i = q.maxbi.index_of(b)
-    e = int(q.cid[q.maxbi.leaders[i]]) & 1
-    return ConjugatePair(b, q.cells[(i, e)], q.cells[(i, e ^ 1)])
+    g = all_maximal(c)
+    i = g.index_of(b)
+    w, w_hat = (g.leaders[i] ^ g.keys[half] for half in (g.comm[i], ~g.comm[i]))
+    return ConjugatePair(b, SpinorSet(c.p, w.tolist()), SpinorSet(c.p, w_hat.tolist()))
 
 
 class QAPartition:

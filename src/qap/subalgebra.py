@@ -406,8 +406,11 @@ class MaxBiGroup:
         return iter(self.members)
 
     def index_of(self, b: BiSubalgebra) -> int:
-        """KeyError for a bi-subalgebra that is not a member."""
-        return {m: i for i, m in enumerate(self.members)}[b]
+        """The row of comm that spells b; KeyError for a bi-subalgebra that is not a member."""
+        hits = np.flatnonzero((self.comm == np.isin(self.keys, list(b.elements.keys))).all(axis=1))
+        if b.parent != self.parent or not hits.size:
+            raise KeyError(b)
+        return int(hits[0])
 
 
 def all_maximal(c: CartanSubalgebra) -> MaxBiGroup:

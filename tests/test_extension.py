@@ -525,7 +525,7 @@ def test_batched_lift_matches_the_reference_row_by_row():
         assert {mu: [c.elements.keys for c in v] for mu, v in got.items()} == ref_classes(a.members())
 
 
-def test_a_lift_that_misses_the_top_kind_names_its_member():
+def test_a_lift_that_misses_the_top_kind_names_its_member(monkeypatch):
     # the diagonal row S[01|00] anti-commutes with the generator S[00|01]:
     # no Cartan subalgebra, and the lift through h[0|10] leaves both keys alone
     forged = CartanSubalgebra.from_basis(2, [0b0100, 0b0001])
@@ -536,6 +536,69 @@ def test_a_lift_that_misses_the_top_kind_names_its_member():
     a = atlas_of(2, {0: members[:7], 1: members[7:10] + [forged] + members[10:]})
     with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
         classify_local(a)
+    with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
+        class_sizes(a)
+    # rows 6..11 form one block: the last of shell 0, then shell 1 up to the forged row 10
+    monkeypatch.setattr(extension, "_BLOCK_ROWS", 6)
+    assert [len(b) for b in extension._row_blocks(list(a.by_kind.values()), 6)] == [6, 6, 4]
+    with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
+        class_sizes(a)
+
+
+def ref_lift_keys(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the lift's Gauss-Jordan pass on whole (N, p) rows, gathering,
+    swapping and XORing every row's pivot key at each alpha bit."""
+    lead = basis >> p
+    for shift in (1, 2, 4, 8):
+        lead |= lead >> shift
+    units = ~np.bitwise_or.reduce(lead ^ (lead >> 1), axis=1) & ((1 << p) - 1)
+    lifted = basis ^ ((basis & units[:, None]) << p)
+    top, members = np.ones(len(basis), dtype=bool), np.arange(len(basis))
+    for i in range(p):
+        bit = 2 * p - 1 - i
+        candidates = lifted[:, i:] >> bit & 1
+        top &= candidates.any(axis=1)
+        pivot = i + candidates.argmax(axis=1)
+        row = lifted[members, pivot]
+        lifted[members, pivot] = lifted[:, i]
+        lifted ^= (lifted >> bit & 1) * row[:, None]
+        lifted[:, i] = row
+    assert top.all()
+    return units, lifted
+
+
+def assert_lifts_equal(basis: np.ndarray, p: int) -> None:
+    before = basis.copy()
+    (units, lifted), (ref_units, ref_lifted) = lift_keys(basis, p), ref_lift_keys(basis, p)
+    assert np.array_equal(basis, before), "the lift wrote into its input"
+    assert units.dtype == ref_units.dtype and lifted.dtype == ref_lifted.dtype
+    assert np.array_equal(units, ref_units) and np.array_equal(lifted, ref_lifted)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_column_lift_equals_the_row_lift_on_every_shell(p):
+    for k, basis in atlas(p).by_kind.items():
+        assert_lifts_equal(basis, p)
+
+
+def test_column_lift_equals_the_row_lift_on_seeded_p6_rows():
+    rng = np.random.default_rng(6)
+    for k, basis in enumerate_all(6).by_kind.items():
+        rows = rng.choice(len(basis), size=min(len(basis), 1 << 16), replace=False)
+        assert_lifts_equal(basis[np.sort(rows)], 6)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_class_sizes_do_not_depend_on_the_block_size(monkeypatch, p):
+    a = atlas(p)
+    want = {mu: len(v) for mu, v in sorted(classify_local(a).items())}
+    assert class_sizes(a) == want
+    for size in (1, 5, 64):
+        monkeypatch.setattr(extension, "_BLOCK_ROWS", size)
+        assert class_sizes(a) == want, size
+        blocks = list(extension._row_blocks(list(a.by_kind.values()), size))
+        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(list(a.by_kind.values())))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -29,6 +29,7 @@ from qap.partition import (
 )
 from qap.spinor import Spinor, key_text
 from qap.subalgebra import (
+    BiSubalgebra,
     SpinorSet,
     all_maximal,
     intrinsic_cartan,
@@ -149,12 +150,36 @@ def test_pairs_of_distinct_determinants_are_disjoint(atlas3):
             assert not (a & b)
 
 
+def ref_conjugate_pair_of(c, b) -> ConjugatePair:
+    """Reference: read the pair off a whole unverified partition, the cells of
+    pair i with the one holding the leader first."""
+    q = build_qap(c, verify=False)
+    i = q.maxbi.members.index(b)
+    e = int(q.cid[q.maxbi.leaders[i]]) & 1
+    return ConjugatePair(b, q.cells[(i, e)], q.cells[(i, e ^ 1)])
+
+
+def test_pairs_read_from_the_group_match_the_partition_cells():
+    members = [c for p in (1, 2, 3) for c in atlas(p).members()]
+    for c in members + seeded_cartans(5, 6, 23):
+        for b in all_maximal(c).members:
+            want, got = ref_conjugate_pair_of(c, b), conjugate_pair_of(c, b)
+            assert (got.w.keys, got.w_hat.keys) == (want.w.keys, want.w_hat.keys), c.label
+            assert got.w.p == c.p and got.w_hat.p == c.p and got.determinant is b
+
+
 def test_pair_needs_matching_parent():
     c1 = intrinsic_cartan(3)
     c2 = parse_label("C^{1}_{[100]}")
     b = all_maximal(c2).members[1]
     with pytest.raises(ValueError):
         conjugate_pair_of(c1, b)
+
+
+def test_pair_needs_a_maximal_bi_subalgebra():
+    c = intrinsic_cartan(3)
+    with pytest.raises(ValueError, match="^not a maximal bi-subalgebra$"):
+        conjugate_pair_of(c, BiSubalgebra(SpinorSet(3, [0, 1]), c))
 
 
 # -- full partitions ----------------------------------------------------------

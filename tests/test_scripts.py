@@ -1,10 +1,13 @@
-"""The repository scripts: what they refuse before they run."""
+"""The repository scripts: what they refuse before they run, and what they check."""
 
 from __future__ import annotations
 
 import importlib.util
 import pathlib
 import subprocess
+import sys
+
+from qap.extension import count_kind
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -39,3 +42,20 @@ def test_bench_record_sees_a_dirty_tree(tmp_path):
     git(tmp_path, "checkout", "-q", "a.py")
     (tmp_path / "b.py").write_text("")
     assert dirty_files(tmp_path) == ["?? b.py"]
+
+
+def test_atlas_report_prints_the_classes_and_exits_0():
+    proc = subprocess.run([sys.executable, "-O", str(ROOT / "scripts" / "atlas_report.py"), "3"],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.split()[:3] == ["8", "local", "classes,"] for line in proc.stdout.splitlines())
+
+
+def test_atlas_report_exits_1_on_a_shell_off_the_closed_form(monkeypatch, capsys):
+    """The check is not an assert, so it holds under python -O too."""
+    report = load("atlas_report")
+    monkeypatch.setattr(report, "count_kind", lambda p, k: count_kind(p, k) + (p == 2))
+    assert report.main(3) == 1
+    out, err = capsys.readouterr()
+    assert err == "p=2: shells by kind [1, 6, 8], closed form [2, 7, 9]\n"
+    assert out.startswith("p=1: total 3") and "p=2" not in out

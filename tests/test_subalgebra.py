@@ -453,3 +453,15 @@ def test_printing_a_partition_builds_no_bisubalgebra(monkeypatch):
         made.clear()
     with pytest.raises(KeyError):
         q.maxbi.index_of(BiSubalgebra(SpinorSet(c.p, [0]), c))  # not maximal
+
+
+def test_index_of_needs_the_same_parent():
+    """B = C_[000] ∩ C^{0}_{[100]} is member 4 of the first group as a key set, but
+    as a bi-subalgebra of the second subalgebra it belongs to no member of the first."""
+    c1, c2 = intrinsic_cartan(3), parse_label("C^{0}_{[100]}")
+    g = all_maximal(c1)
+    b = BiSubalgebra(SpinorSet(3, c1.elements.keys & c2.elements.keys), c2)
+    assert b.is_maximal() and g.members[4].elements == b.elements
+    assert g.index_of(BiSubalgebra(b.elements, c1)) == 4
+    with pytest.raises(KeyError):
+        g.index_of(b)
