@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -143,9 +144,10 @@ def _codes(gens: np.ndarray, p: int, pairs: Sequence[tuple[int, int]]) -> np.nda
     return code
 
 
-def _bit_texts(n: int) -> list[str]:
-    """Code m as text: character t is bit t of m."""
-    return [format(m, f"0{n}b")[::-1] if n else "" for m in range(1 << n)]
+@lru_cache(maxsize=None)
+def _bit_texts(n: int) -> tuple[str, ...]:
+    """Code m as text: character t is bit t of m; built once per n, shared."""
+    return tuple(format(m, f"0{n}b")[::-1] if n else "" for m in range(1 << n))
 
 
 # ---------------------------------------------------------------------------

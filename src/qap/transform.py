@@ -16,7 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitcore import InvariantError, _check_width, gf2_echelon, gf2_rank, solve_affine
+from .bitcore import (
+    MAX_WIDTH, InvariantError, _check_width, gf2_echelon, gf2_rank, gf2_span, solve_affine,
+)
 from .partition import DecompositionSequence, QAPartition
 from .spinor import (
     GaussianMatrix,
@@ -122,11 +124,7 @@ class SymbolicCircuit:
     def _key_tables(self) -> tuple[int, list[int], list[int]]:
         p = self.factors[0].p
         units = transvect((f.key for f in self.factors), [1 << b for b in range(2 * p)], p)
-        lo, hi = [0], [0]
-        for b, image in enumerate(units):
-            table = lo if b < p else hi
-            table += [k ^ image for k in table]
-        return (1 << p) - 1, lo, hi
+        return (1 << p) - 1, gf2_span(units[:p]), gf2_span(units[p:])
 
 
 def transvect(factor_keys: Iterable[int], keys: Iterable[int], p: int) -> Iterable[int]:
@@ -215,23 +213,22 @@ def build_exchange_step(
     diagonal subalgebra as a set; all words are p-bit ints.
 
     (eta, zeta) is the lexicographically smallest admissible pair, eta
-    first; the parity rules are zeta.d = eta.d = (zeta+eta).src = 1 and
-    (zeta+eta).f = 0, with d = src + dst.
+    first: the smallest solution of the parity rules zeta.d = eta.d =
+    (zeta+eta).src = 1 and (zeta+eta).f = 0, with d = src + dst, as one
+    affine system in the 2p-bit word (eta << p) | zeta, so p <= MAX_WIDTH / 2.
     """
     if src == dst:
         raise ValueError("exchange endpoints must differ")
+    if p > MAX_WIDTH // 2:
+        raise ValueError(f"exchange steps need p <= {MAX_WIDTH // 2}, got {p}")
     d = src ^ dst
-    for eta in range(1 << p):
-        if not (eta & d).bit_count() & 1:
-            continue
-        constraints = [(d, 1), (src, 1 ^ ((eta & src).bit_count() & 1))]
-        constraints += [(f, (eta & f).bit_count() & 1) for f in frozen]
-        zeta = solve_affine(constraints, p)
-        if zeta is not None:
-            return SymbolicCircuit.of(
-                BasicTransform(pack(eta, d, p), p), BasicTransform(pack(zeta, d, p), p)
-            )
-    raise ValueError("frozen constraints exhaust the solver's freedom")
+    rows = [(d << p, 1), (d, 1), ((src << p) | src, 1)] + [((f << p) | f, 0) for f in frozen]
+    x = solve_affine(rows, 2 * p)
+    if x is None:
+        raise ValueError("frozen constraints exhaust the solver's freedom")
+    return SymbolicCircuit.of(
+        BasicTransform(pack(x >> p, d, p), p), BasicTransform(pack(x & (1 << p) - 1, d, p), p)
+    )
 
 
 def build_E(alphas: Sequence[int], p: int) -> SymbolicCircuit:

@@ -391,6 +391,13 @@ def test_classify_counts():
         assert class_sizes(a) == {mu: len(v) for mu, v in sorted(index.items())}
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_bit_texts_are_built_once_per_width(n):
+    texts = extension._bit_texts(n)
+    assert texts == tuple("".join(str(m >> t & 1) for t in range(n)) for m in range(1 << n))
+    assert extension._bit_texts(n) is texts
+
+
 def test_class_connector_reaches_common_representative(atlas2, atlas3):
     for a, stride in ((atlas2, 3), (atlas3, 11)):
         index = classify_local(a)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import re
 
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import atlas, qap_of
 from qap import transform
-from qap.bitcore import BitWord, InvariantError, gf2_echelon
+from qap.bitcore import BitWord, InvariantError, gf2_echelon, solve_affine
 from qap.extension import local_lift, nonlocal_connector
 from qap.partition import DecompositionSequence
 from qap.spinor import (
@@ -357,6 +358,70 @@ def test_exchange_step_rejects_equal_endpoints():
         build_exchange_step(W("011").bits, W("011").bits, 3)
 
 
+def reference_exchange_step(src: int, dst: int, p: int, frozen=()) -> SymbolicCircuit:
+    """The exchange step by search: eta walks up from 0, and the first eta
+    whose zeta system is solvable wins, with its smallest zeta."""
+    if src == dst:
+        raise ValueError("exchange endpoints must differ")
+    d = src ^ dst
+    for eta in range(1 << p):
+        if not (eta & d).bit_count() & 1:
+            continue
+        constraints = [(d, 1), (src, 1 ^ ((eta & src).bit_count() & 1))]
+        constraints += [(f, (eta & f).bit_count() & 1) for f in frozen]
+        zeta = solve_affine(constraints, p)
+        if zeta is not None:
+            return SymbolicCircuit.of(
+                BasicTransform(pack(eta, d, p), p), BasicTransform(pack(zeta, d, p), p)
+            )
+    raise ValueError("frozen constraints exhaust the solver's freedom")
+
+
+def exchange_outcome(build, src: int, dst: int, p: int, frozen) -> SymbolicCircuit | str:
+    try:
+        return build(src, dst, p, frozen)
+    except ValueError as e:
+        return str(e)
+
+
+def test_exchange_step_matches_the_search_for_every_small_case():
+    """Every src != dst at p <= 4 with 0-2 frozen words, in either outcome."""
+    cases = 0
+    for p in range(1, 5):
+        words = range(1 << p)
+        for k in range(3):
+            for frozen, (src, dst) in itertools.product(
+                itertools.combinations(words, k), itertools.permutations(words, 2)
+            ):
+                expected = exchange_outcome(reference_exchange_step, src, dst, p, frozen)
+                got = exchange_outcome(build_exchange_step, src, dst, p, frozen)
+                assert got == expected, (src, dst, p, frozen)
+                cases += 1
+    assert cases == 35092
+
+
+@pytest.mark.parametrize("p", [5, 6, 7, 8])
+def test_exchange_step_matches_the_search_on_seeded_draws(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        src, dst = rng.sample(range(1 << p), 2)
+        frozen = [rng.randrange(1 << p) for _ in range(rng.randrange(p))]
+        expected = exchange_outcome(reference_exchange_step, src, dst, p, frozen)
+        got = exchange_outcome(build_exchange_step, src, dst, p, frozen)
+        assert got == expected, (src, dst, frozen)
+
+
+@pytest.mark.parametrize("src, dst, p, frozen, message", [
+    (1, 2, 9, (), "exchange steps need p <= 8, got 9"),
+    (8, 1, 3, (), "out of range"),
+    (1, 8, 3, (), "out of range"),
+    (1, 2, 3, (8,), "out of range"),
+])
+def test_exchange_step_rejects_a_width_past_8_or_a_word_past_p_bits(src, dst, p, frozen, message):
+    with pytest.raises(ValueError, match=message):
+        build_exchange_step(src, dst, p, frozen)
+
+
 def test_exchange_preserves_self_parity_class():
     e = build_exchange_step(W("110").bits, W("010").bits, 3, [])
     for sigma in (0, 1):
@@ -375,7 +440,7 @@ def test_build_E_examples():
 
 def test_build_E_random_bookkeeping():
     rng = random.Random(11)
-    for p in (3, 4):
+    for p in (3, 4, 8):
         from qap.bitcore import gf2_rank
 
         for _ in range(15):
