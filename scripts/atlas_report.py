@@ -2,6 +2,9 @@
 a seeded connector stress run, for a range of widths (up to 6).
 
 Usage: python scripts/atlas_report.py [max_p] [seed]
+
+max_p (default 4) is in 1..6 and seed (default 0) is an integer; any other
+argument is refused with an error line and exit status 2 before any work.
 """
 
 from __future__ import annotations
@@ -10,12 +13,29 @@ import pathlib
 import random
 import sys
 import time
+from typing import Sequence
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qap.extension import class_sizes, count_kind, enumerate_all
+from qap.extension import ENUMERATION_MAX_P, class_sizes, count_kind, enumerate_all
 from qap.partition import build_qap
 from qap.transform import connect, random_sequence
+
+
+def parse_args(argv: Sequence[str]) -> list[int]:
+    """The arguments of main: at most two integers, max_p then seed; ValueError
+    names the bad one."""
+    if len(argv) > 2:
+        raise ValueError(f"at most two arguments, max_p and seed, got {len(argv)}")
+    values = []
+    for name, text in zip(["max_p", "seed"], argv):
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if values and not 1 <= values[0] <= ENUMERATION_MAX_P:
+        raise ValueError(f"max_p must be in 1..{ENUMERATION_MAX_P}, got {values[0]}")
+    return values
 
 
 def main(max_p: int = 4, seed: int = 0) -> int:
@@ -53,5 +73,9 @@ def main(max_p: int = 4, seed: int = 0) -> int:
 
 
 if __name__ == "__main__":
-    args = [int(a) for a in sys.argv[1:3]]
+    try:
+        args = parse_args(sys.argv[1:])
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(*args))

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span, parity
+from .bitcore import InvariantError, gf2_span, parity
 from .spinor import key_texts
 from .subalgebra import CartanSubalgebra, label_text
 from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
@@ -72,28 +72,36 @@ class CartanAtlas:
 
 def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(base, toggles), shapes (B, p) and (B, k(k+1)/2, k), of the kind-k alpha bases:
-    choose pivot bits b_i, fill the non-pivot bits below each.  Each unit u_i = 2^b_i is
-    reduced once against the echelon basis of the rows' diagonal kernel.  As u_i . a_j =
-    delta_ij and the kernel is orthogonal to every row, parity matrix eps gives row j the
-    reduced phase XOR_i eps_ij u_i.  The base row (eps = 0) is the rows << p, descending,
-    then the kernel; toggling eps_rs (r <= s, superscript order) XORs u_s into phase r
-    and u_r into phase s.  Keys < 4^6 fit int16."""
-    upper, columns = [(r, s) for r in range(k) for s in range(r, k)], range(k - 1, -1, -1)
-    base, toggles = [], []
-    for pivots in itertools.combinations(range(p), k):
-        fills = [gf2_span([1 << j for j in range(b) if j not in pivots]) for b in pivots]
+    choose pivot bits b_i, fill the non-pivot bits below each.  All bases at once, over a
+    (B, 2^p) table of the rows' diagonal kernel: its reduced echelon basis is the smallest
+    member with each leading bit, and unit u_i (2^b_i reduced against it) is the smallest
+    member of the coset 2^b_i + kernel.  As u_i . a_j = delta_ij and the kernel is
+    orthogonal to every row, parity matrix eps gives row j the reduced phase XOR_i eps_ij
+    u_i.  The base row (eps = 0) is the rows << p, descending, then the kernel; toggling
+    eps_rs (r <= s, superscript order) XORs u_s into phase r and u_r into phase s.  Keys <
+    4^6 fit int16."""
+    pivots, rows = [], []
+    for piv in itertools.combinations(range(p), k):
+        fills = [gf2_span([1 << j for j in range(b) if j not in piv]) for b in piv]
         for low in itertools.product(*fills):
-            rows = [(1 << b) | f for b, f in zip(pivots, low)]
-            kernel = gf2_echelon(gf2_nullspace(rows, p))
-            units = [gf2_reduce(1 << b, kernel) for b in pivots]
-            duals = [[(a & x).bit_count() & 1 for x in units + kernel] for a in rows]
-            if duals != [[int(i == j) for j in range(p)] for i in range(k)]:
-                raise InvariantError(f"rows {rows}: units or kernel not dual to the rows")
-            base.append([a << p for a in reversed(rows)] + kernel)
-            toggles += [[units[s] if i == r else units[r] if i == s else 0 for i in columns]
-                        for r, s in upper]
-    toggles = np.array(toggles, np.int16).reshape(len(base), len(upper), k)
-    return np.array(base, np.int16), toggles
+            pivots.append(piv)
+            rows.append([(1 << b) | f for b, f in zip(piv, low)])
+    pivots, rows = (np.array(v, np.int64).reshape(len(v), k) for v in (pivots, rows))
+    x, n = np.arange(1 << p), len(rows)
+    odd = parity(x).astype(bool)
+    member = ~odd[rows[:, :, None] & x].any(axis=1)
+    # the smallest member of [2^l, 2^(l+1)) for every l, 2^p where none is: p - k are
+    low = np.minimum.reduceat(np.where(member, x, 1 << p), 1 << np.arange(p), axis=1)
+    kernel = low[low < 1 << p].reshape(n, p - k)[:, ::-1]
+    units = member[np.arange(n)[:, None, None], x ^ (1 << pivots)[:, :, None]].argmax(axis=2)
+    vecs = np.concatenate([units, kernel, np.zeros((n, 1), np.int64)], axis=1)  # column p: 0
+    bad = (odd[rows[:, :, None] & vecs[:, None, :p]] != np.eye(k, p, dtype=bool)).any(axis=(1, 2))
+    if bad.any():
+        raise InvariantError(f"rows {rows[bad.argmax()].tolist()}: units or kernel not dual to the rows")
+    pick = [[s if i == r else r if i == s else p for i in range(k - 1, -1, -1)]
+            for r in range(k) for s in range(r, k)]
+    toggles = vecs[:, np.array(pick, np.intp).reshape(len(pick), k)].astype(np.int16)
+    return np.concatenate([rows[:, ::-1] << p, kernel], axis=1).astype(np.int16), toggles
 
 
 def _check_shell(p: int, k: int, keys: np.ndarray) -> None:

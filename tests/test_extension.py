@@ -210,6 +210,49 @@ def test_array_shells_equal_the_reference_walk_row_by_row(p):
             assert [c.parity_table for c in a.members(k)] == [table for _, table in ref]
 
 
+def reference_label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """extension._label_rows one alpha basis at a time: the kernel is the
+    echelon null space of the rows, and each unit 2^b_i is reduced against it."""
+    upper, columns = [(r, s) for r in range(k) for s in range(r, k)], range(k - 1, -1, -1)
+    base, toggles = [], []
+    for pivots in itertools.combinations(range(p), k):
+        fills = [gf2_span([1 << j for j in range(b) if j not in pivots]) for b in pivots]
+        for low in itertools.product(*fills):
+            rows = [(1 << b) | f for b, f in zip(pivots, low)]
+            kernel = gf2_echelon(gf2_nullspace(rows, p))
+            units = [gf2_reduce(1 << b, kernel) for b in pivots]
+            duals = [[(a & x).bit_count() & 1 for x in units + kernel] for a in rows]
+            if duals != [[int(i == j) for j in range(p)] for i in range(k)]:
+                raise InvariantError(f"rows {rows}: units or kernel not dual to the rows")
+            base.append([a << p for a in reversed(rows)] + kernel)
+            toggles += [[units[s] if i == r else units[r] if i == s else 0 for i in columns]
+                        for r, s in upper]
+    toggles = np.array(toggles, np.int16).reshape(len(base), len(upper), k)
+    return np.array(base, np.int16), toggles
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_label_rows_equal_the_per_basis_reference(p):
+    for k in range(p + 1):
+        for got, want in zip(extension._label_rows(p, k), reference_label_rows(p, k)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (p, k)
+            assert np.array_equal(got, want), (p, k)
+
+
+def test_fills_that_carry_another_pivot_fail_the_dual_check(monkeypatch):
+    """Bit 0 XORed into every fill puts pivot 0 into the rows above it:
+    [1, 3] is the first kind-2 basis at p = 4 and is no longer reduced."""
+    real = extension.gf2_span
+
+    def forged(rows):
+        out = real(rows)
+        return [v ^ 1 for v in out] if isinstance(out, list) else out
+
+    monkeypatch.setattr(extension, "gf2_span", forged)
+    with pytest.raises(InvariantError, match=re.escape("rows [1, 3]: units or kernel not dual")):
+        enumerate_all(4)
+
+
 def repeat_a_toggle(base, toggles):
     toggles[0, 1] = toggles[0, 0]
 

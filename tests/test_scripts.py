@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from qap.extension import count_kind
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -59,3 +61,25 @@ def test_atlas_report_exits_1_on_a_shell_off_the_closed_form(monkeypatch, capsys
     out, err = capsys.readouterr()
     assert err == "p=2: shells by kind [1, 6, 8], closed form [2, 7, 9]\n"
     assert out.startswith("p=1: total 3") and "p=2" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["0"], "max_p must be in 1..6, got 0"),
+    (["7"], "max_p must be in 1..6, got 7"),
+    (["x"], "max_p must be an integer, got 'x'"),
+    (["3", "y"], "seed must be an integer, got 'y'"),
+    (["3", "0", "1"], "at most two arguments, max_p and seed, got 3"),
+])
+def test_atlas_report_refuses_a_bad_argument_before_any_work(argv, message):
+    """A max_p off 1..6 (7 is past the enumeration guard), a non-integer or a third
+    argument is one error line and exit 2, with nothing enumerated or printed."""
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "atlas_report.py"), *argv],
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_atlas_report_passes_zero_one_or_two_integers_to_main():
+    parse_args = load("atlas_report").parse_args
+    assert parse_args([]) == []
+    assert parse_args(["6"]) == [6]
+    assert parse_args(["1", "-3"]) == [1, -3]
