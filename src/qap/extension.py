@@ -90,7 +90,7 @@ def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     x, n = np.arange(1 << p), len(rows)
     odd = parity(x).astype(bool)
     member = ~odd[rows[:, :, None] & x].any(axis=1)
-    # the smallest member of [2^l, 2^(l+1)) for every l, 2^p where none is: p - k are
+    # smallest member of [2^l, 2^(l+1)) per l, else 2^p; the rows are independent: p - k exist
     low = np.minimum.reduceat(np.where(member, x, 1 << p), 1 << np.arange(p), axis=1)
     kernel = low[low < 1 << p].reshape(n, p - k)[:, ::-1]
     units = member[np.arange(n)[:, None, None], x ^ (1 << pivots)[:, :, None]].argmax(axis=2)
