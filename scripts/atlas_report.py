@@ -53,7 +53,7 @@ def main(max_p: int = 4, seed: int = 0) -> int:
         print(f"p={p}: total {atlas.total}  by kind {by_kind}  ({dt:.2f}s)")
 
         t0 = time.perf_counter()
-        sizes = sorted(class_sizes(atlas).values())
+        sizes = sorted(n for n in class_sizes(p).tolist() if n)  # from the labels, no atlas
         dt = time.perf_counter() - t0
         print(f"      {len(sizes)} local classes, sizes {sizes[0]}..{sizes[-1]}  ({dt:.2f}s)")
 

@@ -31,7 +31,7 @@ GUARDS = {
     "lift": 6,
     "verify": 4,
     "oracle": oracle.ORACLE_GUARD_P,
-    "classify": extension.ENUMERATION_MAX_P,
+    "classify": extension.CLASSES_MAX_P,
     "connect": 5,
 }
 
@@ -207,16 +207,17 @@ def cmd_oracle(cfg: argparse.Namespace) -> int:
 
 
 def cmd_classify(cfg: argparse.Namespace) -> int:
-    atlas = enumerate_all(cfg.p)
-    sizes = extension.class_sizes(atlas)
-    expected = 1 << (cfg.p * (cfg.p - 1) // 2)
-    ok = len(sizes) == expected and sum(sizes.values()) == atlas.total
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({"classes": sizes, "expected": expected, "ok": ok}))
-    else:
-        lines = [f"{mu or '-'}: {n}" for mu, n in sizes.items()]
-        lines.append(f"{len(sizes)} classes (expected {expected}), members {sum(sizes.values())}")
-        _emit(cfg, "\n".join(lines))
+    n, sizes = cfg.p * (cfg.p - 1) // 2, extension.class_sizes(cfg.p)
+    want, classes, total = 1 << n, int((sizes != 0).sum()), int(sizes.sum())
+    ok = classes == want and total == extension.count_total(cfg.p)
+    # keys are n binary digits, no JSON escapes; a row of sizes shares its leading digits
+    before, after, sep = ('"', '": ', ", ") if cfg.fmt == "json" else ("" if n else "-", ": ", "\n")
+    lead = [before + format(i | 1 << n - n // 2, "b")[1:] for i in range(1 << n - n // 2)]
+    tail = [format(i | 1 << n // 2, "b")[1:] + after for i in range(1 << n // 2)]
+    body = sep.join([f"{a}{b}{s}" for a, row in zip(lead, sizes.reshape(len(lead), -1))
+                     for b, s in zip(tail, row.tolist()) if s])
+    _emit(cfg, f'{{"classes": {{{body}}}, "expected": {want}, "ok": {json.dumps(ok)}}}'
+          if cfg.fmt == "json" else f"{body}\n{classes} classes (expected {want}), members {total}")
     return PASS if ok else FAIL
 
 

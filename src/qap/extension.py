@@ -22,7 +22,7 @@ from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
 
 ENUMERATION_MAX_P = 6
 MEMBERS_MAX_P = 5  # member objects and the JSONL: 4 922 775 of them at p = 6
-_BLOCK_ROWS = 1 << 16  # bases per class_codes call of class_sizes: bounds its memory
+CLASSES_MAX_P = 7  # 2^21 classes; p = 8 has 2^28, and its keys pass int16
 
 
 def count_kind(p: int, k: int) -> int:
@@ -79,7 +79,7 @@ def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     orthogonal to every row, parity matrix eps gives row j the reduced phase XOR_i eps_ij
     u_i.  The base row (eps = 0) is the rows << p, descending, then the kernel; toggling
     eps_rs (r <= s, superscript order) XORs u_s into phase r and u_r into phase s.  Keys <
-    4^6 fit int16."""
+    4^7 fit int16."""
     pivots, rows = [], []
     for piv in itertools.combinations(range(p), k):
         fills = [gf2_span([1 << j for j in range(b) if j not in piv]) for b in piv]
@@ -106,17 +106,17 @@ def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_shell(p: int, k: int, keys: np.ndarray) -> None:
     """A sorted kind-k shell holds count_kind(p, k) distinct members, each p keys with
-    distinct leading bits, descending, the first k with alpha: read by column, faster."""
+    distinct leading bits, descending, the first k with alpha: read from one (p, N) copy."""
     if len(keys) != count_kind(p, k):
         raise InvariantError(f"shell {k}: {len(keys)} members, not {count_kind(p, k)}")
-    cols, alpha = keys.T, keys.T >> p != 0
-    # a's leading bit is above b's iff a & ~b > b
-    bad = np.logical_or.reduce([(a & ~b) <= b for a, b in zip(cols[:-1], cols[1:])])
-    bad = bad | (cols[-1] == 0) | ~alpha[:k].all(axis=0) | alpha[k:].any(axis=0)
+    cols = np.ascontiguousarray(keys.T)  # a's leading bit is above b's iff a & ~b > b
+    alpha = cols >> p != 0
+    bad = ((cols[:-1] & ~cols[1:]) <= cols[1:]).any(axis=0) | (cols[-1] == 0)
+    bad |= ~alpha[:k].all(axis=0) | alpha[k:].any(axis=0)
     if bad.any():
         row = keys[bad.argmax()].tolist()
         raise InvariantError(f"shell {k}: {row} is not a kind-{k} basis of distinct leading bits")
-    repeated = np.logical_and.reduce([col[1:] == col[:-1] for col in cols])
+    repeated = (cols[:, 1:] == cols[:, :-1]).all(axis=0)
     if repeated.any():
         raise InvariantError(f"shell {k}: basis {keys[repeated.argmax()].tolist()} appears twice")
 
@@ -244,23 +244,32 @@ def classify_local(atlas: CartanAtlas) -> dict[str, list[CartanSubalgebra]]:
     return index
 
 
-def _row_blocks(arrays: Sequence[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The arrays' rows in order, size at a time (the last block may be
-    shorter); a block runs on from one array into the next."""
-    starts = np.cumsum([0] + [len(a) for a in arrays]).tolist()
-    for lo in range(0, starts[-1], size):
-        yield np.concatenate([a[max(lo - s, 0) : max(lo + size - s, 0)] for a, s in zip(arrays, starts)])
-
-
-def class_sizes(atlas: CartanAtlas) -> dict[str, int]:
-    """The size of every nonempty class of classify_local, by ascending key;
-    the atlas is lifted in blocks of _BLOCK_ROWS bases across its shells."""
-    p, n = atlas.p, atlas.p * (atlas.p - 1) // 2
-    sizes = np.zeros(1 << n, dtype=np.intp)
-    for block in _row_blocks(list(atlas.by_kind.values()), _BLOCK_ROWS):
-        sizes += np.bincount(class_codes(block, p), minlength=1 << n)
-    texts = _bit_texts(n)
-    return dict(sorted((texts[m], size) for m, size in enumerate(sizes.tolist()) if size))
+def class_sizes(p: int) -> np.ndarray:
+    """Class sizes of classify_local on the p-atlas by ascending key (entry i: key i in
+    p(p - 1)/2 binary digits), from the labels.  A kind-k alpha basis A lifts by one shear
+    alpha' = alpha ^ U zeta (U: its non-pivot mask), as toggles move only zeta.  An element
+    (Z c ^ kappa, A c), Z linear in eps and kappa in the kernel, has alpha' = c on the pivots,
+    and kappa = L((alpha' ^ A c ^ Z c) off the pivots), L free of eps, as a nonzero kernel
+    vector is nonzero off them.  So zeta = S_eps alpha' with S_eps affine in eps, and so is
+    the code read off S_eps: d_t = code(e_t) ^ code(0) is the same at every eps.  A self-parity
+    d_t must be 0; each code of code(0) ^ span(off-diagonal d_t) holds 2^k members."""
+    if not 1 <= p <= CLASSES_MAX_P:
+        raise ValueError(f"classes guarded to p <= {CLASSES_MAX_P}")
+    n, shells = p * (p - 1) // 2, [_label_rows(p, k) for k in range(p + 1)]
+    rows = [np.repeat(base[:, None], toggles.shape[1] + 1, axis=1) for base, toggles in shells]
+    for k, (_, toggles) in enumerate(shells):  # per alpha basis: eps = 0, then each toggle
+        rows[k][:, 1:, :k] ^= toggles
+    codes, at, sizes = class_codes(np.concatenate([r.reshape(-1, p) for r in rows]), p), 0, 0
+    for k, r in enumerate(rows):
+        code, at = codes[at : at + r.size // p].reshape(r.shape[:2]), at + r.size // p
+        images = code[:, 1:] ^ code[:, :1]
+        diagonal = np.array([i == j for i in range(k) for j in range(i, k)], dtype=bool)
+        if (moved := images[:, diagonal].any(axis=1)).any():
+            c = CartanSubalgebra.from_basis(p, r[moved.argmax(), 0].tolist())
+            raise InvariantError(f"{c.label}: a self-parity toggle moves its class code")
+        span = gf2_span(images[:, ~diagonal]) ^ code[:, :1]
+        sizes += np.bincount(span.ravel(), minlength=1 << n) << k
+    return sizes.reshape((2,) * n).transpose().ravel()  # key order reads code bits downward
 
 
 def class_connector(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra, str]:

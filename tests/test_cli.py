@@ -246,7 +246,45 @@ def test_classify_at_its_guard(capsys):
     code, out = run(capsys, "classify", "--p", "5")
     assert code == 0
     assert out.endswith("1024 classes (expected 1024), members 75735\n")
-    assert run(capsys, "classify", "--p", "7")[0] == 2
+    assert run(capsys, "classify", "--p", "8")[0] == 2
+
+
+# sha256 of `qap classify --p <p>` stdout as text and as --format json: read from the
+# labels, the class lines and the JSON object stay byte-identical to the enumerated ones
+CLASSIFY_SHA256 = {
+    1: ("0b5ab5e1e5f55a7289c6b7cbcbde194eedba3095a692d95e9d3ea0c3193b8a52",
+        "4cef46ac7c3c99dd09ce3dd1bb4ea60fa2ea14e73b1b507136f71720699c4b41"),
+    2: ("8dfe66e0a2cd85d051d336608c453e3300ead2d78b82d373470a13807d6680f5",
+        "19de3c05816ecefd3ad86e25f855d9d506f2c2915bec862b037197517b1034f4"),
+    3: ("6edb0fdf2b61fe5030fa710afea52433f35a07da434c106a882725220147fe37",
+        "88fd6ebe4d89b27bb0a7b4a5bb667a33d942e42e39cce1ab6c77149493be9243"),
+    4: ("e94b482a2c54354643cf7cb7a76dd320a80aea79d26e224c0a7216c86f4f42ee",
+        "fc6575c2398b5ac124855b8c038bf957f5919a8a406edd289dc10b064bce5cc9"),
+    5: ("d79e0e99300dc318237755414891b8d3d57da42841ead7160990fd96f9999513",
+        "14f13041244c339ba317513de9d1100add10bc700cd9047a13b150b0794f1008"),
+    6: ("6a2eebf0d7772fc170f03e16730025a2b7c7336308cf7678b4f8aa0027712c5d",
+        "3acf727f7dbb4c8abd6f3a72b66af2ea913576461a281360daf0a3b904aa36e9"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(CLASSIFY_SHA256))
+def test_classify_stdout_is_pinned(capsys, p):
+    outs = [run(capsys, "classify", "--p", str(p), *fmt) for fmt in ([], ["--format", "json"])]
+    assert [code for code, _ in outs] == [0, 0]
+    assert tuple(hashlib.sha256(out.encode()).hexdigest() for _, out in outs) == CLASSIFY_SHA256[p]
+
+
+def test_classify_enumerates_no_atlas(capsys, monkeypatch):
+    import qap.cli
+
+    def fail(p):
+        raise AssertionError("classify enumerated the atlas")
+
+    monkeypatch.setattr(qap.cli, "enumerate_all", fail)
+    monkeypatch.setattr(qap.extension, "enumerate_all", fail)
+    code, out = run(capsys, "classify", "--p", "4")
+    assert code == 0 and out.endswith("64 classes (expected 64), members 2295\n")
+    assert run(capsys, "count", "--p", "4")[0] == 1  # the patch is live
 
 
 def test_label_parse_error_reports_position(capsys):

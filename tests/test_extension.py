@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import re
@@ -13,6 +14,7 @@ from qap import cli, extension
 from qap.bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
 from qap.extension import (
     CartanAtlas,
+    class_codes,
     class_connector,
     class_sizes,
     classify_local,
@@ -431,7 +433,7 @@ def test_classify_counts():
         index = classify_local(a)
         assert len(index) == 1 << (p * (p - 1) // 2)
         assert sum(len(v) for v in index.values()) == a.total
-        assert class_sizes(a) == {mu: len(v) for mu, v in sorted(index.items())}
+        assert by_key(class_sizes(p), p) == {mu: len(v) for mu, v in sorted(index.items())}
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
@@ -575,7 +577,7 @@ def test_batched_lift_matches_the_reference_row_by_row():
         assert {mu: [c.elements.keys for c in v] for mu, v in got.items()} == ref_classes(a.members())
 
 
-def test_a_lift_that_misses_the_top_kind_names_its_member(monkeypatch):
+def test_a_lift_that_misses_the_top_kind_names_its_member():
     # the diagonal row S[01|00] anti-commutes with the generator S[00|01]:
     # no Cartan subalgebra, and the lift through h[0|10] leaves both keys alone
     forged = CartanSubalgebra.from_basis(2, [0b0100, 0b0001])
@@ -586,13 +588,6 @@ def test_a_lift_that_misses_the_top_kind_names_its_member(monkeypatch):
     a = atlas_of(2, {0: members[:7], 1: members[7:10] + [forged] + members[10:]})
     with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
         classify_local(a)
-    with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
-        class_sizes(a)
-    # rows 6..11 form one block: the last of shell 0, then shell 1 up to the forged row 10
-    monkeypatch.setattr(extension, "_BLOCK_ROWS", 6)
-    assert [len(b) for b in extension._row_blocks(list(a.by_kind.values()), 6)] == [6, 6, 4]
-    with pytest.raises(InvariantError, match=re.escape(f"local lift of {forged.label} failed")):
-        class_sizes(a)
 
 
 def ref_lift_keys(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -638,17 +633,104 @@ def test_column_lift_equals_the_row_lift_on_seeded_p6_rows():
         assert_lifts_equal(basis[np.sort(rows)], 6)
 
 
-@pytest.mark.parametrize("p", [3, 4])
-def test_class_sizes_do_not_depend_on_the_block_size(monkeypatch, p):
-    a = atlas(p)
-    want = {mu: len(v) for mu, v in sorted(classify_local(a).items())}
-    assert class_sizes(a) == want
-    for size in (1, 5, 64):
-        monkeypatch.setattr(extension, "_BLOCK_ROWS", size)
-        assert class_sizes(a) == want, size
-        blocks = list(extension._row_blocks(list(a.by_kind.values()), size))
-        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate(blocks), np.concatenate(list(a.by_kind.values())))
+# -- class sizes by label against the enumerated atlas ----------------------------
+#
+# class_sizes reads one affine class map per alpha basis off t + 1 lifted members;
+# the reference lifts every member of the enumerated atlas.
+
+
+def enumerated_class_sizes(a: CartanAtlas) -> dict[str, int]:
+    """Every member lifted and its class code counted, keyed as classify_local keys
+    its classes, by ascending key."""
+    n = a.p * (a.p - 1) // 2
+    sizes = sum(np.bincount(class_codes(basis, a.p), minlength=1 << n) for basis in a.by_kind.values())
+    texts = extension._bit_texts(n)
+    return dict(sorted((texts[m], size) for m, size in enumerate(sizes.tolist()) if size))
+
+
+def by_key(sizes: np.ndarray, p: int) -> dict[str, int]:
+    """class_sizes(p) over its nonempty classes: entry i is key i in p(p - 1)/2 binary digits."""
+    n = p * (p - 1) // 2
+    return {format(i | 1 << n, "b")[1:]: size for i, size in enumerate(sizes.tolist()) if size}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_class_sizes_by_label_equal_the_enumerated_reference(p):
+    sizes = class_sizes(p)
+    assert sizes.shape == (1 << p * (p - 1) // 2,)
+    assert list(by_key(sizes, p).items()) == list(enumerated_class_sizes(atlas(p)).items())
+
+
+def mutated_class_sizes(old: str, new: str):
+    """class_sizes with one edit to its source, run in the extension module's namespace."""
+    source = inspect.getsource(extension.class_sizes)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(extension))
+    exec(source.replace(old, new), namespace)
+    return namespace["class_sizes"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("images[:, ~diagonal]", "images[:, ~diagonal][:, 1:]"),
+    ("<< k\n", "\n"),
+], ids=["one-off-diagonal-image-dropped", "the-2^k-weight-dropped"])
+def test_a_mutated_class_map_fails_the_enumerated_reference(old, new):
+    forged = mutated_class_sizes(old, new)
+    for p in (3, 4):
+        assert by_key(forged(p), p) != enumerated_class_sizes(atlas(p)), p
+    assert by_key(mutated_class_sizes(old, old)(4), 4) == enumerated_class_sizes(atlas(4))
+
+
+def test_a_self_parity_image_names_its_alpha_basis(monkeypatch):
+    """A forged class code on toggle eps_11 of the sixth kind-2 basis at p = 4: the
+    rows are eps = 0, then the toggles in superscript order, (0, 0), (0, 1), (1, 1)."""
+    p, k, basis = 4, 2, 5
+    shells = [extension._label_rows(p, j) for j in range(p + 1)]
+    row = sum(b.shape[0] * (t.shape[1] + 1) for b, t in shells[:k]) + basis * 4 + 3
+    real = extension.class_codes
+
+    def forged(bases, p):
+        codes = real(bases, p)
+        codes[row] ^= 1
+        return codes
+
+    monkeypatch.setattr(extension, "class_codes", forged)
+    label = CartanSubalgebra.from_basis(p, shells[k][0][basis].tolist()).label
+    assert label == "C^{000}_{[0001,1100]}"
+    with pytest.raises(InvariantError, match=re.escape(f"{label}: a self-parity toggle moves")):
+        class_sizes(p)
+
+
+def test_the_class_map_is_affine_on_seeded_p7_members():
+    """At p = 7, past the enumeration guard: 256 members per shell, each a seeded alpha
+    basis with a seeded full toggle vector, lifted through class_codes, land on the code
+    code(0) ^ XOR_t eps_t d_t that the single toggles predict."""
+    p, rng = 7, np.random.default_rng(7)
+    for k in range(p + 1):
+        base, toggles = extension._label_rows(p, k)
+        t, picks = toggles.shape[1], rng.integers(len(base), size=256)
+        eps = rng.integers(0, 2, size=(len(picks), t), dtype=np.int16)
+        members = base[picks].copy()
+        members[:, :k] ^= np.bitwise_xor.reduce(eps[:, :, None] * toggles[picks], axis=1)
+        singles = np.repeat(base[picks][:, None], t + 1, axis=1)
+        singles[:, 1:, :k] ^= toggles[picks]
+        codes = class_codes(singles.reshape(-1, p), p).reshape(len(picks), t + 1)
+        images = codes[:, 1:] ^ codes[:, :1]
+        predicted = codes[:, 0] ^ np.bitwise_xor.reduce(eps * images, axis=1)
+        assert np.array_equal(class_codes(members, p), predicted), k
+
+
+@pytest.mark.parametrize("p", [4, 5, 6, 7])
+def test_every_class_is_nonempty_and_the_sizes_sum_to_the_atlas(p):
+    sizes = class_sizes(p)
+    assert (sizes > 0).all() and sizes.sum() == count_total(p)
+    assert (sizes.min(), sizes.max()) == (3 << (p - 1), 3**p)
+
+
+def test_class_sizes_are_guarded():
+    for p in (0, 8):
+        with pytest.raises(ValueError, match="classes guarded to p <= 7"):
+            class_sizes(p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
