@@ -8,6 +8,7 @@ printed strings coincides with numeric order on the stored integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,16 +31,24 @@ def _check_width(p: int) -> None:
 
 
 def parity(x):
-    """Parity of the set bits of an int, or elementwise of a numpy integer
-    array.  Arrays are XOR-folded over their dtype width: np.bitwise_count
-    needs numpy >= 2.0, and int.bit_count is the faster path on one int."""
+    """Parity of the set bits of an int, or elementwise over the full width of
+    a numpy integer array, in its dtype: XOR-folded to 16 bits, then looked up
+    (np.bitwise_count needs numpy >= 2.0; int.bit_count is faster on one int)."""
     if isinstance(x, int):
         return x.bit_count() & 1
-    shift = x.dtype.itemsize * 8
-    while shift > 1:
+    dtype, shift = x.dtype, x.dtype.itemsize * 8
+    if shift <= 16:
+        return _parity_table().take(x.view(f"u{dtype.itemsize}")).astype(dtype)
+    while shift > 16:  # fold the high half onto the low half
         shift //= 2
         x = x ^ (x >> shift)
-    return x & 1
+    return _parity_table().take(x & 0xFFFF).astype(dtype)
+
+
+@lru_cache(maxsize=None)
+def _parity_table() -> np.ndarray:
+    """Parity of every 16-bit word: 64 KiB, built on first use."""
+    return gf2_span(np.ones((1, 16), np.uint8))[0]
 
 
 def gf2_rank(rows: Iterable[int]) -> int:

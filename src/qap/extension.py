@@ -70,38 +70,46 @@ class CartanAtlas:
             i -= len(keys)
 
 
-def _label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(base, toggles), shapes (B, p) and (B, k(k+1)/2, k), of the kind-k alpha bases:
-    choose pivot bits b_i, fill the non-pivot bits below each.  All bases at once, over a
-    (B, 2^p) table of the rows' diagonal kernel: its reduced echelon basis is the smallest
-    member with each leading bit, and unit u_i (2^b_i reduced against it) is the smallest
-    member of the coset 2^b_i + kernel.  As u_i . a_j = delta_ij and the kernel is
-    orthogonal to every row, parity matrix eps gives row j the reduced phase XOR_i eps_ij
-    u_i.  The base row (eps = 0) is the rows << p, descending, then the kernel; toggling
+def _label_rows(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[(base, toggles) for k in 0..p], shapes (B, p) and (B, k(k+1)/2, k), of the kind-k
+    alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.  All at once, over
+    the (B, 2^p) span of the rows' column words: entry x is the syndrome (a_i . x)_i, and the
+    kernel is where it is 0.  Its reduced echelon basis is the smallest member with each
+    leading bit; unit u_i, 2^b_i reduced against those, highest first (a missing bit's 2^p
+    moves nothing), is the smallest member of 2^b_i + kernel.  As u_i . a_j = delta_ij and the
+    kernel is orthogonal to every row, parity matrix eps gives row j the reduced phase XOR_i
+    eps_ij u_i.  The base row (eps = 0) is the rows << p, descending, then the kernel; toggling
     eps_rs (r <= s, superscript order) XORs u_s into phase r and u_r into phase s.  Keys <
     4^7 fit int16."""
-    pivots, rows = [], []
-    for piv in itertools.combinations(range(p), k):
-        fills = [gf2_span([1 << j for j in range(b) if j not in piv]) for b in piv]
-        for low in itertools.product(*fills):
-            pivots.append(piv)
-            rows.append([(1 << b) | f for b, f in zip(piv, low)])
-    pivots, rows = (np.array(v, np.int64).reshape(len(v), k) for v in (pivots, rows))
-    x, n = np.arange(1 << p), len(rows)
-    odd = parity(x).astype(bool)
-    member = ~odd[rows[:, :, None] & x].any(axis=1)
+    heads, packed, ends = [0], [0], [1]  # kind 0; a basis packs its c-th row at bit c p
+    for k in range(1, p + 1):
+        for piv in itertools.combinations(range(p), k):
+            head = sum(1 << b << c * p for c, b in enumerate(piv[::-1]))
+            fills = gf2_span([1 << j << c * p for c, b in enumerate(piv[::-1]) for j in range(b) if j not in piv])
+            packed += [head | f for f in fills]
+            heads += [head] * len(fills)
+        ends.append(len(packed))
+    units, rows = (np.array(v)[:, None] >> np.arange(0, p * p + p, p) & (1 << p) - 1 for v in (heads, packed))
+    units, rows = units.astype(np.int16), rows[:, :p].astype(np.int16)  # units' column p: 0
+    pivot, bit = rows != 0, np.arange(p, dtype=np.int16)  # the rest of a row holds the kernel
+    syndrome = gf2_span(((rows[:, None, :] >> bit[:, None] & 1) << bit).sum(axis=2, dtype=np.int16))
+    x = np.arange(1 << p, dtype=np.int16)
     # smallest member of [2^l, 2^(l+1)) per l, else 2^p; the rows are independent: p - k exist
-    low = np.minimum.reduceat(np.where(member, x, 1 << p), 1 << np.arange(p), axis=1)
-    kernel = low[low < 1 << p].reshape(n, p - k)[:, ::-1]
-    units = member[np.arange(n)[:, None, None], x ^ (1 << pivots)[:, :, None]].argmax(axis=2)
-    vecs = np.concatenate([units, kernel, np.zeros((n, 1), np.int64)], axis=1)  # column p: 0
-    bad = (odd[rows[:, :, None] & vecs[:, None, :p]] != np.eye(k, p, dtype=bool)).any(axis=(1, 2))
+    low = np.minimum.reduceat(np.where(syndrome == 0, x, 1 << p), 1 << np.arange(p), axis=1)
+    for l in range(p - 1, -1, -1):
+        units = np.minimum(units, units ^ low[:, l, None])
+    vecs = units[:, :p]
+    vecs[~pivot] = low[:, ::-1][low[:, ::-1] < 1 << p]
+    bad = (syndrome[np.arange(len(rows))[:, None], vecs] != pivot << bit).any(axis=1)
     if bad.any():
-        raise InvariantError(f"rows {rows[bad.argmax()].tolist()}: units or kernel not dual to the rows")
-    pick = [[s if i == r else r if i == s else p for i in range(k - 1, -1, -1)]
-            for r in range(k) for s in range(r, k)]
-    toggles = vecs[:, np.array(pick, np.intp).reshape(len(pick), k)].astype(np.int16)
-    return np.concatenate([rows[:, ::-1] << p, kernel], axis=1).astype(np.int16), toggles
+        row = rows[bad.argmax()]
+        raise InvariantError(f"rows {row[row != 0][::-1].tolist()}: units or kernel not dual to the rows")
+    base, out = np.where(pivot, rows << p, vecs), []
+    for k, (start, end) in enumerate(zip([0] + ends, ends)):
+        pick = [[k - 1 - s if i == r else k - 1 - r if i == s else p for i in range(k - 1, -1, -1)]
+                for r in range(k) for s in range(r, k)]
+        out.append((base[start:end], units[start:end, np.array(pick, np.intp).reshape(len(pick), k)]))
+    return out
 
 
 def _check_shell(p: int, k: int, keys: np.ndarray) -> None:
@@ -129,8 +137,7 @@ def enumerate_all(p: int) -> CartanAtlas:
     if not 1 <= p <= ENUMERATION_MAX_P:
         raise ValueError(f"enumeration guarded to p <= {ENUMERATION_MAX_P}")
     by_kind: dict[int, np.ndarray] = {}
-    for k in range(p + 1):
-        base, toggles = _label_rows(p, k)
+    for k, (base, toggles) in enumerate(_label_rows(p)):
         n, t = toggles.shape[:2]
         phases = gf2_span(toggles.transpose(0, 2, 1).reshape(n * k, t)).reshape(n, k, 1 << t)
         keys = np.repeat(base, 1 << t, axis=0)
@@ -146,10 +153,8 @@ def enumerate_all(p: int) -> CartanAtlas:
 def _codes(gens: np.ndarray, p: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Bit t of row n is entry (r, s) = pairs[t] of its parity table: the
     parity of zeta_r . alpha_s over its generator keys gens[n], ascending."""
-    code = np.zeros(len(gens), dtype=np.int32)
-    for t, (r, s) in enumerate(pairs):
-        code |= parity(gens[:, r] & gens[:, s] >> p).astype(np.int32) << t
-    return code
+    r, s = np.array(pairs, np.intp).reshape(len(pairs), 2).T
+    return parity(gens[:, r] & gens[:, s] >> p) @ (1 << np.arange(len(pairs), dtype=np.int32))
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +260,7 @@ def class_sizes(p: int) -> np.ndarray:
     d_t must be 0; each code of code(0) ^ span(off-diagonal d_t) holds 2^k members."""
     if not 1 <= p <= CLASSES_MAX_P:
         raise ValueError(f"classes guarded to p <= {CLASSES_MAX_P}")
-    n, shells = p * (p - 1) // 2, [_label_rows(p, k) for k in range(p + 1)]
+    n, shells = p * (p - 1) // 2, _label_rows(p)
     rows = [np.repeat(base[:, None], toggles.shape[1] + 1, axis=1) for base, toggles in shells]
     for k, (_, toggles) in enumerate(shells):  # per alpha basis: eps = 0, then each toggle
         rows[k][:, 1:, :k] ^= toggles

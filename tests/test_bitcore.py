@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from qap.bitcore import (
     InvariantError,
     dot,
     gf2_reduce,
+    parity,
     solve_affine,
     span,
 )
@@ -62,6 +64,24 @@ def test_length_mismatch_rejected():
 @given(words(4), words(4), words(4))
 def test_dot_bilinearity(a, b, c):
     assert dot(a ^ b, c) == dot(a, c) ^ dot(b, c)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_array_parity_reads_every_bit_of_its_dtype(dtype):
+    """The folded table lookup against int.bit_count over the full two's-complement
+    width, extremes and negatives included, in x & 1's dtype."""
+    info, rng = np.iinfo(dtype), np.random.default_rng(np.dtype(dtype).itemsize)
+    x = rng.integers(info.min, info.max, 4096, dtype=dtype, endpoint=True)
+    x[:4] = info.min, info.max, 0, -1 if info.min else 1
+    width = 8 * x.dtype.itemsize
+    want = np.array([(int(v) % (1 << width)).bit_count() & 1 for v in x.tolist()])
+    square = np.s_[:, ::3]  # and a strided view
+    for arr, ref in ((x, want), (x.reshape(64, 64)[square], want.reshape(64, 64)[square])):
+        got = parity(arr)
+        assert got.dtype == (arr & 1).dtype == dtype and got.shape == arr.shape
+        assert got.tolist() == ref.tolist()
+    assert parity(x[7]) == want[7] and parity(int(x[7]) % (1 << width)) == want[7]
 
 
 def test_span_examples():

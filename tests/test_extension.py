@@ -11,7 +11,7 @@ import pytest
 
 from conftest import atlas
 from qap import cli, extension
-from qap.bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span
+from qap.bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span, parity
 from qap.extension import (
     CartanAtlas,
     class_codes,
@@ -233,16 +233,38 @@ def reference_label_rows(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(base, np.int16), toggles
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
 def test_label_rows_equal_the_per_basis_reference(p):
-    for k in range(p + 1):
-        for got, want in zip(extension._label_rows(p, k), reference_label_rows(p, k)):
+    shells = extension._label_rows(p)
+    assert len(shells) == p + 1
+    for k, shell in enumerate(shells):
+        for got, want in zip(shell, reference_label_rows(p, k)):
             assert (got.dtype, got.shape) == (want.dtype, want.shape), (p, k)
             assert np.array_equal(got, want), (p, k)
 
 
+def reference_codes(gens: np.ndarray, p: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """extension._codes one pair at a time."""
+    code = np.zeros(len(gens), dtype=np.int32)
+    for t, (r, s) in enumerate(pairs):
+        code |= parity(gens[:, r] & gens[:, s] >> p).astype(np.int32) << t
+    return code
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_codes_equal_the_per_pair_reference(p):
+    """Every shell's eps_se, eps_mu and superscript tables, as atlas_jsonl reads them;
+    k = 0 (and k = 1 for eps_mu) has no pairs."""
+    for k, basis in atlas(p).by_kind.items():
+        gens, upper = basis[:, :k][:, ::-1], [(r, s) for r in range(k) for s in range(r, k)]
+        for pairs in ([(r, r) for r in range(k)], [(r, s) for r, s in upper if r < s], upper):
+            got = extension._codes(gens, p, pairs)
+            assert (got.dtype, got.shape) == (np.int32, (len(gens),)), (p, k, pairs)
+            assert np.array_equal(got, reference_codes(gens, p, pairs)), (p, k, pairs)
+
+
 def test_fills_that_carry_another_pivot_fail_the_dual_check(monkeypatch):
-    """Bit 0 XORed into every fill puts pivot 0 into the rows above it:
+    """Bit 0 XORed into every packed fill puts pivot 0 into a basis's top row:
     [1, 3] is the first kind-2 basis at p = 4 and is no longer reduced."""
     real = extension.gf2_span
 
@@ -290,11 +312,10 @@ def repeat_an_alpha_basis(base, toggles):
 def test_a_corrupted_toggle_or_a_forged_row_fails_enumeration(monkeypatch, mutate, match):
     real = extension._label_rows
 
-    def corrupted(p, k):
-        base, toggles = real(p, k)
-        if k == 2:
-            mutate(base, toggles)
-        return base, toggles
+    def corrupted(p):
+        shells = real(p)
+        mutate(*shells[2])
+        return shells
 
     monkeypatch.setattr(extension, "_label_rows", corrupted)
     with pytest.raises(InvariantError, match=match):
@@ -685,7 +706,7 @@ def test_a_self_parity_image_names_its_alpha_basis(monkeypatch):
     """A forged class code on toggle eps_11 of the sixth kind-2 basis at p = 4: the
     rows are eps = 0, then the toggles in superscript order, (0, 0), (0, 1), (1, 1)."""
     p, k, basis = 4, 2, 5
-    shells = [extension._label_rows(p, j) for j in range(p + 1)]
+    shells = extension._label_rows(p)
     row = sum(b.shape[0] * (t.shape[1] + 1) for b, t in shells[:k]) + basis * 4 + 3
     real = extension.class_codes
 
@@ -706,8 +727,7 @@ def test_the_class_map_is_affine_on_seeded_p7_members():
     basis with a seeded full toggle vector, lifted through class_codes, land on the code
     code(0) ^ XOR_t eps_t d_t that the single toggles predict."""
     p, rng = 7, np.random.default_rng(7)
-    for k in range(p + 1):
-        base, toggles = extension._label_rows(p, k)
+    for k, (base, toggles) in enumerate(extension._label_rows(p)):
         t, picks = toggles.shape[1], rng.integers(len(base), size=256)
         eps = rng.integers(0, 2, size=(len(picks), t), dtype=np.int16)
         members = base[picks].copy()
