@@ -146,19 +146,18 @@ def cmd_qap(cfg: argparse.Namespace) -> int:
 
 
 def cmd_coqa(cfg: argparse.Namespace) -> int:
-    q = build_qap(cfg.cartan)
     cell = cfg.cell
     parts = re.fullmatch(r"B:([0-9]+)/eps:([01])", cell)
     if parts is None:
         raise SystemExit2(f"cannot parse cell {cell!r}; expected B:<i>/eps:<0|1>")
     key = (int(parts[1]), int(parts[2]))
-    if key not in q.cells:
+    if key[0] >= 1 << cfg.p:
         raise SystemExit2(
             f"no cell {cell!r} at p={cfg.p}; expected 0 <= i < {1 << cfg.p}, eps 0 or 1"
         )
     if key[0] == 0:
         raise SystemExit2(f"cell {cell!r} is degrade; a co-quotient view needs B:<i> with i >= 1")
-    view = partition.coquotient_view(q, key)
+    view = partition.coquotient_view(build_qap(cfg.cartan), key)
     lines = [f"center {cell_label(view.center)}"]
     lines.append(
         f"degrade: {{{cell_label(view.degrade[0])}, {cell_label(view.degrade[1])}}}"

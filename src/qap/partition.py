@@ -274,7 +274,7 @@ def coquotient_view(q: QAPartition, cell: CellKey) -> CoQuotientView:
     l, e = cell
     if l == 0:
         raise ValueError("the center of a co-quotient view must be non-degrade")
-    if cell not in q.cells:
+    if not 0 < l < 1 << q.p or e not in (0, 1):
         raise KeyError(f"no such cell {cell}")
     regular = tuple(
         ((m, s), (m ^ l, s ^ e)) for m in range(1, 1 << q.p) if m < m ^ l for s in (0, 1)

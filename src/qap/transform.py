@@ -143,8 +143,7 @@ def apply_circuit(q: SymbolicCircuit, x: SpinorSet) -> SpinorSet:
 
 def apply_to_cartan(q: SymbolicCircuit, c: CartanSubalgebra) -> CartanSubalgebra:
     """The image of c, carried through its p basis keys."""
-    image = apply_circuit(q, SpinorSet(c.p, c.basis_keys))
-    return CartanSubalgebra.from_basis(c.p, gf2_echelon(image.keys))
+    return CartanSubalgebra.from_basis(c.p, gf2_echelon(q.map_keys(c.basis_keys, c.p)))
 
 
 def h_matrices(keys, p: int) -> GaussianMatrix:
@@ -193,13 +192,13 @@ def _cell_signature(cell: SpinorSet) -> tuple[int, int]:
     return signatures.pop()
 
 
-def build_P(images: Sequence[SpinorSet]) -> SymbolicCircuit:
+def build_P(signatures: Sequence[tuple[int, int]], p: int) -> SymbolicCircuit:
     """Parity correction: a single diagonal factor h[eta|0] with
-    eta.alpha_r = sigma_r, fixing every image cell to odd self parity."""
-    if not images:
+    eta.alpha_r = sigma_r over the image cells' (alpha_r, sigma_r)
+    signatures, fixing every image cell to odd self parity."""
+    if not signatures:
         raise ValueError("need at least one image cell")
-    p = images[0].p
-    eta = solve_affine([_cell_signature(cell) for cell in images], p)
+    eta = solve_affine(signatures, p)
     if eta is None:
         raise InvariantError("parity system must be solvable for independent alphas")
     return SymbolicCircuit.of(BasicTransform(eta, p))
@@ -266,22 +265,16 @@ def referential_cell(p: int, r: int) -> SpinorSet:
 
 
 def connect(seq: DecompositionSequence) -> SymbolicCircuit:
-    """Q = E P R mapping the sequence onto the referential one; the
+    """Q = E P R mapping the sequence onto the referential one.  Each step
+    cell's (alpha, sigma) is read once, from its image under R: P solves
+    eta from them and E takes their alphas (h[eta|0] moves no alpha).  The
     contract (center to the diagonal subalgebra, step r to the unit cell
-    W^0_{beta_r}) is asserted before returning."""
+    W^0_{beta_r}) is asserted on the full sets, which covers P too."""
     center = seq.center
     p = center.p
     r_circ = build_R(center)
-    images = [apply_circuit(r_circ, cell) for cell in seq.steps]
-    p_circ = build_P(images)
-    alphas = []
-    for img in images:
-        alpha, sigma = _cell_signature(apply_circuit(p_circ, img))
-        if sigma != 0:
-            raise InvariantError("parity correction failed to set sigma = 0")
-        alphas.append(alpha)
-    e_circ = build_E(alphas, p)
-    q = r_circ.then(p_circ).then(e_circ)
+    signatures = [_cell_signature(apply_circuit(r_circ, cell)) for cell in seq.steps]
+    q = r_circ.then(build_P(signatures, p)).then(build_E([a for a, _ in signatures], p))
     if apply_to_cartan(q, center) != intrinsic_cartan(p):
         raise InvariantError("connector does not map the center onto the diagonal")
     for r, cell in enumerate(seq.steps, start=1):

@@ -212,4 +212,4 @@ def test_criterion_8_local_equivalence():
                 assert circuit.is_local
                 assert lifted.kind == p
                 assert apply_to_cartan(circuit, c) == lifted
-                assert is_cartan(lifted.elements, scan=False)
+                assert is_cartan(lifted.elements)

@@ -261,10 +261,28 @@ UNREFERENCED_ON_PURPOSE = {
 }
 
 
+# methods and properties of package classes that nothing in the package
+# reads, dunders aside: public API or reference code for the tests
+UNREAD_METHODS_ON_PURPOSE = {
+    "BitWord.is_zero": "public BitWord predicate; tests read it on a spinor's zeta",
+    "ConjugatePair.is_degrade": "the paper's degrade pair (empty W-hat), checked by tests",
+    "QAPartition.cell_of": "public lookup of a spinor's cell; tests build sequences with it",
+    "QAPartition.is_partition": "the yes/no form of partition_fault, checked by tests",
+    "Spinor.make": "the public constructor from zeta and alpha words that README and tests use",
+    "Spinor.display": "README's hermitian-norm text form of a spinor",
+    "GaussianMatrix.identity": "reference-only: tests start circuit matrices from it (ROADMAP item 4)",
+    "GaussianMatrix.scaled": "reference-only: tests scale realized products by it (ROADMAP item 4)",
+    "GaussianMatrix.is_zero": "reference-only: tests compare commutators with it (ROADMAP item 4)",
+    "CartanSubalgebra.alpha_group": "the paper's group of binary partitionings, checked by tests",
+    "CartanSubalgebra.phase_block": "the paper's phase block of one alpha, checked by tests",
+}
+
+
 def test_package_defines_only_what_it_exports_or_reads():
     """A top-level function or class outside qap.__all__ that no other code
-    in the package reads is dead code, unless listed above with a reason;
-    a listed name that is read or gone fails too, so the list stays tight."""
+    in the package reads is dead code, and so is a method or property no
+    package code reads by name, unless listed above with a reason; a listed
+    name that is read or gone fails too, so each list stays tight."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     defined = {
         node.name for tree in trees for node in tree.body
@@ -278,6 +296,15 @@ def test_package_defines_only_what_it_exports_or_reads():
     unread = defined - read - set(qap.__all__)
     assert sorted(unread - set(UNREFERENCED_ON_PURPOSE)) == []
     assert sorted(set(UNREFERENCED_ON_PURPOSE) - unread) == []
+    unread_methods = {
+        f"{node.name}.{item.name}"
+        for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name not in read
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+    assert sorted(unread_methods - set(UNREAD_METHODS_ON_PURPOSE)) == []
+    assert sorted(set(UNREAD_METHODS_ON_PURPOSE) - unread_methods) == []
 
 
 def _run_optimized(*args: str) -> subprocess.CompletedProcess:

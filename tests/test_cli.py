@@ -320,9 +320,11 @@ def test_a_broken_connector_stage_fails_connect(capsys, monkeypatch, stage):
         build_E = transform.build_E
         monkeypatch.setattr(transform, "build_E", lambda a, p: SymbolicCircuit(build_E(a, p).factors[:-1]))
     else:
-        monkeypatch.setattr(transform, "build_P", lambda images: SymbolicCircuit())
+        monkeypatch.setattr(transform, "build_P", lambda signatures, p: SymbolicCircuit())
     code, out = run(capsys, "connect", "--p", "3", "--n", "5")
     assert code == 1 and out.startswith("connector FAILED after ")
+    if stage == "P":
+        assert "misses the referential cell at step" in out
 
 
 def test_connect_at_its_guard(capsys):
@@ -606,6 +608,18 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("cell", ["junk", "B:8/eps:1", "B:0/eps:1"], ids=["malformed", "out-of-range", "degrade"])
+def test_coqa_checks_its_cell_before_building_the_partition(capsys, monkeypatch, cell):
+    import qap.cli
+
+    calls = []
+    real = qap.cli.build_qap
+    monkeypatch.setattr(qap.cli, "build_qap", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert main(["coqa", "C_[000]", "--cell", cell]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_coqa_degrade_center_is_usage_error(capsys):

@@ -150,7 +150,7 @@ def test_label_route_at_p5():
     assert [len(a.by_kind[k]) for k in range(6)] == [count_kind(5, k) for k in range(6)]
     assert len({c.elements.keys for c in a.members()}) == count_total(5) == 75735
     for c in random.Random(5).sample(list(a.members()), 12):
-        assert is_cartan(c.elements, scan=True), c.label
+        assert is_cartan(c.elements), c.label
 
 
 def test_enumerate_guard():
@@ -366,10 +366,8 @@ def test_members_are_bi_add_groups_isomorphic_to_z2p(atlas3):
     from qap.bitcore import gf2_rank
 
     for c in atlas3.members():
-        assert is_cartan(c.elements, scan=False)
+        assert is_cartan(c.elements)
         assert gf2_rank(c.elements.keys) == 3
-    for c in list(atlas3.members())[::29]:
-        assert is_cartan(c.elements, scan=True)
 
 
 def test_shell_reverse_direction(atlas3):
@@ -444,7 +442,7 @@ def test_local_lift_everywhere(atlas3):
         circuit, lifted = local_lift(c)
         assert lifted.kind == 3
         assert circuit.is_local
-        assert is_cartan(lifted.elements, scan=True)
+        assert is_cartan(lifted.elements)
         assert len(circuit) == 3 - c.kind
 
 

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from qap.bitcore import BitWord, gf2_echelon, solve_affine, span
+from conftest import atlas
+from qap.bitcore import BitWord, gf2_echelon, gf2_span, solve_affine, span
 from qap.partition import build_qap, qap_to_json, render_table
-from qap.spinor import Spinor, bi_add, commutes, spinor_of_key
+from qap.spinor import Spinor, bi_add, commutes, omega, spinor_of_key
 from qap.subalgebra import (
     BiSubalgebra,
     CartanSubalgebra,
@@ -134,6 +135,26 @@ def test_is_cartan_rejects_non_maximal_candidates():
     # closed commuting set of the wrong size
     small = SpinorSet.parse(["S[000|000]", "S[001|000]"])
     assert not is_cartan(small)
+
+
+@pytest.mark.parametrize("s", [
+    SpinorSet(5, gf2_span([1 << (10 + i) for i in range(5)])),
+    SpinorSet(1, {0, 4}),
+], ids=["p5-above-4^p", "p1-above-4^p"])
+def test_is_cartan_rejects_keys_outside_the_width(s):
+    # a commuting rank-p span of 2^p keys, but of keys no spinor of width p has
+    assert not is_cartan(s)
+    with pytest.raises(ValueError, match="not a Cartan subalgebra"):
+        CartanSubalgebra(s)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_no_key_outside_a_cartan_subalgebra_commutes_with_all_of_it(p):
+    # why is_cartan needs no maximality scan: each member is a Lagrangian
+    # subspace, so every other key anti-commutes with some basis key
+    for c in atlas(p).members():
+        outside = set(range(1 << (2 * p))) - c.elements.keys
+        assert all(any(omega(x, b, p) for b in c.basis_keys) for x in outside), c.label
 
 
 # -- maximal bi-subalgebras --------------------------------------------------

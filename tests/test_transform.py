@@ -314,7 +314,7 @@ def test_build_R_contract_everywhere(atlas3):
 
 def test_build_P_examples():
     cells = [intrinsic_cell(3, a, 0) for a in ("100", "010", "001")]
-    p_circ = build_P(cells)
+    p_circ = build_P([transform._cell_signature(cell) for cell in cells], 3)
     assert [str(f) for f in p_circ.factors] == ["h[000|000]"]
 
     cells = [
@@ -322,21 +322,29 @@ def test_build_P_examples():
         intrinsic_cell(3, "010", 0),
         intrinsic_cell(3, "001", 0),
     ]
-    p_circ = build_P(cells)
+    p_circ = build_P([transform._cell_signature(cell) for cell in cells], 3)
     assert [str(f) for f in p_circ.factors] == ["h[100|000]"]
     for cell, alpha in zip(cells, ("100", "010", "001")):
         image = apply_circuit(p_circ, cell)
         assert image == intrinsic_cell(3, alpha, 0)
 
 
-def test_build_P_rejects_a_cell_off_one_conditioned_subspace():
+def test_build_P_rejects_contradicting_signatures():
+    # one alpha asked for both parities: no eta satisfies eta.alpha = sigma
+    with pytest.raises(InvariantError, match="parity system must be solvable"):
+        build_P([(0b101, 0), (0b101, 1)], 3)
+    with pytest.raises(ValueError, match="at least one image cell"):
+        build_P([], 3)
+
+
+def test_cell_signature_rejects_a_cell_off_one_conditioned_subspace():
     # each key is read: one stray key of another alpha or self parity fails
     for alpha in ("100", "011", "111"):
         cell = intrinsic_cell(3, alpha, 0)
-        assert build_P([cell]) and len(cell) == 4
+        assert transform._cell_signature(cell) == (int(alpha, 2), 0) and len(cell) == 4
         for stray in set(range(64)) - cell.keys:
             with pytest.raises(ValueError, match="not a conditioned subspace"):
-                build_P([SpinorSet(3, cell.keys | {stray})])
+                transform._cell_signature(SpinorSet(3, cell.keys | {stray}))
 
 
 # -- exchange and E ---------------------------------------------------------------
@@ -534,13 +542,35 @@ def test_connect_recheck_catches_dropped_exchange_factors(monkeypatch, p, droppe
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_connect_catches_a_missing_parity_correction(monkeypatch, p):
+    # only the closing contract check reads P: a step cell left at sigma = 1
+    # misses its referential cell W^0
     connections = seeded_connections(p, 20)
-    monkeypatch.setattr(transform, "build_P", lambda images: SymbolicCircuit())
+    monkeypatch.setattr(transform, "build_P", lambda signatures, p: SymbolicCircuit())
     broken = [seq for seq, q in connections if q.factors[len(build_R(seq.center))].key]
     assert len(broken) >= 10
     for seq in broken:
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="misses the referential cell at step"):
             connect(seq)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_connect_transvects_for_R_and_Q_only(monkeypatch, p):
+    # R's key map reads the step cells' signatures, Q's checks the contract;
+    # P's map is never built, and an empty R (a diagonal center) needs none
+    calls = []
+    real = transform.transvect
+
+    def counted(factor_keys, keys, p):
+        calls.append(p)
+        return real(factor_keys, keys, p)
+
+    monkeypatch.setattr(transform, "transvect", counted)
+    connections = seeded_connections(p, 10)
+    assert any(len(build_R(seq.center)) for seq, _ in connections)
+    for seq, q in connections:
+        calls.clear()
+        assert str(connect(seq)) == str(q)
+        assert len(calls) == (2 if len(build_R(seq.center)) else 1)
 
 
 def random_label(rng: random.Random, p: int) -> str:
