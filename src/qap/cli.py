@@ -134,11 +134,6 @@ def cmd_enumerate(cfg: argparse.Namespace) -> int:
     return PASS
 
 
-def cmd_table(cfg: argparse.Namespace) -> int:
-    _emit(cfg, render_table(build_qap(cfg.cartan)))
-    return PASS
-
-
 def cmd_qap(cfg: argparse.Namespace) -> int:
     q = build_qap(cfg.cartan)
     _emit(cfg, qap_to_json(q) if cfg.fmt == "json" else render_table(q))
@@ -298,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     formats(add("count", cmd_count, "Cartan subalgebra counts by kind, enumeration vs closed form"),
             "text", "json", "csv")
     add("enumerate", cmd_enumerate, "export the full atlas as JSON lines")
-    add("table", cmd_table, "render the quotient-algebra table for a label", label_arg=True)
+    add("table", cmd_qap, "render the quotient-algebra table for a label",
+        label_arg=True).set_defaults(fmt="text")  # `qap <label>` in text form
     formats(add("qap", cmd_qap, "dump the partition cells for a label", label_arg=True),
             "text", "json")
     coqa = add("coqa", cmd_coqa, "re-pair the partition around a conditioned subspace",

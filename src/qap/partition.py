@@ -311,11 +311,6 @@ def split_by_commutation(w1: SpinorSet, w2: SpinorSet) -> tuple[SpinorSet, Spino
     return SpinorSet(p, aligned), SpinorSet(p, rest)
 
 
-def union_is_cartan(b: BiSubalgebra, w: SpinorSet) -> CartanSubalgebra:
-    """Validate that b u w is a Cartan subalgebra and return it."""
-    return CartanSubalgebra(b.elements | w)
-
-
 @dataclass(frozen=True)
 class DecompositionSequence:
     """A center subalgebra plus p conditioned subspaces of its partition,

@@ -187,10 +187,6 @@ class GaussianMatrix:
         self.re = np.asarray(re, dtype=np.int64)
         self.im = np.asarray(im, dtype=np.int64)
 
-    @classmethod
-    def identity(cls, n: int) -> "GaussianMatrix":
-        return cls(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
-
     def __matmul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
         return GaussianMatrix(
             self.re @ other.re - self.im @ other.im,
@@ -216,17 +212,10 @@ class GaussianMatrix:
     def __add__(self, other: "GaussianMatrix") -> "GaussianMatrix":
         return GaussianMatrix(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return GaussianMatrix(self.re - other.re, self.im - other.im)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianMatrix):
             return NotImplemented
         return np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.re.any() and not self.im.any()
 
     def __repr__(self) -> str:
         return f"GaussianMatrix(re={self.re!r}, im={self.im!r})"

@@ -182,14 +182,11 @@ def build_R(c: CartanSubalgebra) -> SymbolicCircuit:
     return SymbolicCircuit(tuple(factors))
 
 
-def _cell_signature(cell: SpinorSet) -> tuple[int, int]:
-    """(common binary partitioning, sigma) of a diagonal-partition cell
-    W^sigma_alpha = {S[zeta|alpha] : zeta.alpha = 1 + sigma}."""
-    p = cell.p
-    signatures = {(k >> p, 1 ^ (k >> p & k).bit_count() & 1) for k in cell.keys}
-    if len(signatures) != 1:
-        raise ValueError("not a conditioned subspace of the diagonal subalgebra")
-    return signatures.pop()
+def _cell_signature(key: int, p: int) -> tuple[int, int]:
+    """(alpha, sigma) of the diagonal-partition cell
+    W^sigma_alpha = {S[zeta|alpha] : zeta.alpha = 1 + sigma} holding key."""
+    alpha = key >> p
+    return alpha, 1 ^ (alpha & key).bit_count() & 1
 
 
 def build_P(signatures: Sequence[tuple[int, int]], p: int) -> SymbolicCircuit:
@@ -249,8 +246,6 @@ def build_E(alphas: Sequence[int], p: int) -> SymbolicCircuit:
                 if (shift & alphas[j]).bit_count() & 1:
                     alphas[j] ^= a ^ target
             circuit = circuit.then(step)
-        if alphas[r] != target:
-            raise InvariantError(f"exchange step {r} did not place {target:0{p}b}")
         placed.append(target)
     return circuit
 
@@ -266,14 +261,17 @@ def referential_cell(p: int, r: int) -> SpinorSet:
 
 def connect(seq: DecompositionSequence) -> SymbolicCircuit:
     """Q = E P R mapping the sequence onto the referential one.  Each step
-    cell's (alpha, sigma) is read once, from its image under R: P solves
-    eta from them and E takes their alphas (h[eta|0] moves no alpha).  The
-    contract (center to the diagonal subalgebra, step r to the unit cell
-    W^0_{beta_r}) is asserted on the full sets, which covers P too."""
+    cell's (alpha, sigma) is read once, from R's image of its smallest key:
+    P solves eta from them and E takes their alphas (h[eta|0] moves no
+    alpha).  The contract (center to the diagonal subalgebra, step r to the
+    unit cell W^0_{beta_r}), asserted on the full sets, is the connector's
+    one check: a step cell off one conditioned subspace, a wrong P or an
+    unplaced exchange step all miss it."""
     center = seq.center
     p = center.p
     r_circ = build_R(center)
-    signatures = [_cell_signature(apply_circuit(r_circ, cell)) for cell in seq.steps]
+    images = r_circ.map_keys([min(cell.keys) for cell in seq.steps], p)
+    signatures = [_cell_signature(k, p) for k in images]
     q = r_circ.then(build_P(signatures, p)).then(build_E([a for a, _ in signatures], p))
     if apply_to_cartan(q, center) != intrinsic_cartan(p):
         raise InvariantError("connector does not map the center onto the diagonal")

@@ -253,7 +253,6 @@ def test_package_modules_use_every_name_they_import():
 UNREFERENCED_ON_PURPOSE = {
     "split_by_commutation": "the paper's coset splitting rule for W^eps(B), checked by tests",
     "conjugate_pair_of": "the paper's conjugate pair of one bi-subalgebra, checked by tests",
-    "union_is_cartan": "the paper's B u W closure statement, checked by tests",
     "class_connector": "the paper's local connector onto a class representative, checked by tests",
     "nonlocal_connector": "the paper's diagonal connector between top-kind subalgebras, checked by tests",
     "phase_type_generator_keys": "perfbench/tracing.py wraps it by name",
@@ -270,9 +269,7 @@ UNREAD_METHODS_ON_PURPOSE = {
     "QAPartition.is_partition": "the yes/no form of partition_fault, checked by tests",
     "Spinor.make": "the public constructor from zeta and alpha words that README and tests use",
     "Spinor.display": "README's hermitian-norm text form of a spinor",
-    "GaussianMatrix.identity": "reference-only: tests start circuit matrices from it (ROADMAP item 4)",
     "GaussianMatrix.scaled": "reference-only: tests scale realized products by it (ROADMAP item 4)",
-    "GaussianMatrix.is_zero": "reference-only: tests compare commutators with it (ROADMAP item 4)",
     "CartanSubalgebra.alpha_group": "the paper's group of binary partitionings, checked by tests",
     "CartanSubalgebra.phase_block": "the paper's phase block of one alpha, checked by tests",
 }

@@ -169,14 +169,29 @@ LABEL_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("p", sorted(LABEL_OUTPUT_SHA256))
 def test_table_and_qap_json_stdout_are_pinned(capsys, p):
-    tables, payloads = [], []
+    # `table` is `qap` in text form: the same bytes for every label
+    tables, texts, payloads = [], [], []
     for label in seeded_labels(p):
-        for argv, outs in ((["table", label], tables), (["qap", label, "--format", "json"], payloads)):
+        for argv, outs in ((["table", label], tables), (["qap", label], texts),
+                           (["qap", label, "--format", "json"], payloads)):
             code, out = run(capsys, *argv)
             assert code == 0, argv
             outs.append(out)
+    assert texts == tables
     digests = tuple(hashlib.sha256("".join(outs).encode()).hexdigest() for outs in (tables, payloads))
     assert digests == LABEL_OUTPUT_SHA256[p]
+
+
+def test_table_takes_no_format(capsys, monkeypatch):
+    # `table` runs the `qap` handler with the format fixed to text; asked for
+    # another, argparse refuses it before any partition is built
+    import qap.cli
+
+    monkeypatch.setattr(qap.cli, "build_qap", lambda *a, **k: pytest.fail("built a partition"))
+    assert main(["table", "C_[000]", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "qap: error: unrecognized arguments: --format json"
 
 
 def test_verify_and_oracle(capsys):

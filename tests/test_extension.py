@@ -26,7 +26,7 @@ from qap.extension import (
     mutual_parity,
     nonlocal_connector,
 )
-from qap.partition import build_qap, union_is_cartan
+from qap.partition import build_qap
 from qap.spinor import Spinor, key_product
 from qap.subalgebra import (
     CartanSubalgebra,
@@ -75,7 +75,7 @@ def extend_shell_via_qap(c: CartanSubalgebra) -> set[CartanSubalgebra]:
         if b.flavor != "phase_type":
             continue
         for eps in (0, 1):
-            out.add(union_is_cartan(b, q.cells[(i, eps)]))
+            out.add(CartanSubalgebra(b.elements | q.cells[(i, eps)]))
     return out
 
 
@@ -374,7 +374,6 @@ def test_shell_reverse_direction(atlas3):
     # every kind-(k+1) member owns a bit-type maximal bi-subalgebra whose
     # union with one of its conditioned subspaces is a kind-k atlas member
     from conftest import qap_of
-    from qap.partition import union_is_cartan
 
     lower = {c.elements.keys for c in atlas3.members() if c.kind <= 2}
     for c in list(atlas3.members())[::19]:
@@ -386,7 +385,7 @@ def test_shell_reverse_direction(atlas3):
             if q.maxbi.members[i].flavor != "bit_type":
                 continue
             for eps in (0, 1):
-                u = union_is_cartan(q.maxbi.members[i], q.cells[(i, eps)])
+                u = CartanSubalgebra(q.maxbi.members[i].elements | q.cells[(i, eps)])
                 if u.kind == c.kind - 1 and u.elements.keys in lower:
                     hit = True
         assert hit

@@ -24,12 +24,12 @@ from qap.partition import (
     qap_to_json,
     render_table,
     split_by_commutation,
-    union_is_cartan,
     verify_closure,
 )
 from qap.spinor import Spinor, key_text
 from qap.subalgebra import (
     BiSubalgebra,
+    CartanSubalgebra,
     SpinorSet,
     all_maximal,
     intrinsic_cartan,
@@ -762,14 +762,14 @@ def test_union_reference_cases():
     c = parse_label("C^{0}_{[100]}")
     q = qap_of(c)
     b1 = q.maxbi.members[1]
-    assert union_is_cartan(b1, q.cells[(1, 1)]) == intrinsic_cartan(3)
-    assert union_is_cartan(b1, q.cells[(1, 0)]) == parse_label("C^{1}_{[100]}")
+    assert CartanSubalgebra(b1.elements | q.cells[(1, 1)]) == intrinsic_cartan(3)
+    assert CartanSubalgebra(b1.elements | q.cells[(1, 0)]) == parse_label("C^{1}_{[100]}")
 
 
 def test_union_validates():
     q = qap_of(intrinsic_cartan(3))
     with pytest.raises(ValueError):
-        union_is_cartan(q.maxbi.members[1], q.cells[(2, 1)])
+        CartanSubalgebra(q.maxbi.members[1].elements | q.cells[(2, 1)])
 
 
 def test_union_is_cartan_exhaustive_p3(atlas3):
@@ -790,7 +790,7 @@ def test_union_is_cartan_op_validates_and_returns(atlas3):
     q = qap_of(c)
     for i in range(1, 8):
         for eps in (0, 1):
-            got = union_is_cartan(q.maxbi.members[i], q.cells[(i, eps)])
+            got = CartanSubalgebra(q.maxbi.members[i].elements | q.cells[(i, eps)])
             assert got.p == 3
 
 

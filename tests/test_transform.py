@@ -12,9 +12,10 @@ from conftest import atlas, qap_of
 from qap import transform
 from qap.bitcore import BitWord, InvariantError, gf2_echelon, solve_affine
 from qap.extension import local_lift, nonlocal_connector
-from qap.partition import DecompositionSequence
+from qap.partition import DecompositionSequence, QAPartition
 from qap.spinor import (
-    GaussianMatrix, PhasedSpinor, Spinor, key_of, pack, self_parity, spinor_of_key, to_matrix,
+    GaussianMatrix, PhasedSpinor, Spinor, key_of, pack, realize, self_parity, spinor_of_key,
+    to_matrix,
 )
 from qap.subalgebra import SpinorSet, intrinsic_cartan, parse_label
 from qap.transform import (
@@ -61,7 +62,7 @@ def conjugate_by_circuit(q: SymbolicCircuit, s: PhasedSpinor | Spinor) -> Phased
 
 def circuit_matrix(q: SymbolicCircuit, p: int) -> tuple[GaussianMatrix, int]:
     """(U, k) with U = (sqrt 2)^k times the circuit unitary."""
-    u = GaussianMatrix.identity(1 << p)
+    u = realize(0, p)
     for f in q.factors:
         if f.p != p:
             raise ValueError("factor width mismatch")
@@ -126,10 +127,11 @@ def test_h_matrices_stacks_sqrt2_h_of_every_key(p):
     """Row k of the batched form is h_matrix of key k, I + i (-i)^(zeta.alpha)
     S_k, and h h-dagger is 2 I."""
     stack = h_matrices(np.arange(4**p), p)
-    eye2 = GaussianMatrix.identity(1 << p).scaled(2)
+    eye = GaussianMatrix(np.eye(1 << p), np.zeros((1 << p, 1 << p)))
+    eye2 = eye.scaled(2)
     for k in range(4**p):
         h, s = BasicTransform(k, p), spinor_of_key(k, p)
-        want = GaussianMatrix.identity(1 << p) + to_matrix(s).times_i_pow(1 + 3 * self_parity(s))
+        want = eye + to_matrix(s).times_i_pow(1 + 3 * self_parity(s))
         assert GaussianMatrix(stack.re[k], stack.im[k]) == h_matrix(h) == want
         assert h_matrix(h) @ h_matrix(h.inverted()) == eye2 == h_matrix(h.inverted()) @ h_matrix(h)
 
@@ -314,7 +316,7 @@ def test_build_R_contract_everywhere(atlas3):
 
 def test_build_P_examples():
     cells = [intrinsic_cell(3, a, 0) for a in ("100", "010", "001")]
-    p_circ = build_P([transform._cell_signature(cell) for cell in cells], 3)
+    p_circ = build_P([transform._cell_signature(min(cell.keys), 3) for cell in cells], 3)
     assert [str(f) for f in p_circ.factors] == ["h[000|000]"]
 
     cells = [
@@ -322,7 +324,7 @@ def test_build_P_examples():
         intrinsic_cell(3, "010", 0),
         intrinsic_cell(3, "001", 0),
     ]
-    p_circ = build_P([transform._cell_signature(cell) for cell in cells], 3)
+    p_circ = build_P([transform._cell_signature(min(cell.keys), 3) for cell in cells], 3)
     assert [str(f) for f in p_circ.factors] == ["h[100|000]"]
     for cell, alpha in zip(cells, ("100", "010", "001")):
         image = apply_circuit(p_circ, cell)
@@ -335,16 +337,6 @@ def test_build_P_rejects_contradicting_signatures():
         build_P([(0b101, 0), (0b101, 1)], 3)
     with pytest.raises(ValueError, match="at least one image cell"):
         build_P([], 3)
-
-
-def test_cell_signature_rejects_a_cell_off_one_conditioned_subspace():
-    # each key is read: one stray key of another alpha or self parity fails
-    for alpha in ("100", "011", "111"):
-        cell = intrinsic_cell(3, alpha, 0)
-        assert transform._cell_signature(cell) == (int(alpha, 2), 0) and len(cell) == 4
-        for stray in set(range(64)) - cell.keys:
-            with pytest.raises(ValueError, match="not a conditioned subspace"):
-                transform._cell_signature(SpinorSet(3, cell.keys | {stray}))
 
 
 # -- exchange and E ---------------------------------------------------------------
@@ -551,6 +543,39 @@ def test_connect_catches_a_missing_parity_correction(monkeypatch, p):
     for seq in broken:
         with pytest.raises(InvariantError, match="misses the referential cell at step"):
             connect(seq)
+
+
+@pytest.mark.parametrize("smallest", [True, False], ids=["smallest-key", "other-key"])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_connect_rejects_a_step_cell_with_a_key_of_another_cell(p, smallest):
+    # connect reads a step cell's signature from its smallest key alone, so
+    # only the closing contract check (or a builder, on a signature the
+    # sequence does not have) sees the swap: a swapped smallest key is
+    # replaced by a smaller foreign key, which the signature then reads; a
+    # swapped other key leaves the smallest key, and a right signature, in place
+    rng = random.Random(90 + p)
+    members = list(atlas(p).members())
+    tried = 0
+    for _ in range(20):
+        q = qap_of(rng.choice(members))
+        seq = random_sequence(q, rng)
+        r = rng.randrange(p)
+        keys = sorted(seq.steps[r].keys)
+        x = keys[0] if smallest else rng.choice(keys[1:])
+        others = np.flatnonzero(q.cid != q.cid[x])
+        others = others[others < keys[1]] if smallest else others[others > keys[0]]
+        if not others.size:
+            continue
+        y = int(rng.choice(others.tolist()))
+        cid = q.cid.copy()
+        cid[x], cid[y] = cid[y], cid[x]
+        swapped = DecompositionSequence(QAPartition(q.cartan, q.maxbi, cid), seq.step_keys)
+        assert swapped.steps[r].keys == seq.steps[r].keys - {x} | {y}
+        assert min(swapped.steps[r].keys) == (y if smallest else keys[0])
+        with pytest.raises((InvariantError, ValueError)):
+            connect(swapped)
+        tried += 1
+    assert tried >= 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
