@@ -2,29 +2,30 @@
 matrix realization.  Everything here is integer arithmetic; a failure
 report carries the first witness.
 
-Each check realizes all 4^p keys in one call to spinor.realize, a
+A run realizes all 4^p keys once, in one call to spinor.realize, a
 Gaussian-integer stack of shape (4^p, 2^p, 2^p) indexed by the packed key
 (alpha << p) | zeta and built factor by factor from the one-qubit
 matrices, never from the rules it checks.  The rules under test,
 spinor's own omega, key_product and key_conjugate, run once over the
 arrays of all key pairs, and each check turns into one boolean mask.
 
-The stack is first certified, from its entries alone, to be the Pauli
-group: each matrix is monomial, read as col[k, r], the column of the
-one nonzero in row r, and ph[k, r], its power of i, with
-col[k, r] = r ^ a and ph[k, r] = c + 2 b.r (mod 4) on every row r (the
-(a, b, c) view of Aaronson and Gottesman, PRA 70, 052328).  The group is
-closed under products and conjugate transposes, and two of its elements
-are equal when they agree on rows 0 and e_j (j < p), so a product, a
-gather of col plus an addition of ph, is taken on those p + 1 rows only.
-A conjugation reads sqrt(2) h = I + i^c S_h (checked against h_matrices
-for every h), so a sandwich scaled by 2, less 2 i^e S_out, is six group
-elements; as the X^a Z^b are linearly independent, they sum to zero iff
-each class (a, b) does.  Blocks of keys only bound memory.
+The stack is certified once per run, from its entries alone, to be the
+Pauli group, and both checks read that one certificate: each matrix is
+monomial, read as col[k, r], the column of the one nonzero in row r,
+and ph[k, r], its power of i, with col[k, r] = r ^ a and
+ph[k, r] = c + 2 b.r (mod 4) on every row r (the (a, b, c) view of
+Aaronson and Gottesman, PRA 70, 052328).  The group is closed under
+products and conjugate transposes, and two of its elements are equal
+when they agree on rows 0 and e_j (j < p), so a product, a gather of col
+plus an addition of ph, is taken on those p + 1 rows only.  A conjugation
+reads sqrt(2) h = I + i^c S_h (checked against h_matrices for every h),
+so a sandwich scaled by 2, less 2 i^e S_out, is six group elements; as
+the X^a Z^b are linearly independent, they sum to zero iff each class
+(a, b) does.  Blocks of keys only bound memory.
 
 A stack that is not monomial or not the Pauli group, or an h_matrices
-that disagrees with it, is a realization fault: the check compares no
-rule and reports the matrix at fault as its one failure, with 0 checks."""
+that disagrees with it, is a realization fault: the run or the check
+compares no rule and reports the matrix at fault as its one failure."""
 
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ ORACLE_GUARD_P = 5
 # i^k as one cell, re + 16 im: exact for a sum of at most six units
 _CELL = np.array([1, 16, -1, -16], dtype=np.int16)
 _BLOCK_PAIRS = 1 << 11  # key pairs per block of either check
+Certificate = tuple[int, np.ndarray, GaussianMatrix, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -99,8 +101,8 @@ def _monomial(stack: GaussianMatrix) -> tuple[np.ndarray, np.ndarray] | int:
     return col.astype(np.int8), np.where(re != 0, 1 - re, 2 - im).astype(np.int8)
 
 
-def _certified(p: int) -> OracleReport | tuple[np.ndarray, GaussianMatrix, tuple[np.ndarray, ...]]:
-    """(keys, stack, (col, ph)) of all 4^p keys once every realized matrix
+def _certified(p: int) -> OracleReport | Certificate:
+    """(p, keys, stack, (col, ph)) of all 4^p keys once every realized matrix
     is certified to be X^a Z^b up to i^c, with a and c read on row 0 and
     bit j of b on row e_j; otherwise the realization fault."""
     keys = np.arange(1 << 2 * p, dtype=np.int64)
@@ -115,7 +117,7 @@ def _certified(p: int) -> OracleReport | tuple[np.ndarray, GaussianMatrix, tuple
     pauli = ((col == r ^ col[:, :1]) & (ph - ph[:, :1] - b @ r_bits.T & 3 == 0)).all(-1)
     if not pauli.all():
         return _realization_fault(f"{key_text(int(np.argmin(pauli)), p)} is not in the Pauli group")
-    return keys, stack, mono
+    return p, keys, stack, mono
 
 
 def _on_rows(m: tuple[np.ndarray, np.ndarray], p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,13 +158,10 @@ def _blocks(n_keys: int):
 # products
 
 
-def check_products(p: int, max_failures: int = 1) -> OracleReport:
-    """key_product and omega vs exact Kronecker matrices, all pairs; the
-    product body must also be the bi-addition x ^ y."""
-    cert = _certified(p)
-    if isinstance(cert, OracleReport):
-        return cert
-    keys, _, mono = cert
+def check_products(cert: Certificate, max_failures: int = 1) -> OracleReport:
+    """key_product and omega vs exact Kronecker matrices, all pairs of the
+    certified stack; the product body must also be the bi-addition x ^ y."""
+    p, keys, _, mono = cert
     x, y = keys[:, None], keys[None, :]
     e, body = key_product(x, y, p)
     # S_x S_y against i^e S_body, and S_x S_y -/+ S_y S_x, on the rows
@@ -196,14 +195,11 @@ def check_products(p: int, max_failures: int = 1) -> OracleReport:
 # conjugations
 
 
-def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
+def check_conjugations(cert: Certificate, max_failures: int = 1) -> OracleReport:
     """key_conjugate vs h s h-dagger for every basic transformation and
-    spinor, both directions; compared after scaling by 2 to stay within
-    the Gaussian integers."""
-    cert = _certified(p)
-    if isinstance(cert, OracleReport):
-        return cert
-    keys, stack, mono = cert
+    spinor of the certified stack, both directions; compared after scaling
+    by 2 to stay within the Gaussian integers."""
+    p, keys, stack, mono = cert
     n_keys = len(keys)
     coeff = 1 + 3 * key_self_parity(keys, p)  # i (-i)^(zeta.alpha), as in h_matrices
     hm, odd = h_matrices(keys, p), (coeff == 4)[:, None, None]
@@ -245,6 +241,7 @@ def check_conjugations(p: int, max_failures: int = 1) -> OracleReport:
 def run_oracle(p: int) -> OracleReport:
     if p > ORACLE_GUARD_P:
         raise ValueError(f"oracle sweeps guarded to p <= {ORACLE_GUARD_P}")
-    products = check_products(p)
-    # a realization fault stops both checks at the same witness; name it once
-    return products if products.checks == 0 else products.merge(check_conjugations(p))
+    cert = _certified(p)
+    if isinstance(cert, OracleReport):
+        return cert
+    return check_products(cert).merge(check_conjugations(cert))

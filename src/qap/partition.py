@@ -7,8 +7,10 @@ two) the half holding the pair's smallest spinor is W^1; every other pair
 takes the labels the closure law forces, read in closed form from a
 quadratic refinement of the commutation form omega on the coset leaders.
 The cells, keyed (i, epsilon), are derived from the array where they are
-read.  The closure law [W^e(B), W^s(B')] in W^(e+s)(B sqcap B') is
-checked at build time on every anti-commuting spinor pair, by an
+read.  A partition is checked once, at build time, by one report: first
+that every key lies in a cell, the center in W^1(B_0) and every other
+cell at its size, then the closure law [W^e(B), W^s(B')] in
+W^(e+s)(B sqcap B') on every anti-commuting spinor pair, by an
 exhaustive numpy sweep over aligned blocks of 2^min(2p, 7) rows: within a
 block each product row is an earlier row with its column halves swapped,
 so one gather serves the whole block.  Index arithmetic is XOR
@@ -101,9 +103,6 @@ class QAPartition:
     def pair(self, i: int) -> ConjugatePair:
         return ConjugatePair(self.maxbi.members[i], self.cells[(i, 1)], self.cells[(i, 0)])
 
-    def is_partition(self) -> bool:
-        return self.partition_fault() is None
-
     def partition_fault(self) -> str | None:
         """The first partition check that fails, with one witness, or None:
         every one of the 4^p keys lies in a cell, the center in cell (0,1),
@@ -136,7 +135,7 @@ def build_qap(c: CartanSubalgebra, verify: bool = True) -> QAPartition:
     a quadratic refinement of omega, f(x ^ y) = f(x) ^ f(y) ^ omega(x, y),
     and the leaders are XOR-linear, so f[i] = f[i ^ i1] ^ omega(leaders[i1],
     leaders[i ^ i1]) for i1 the lowest bit of i, and W of pair i is
-    W^(1 ^ f[i]).  A full verification sweep then asserts the labels.
+    W^(1 ^ f[i]).  verify_closure then checks the partition and its labels.
     """
     maxbi = all_maximal(c)
     p, leaders = c.p, maxbi.leaders
@@ -190,14 +189,14 @@ def _sweep_tables(p: int) -> tuple[np.ndarray, ...]:
 
 
 def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
-    """Exhaustively check the quaternion closure law on every anti-commuting
-    pair x < y of covered spinors, in row-major order.
+    """Check that q is a partition, then exhaustively check the quaternion
+    closure law on every anti-commuting pair x < y, in row-major order.
+    A partition fault is the one failure, with 0 pairs checked.
 
     With cid[k] = (i << 1) | eps the cell of key k, the law reads
     cid[x ^ y] == cid[x] ^ cid[y].  The conjugate-partition inclusions
     [W,C] in W-hat, [W-hat,C] in W and [W,W-hat] in C are the cell pairs
-    (i,1)x(0,1), (i,0)x(0,1) and (i,1)x(i,0) of this sweep.  An uncovered
-    key reads -1, which matches no product of two cell ids.
+    (i,1)x(0,1), (i,0)x(0,1) and (i,1)x(i,0) of this sweep.
 
     Rows x = r0 ^ j (j < 2^L, r0 aligned) are taken a block at a time,
     against the columns y >= r0, a slice that XOR by j maps onto itself.
@@ -207,18 +206,13 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     omega(r0, y) ^ omega(j, y), each an XOR of the rows omega(2^b, y),
     which is bit b of swap(y) = (zeta_y << p) | alpha_y.
     """
+    if fault := q.partition_fault():
+        return ClosureReport(False, 0, [fault])
     p, cid, max_failures = q.p, q.cid, max(max_failures, 1)
     failures: list[str] = []
-    if cid[0] != 1:  # key 0 commutes with everything, so no pair below reaches it
-        where = cell_label(divmod(int(cid[0]), 2)) if cid[0] >= 0 else "no cell"
-        failures.append(f"identity {key_text(0, p)} lies in {where}, not in B:0/eps:1")
-        if max_failures == 1:
-            return ClosureReport(False, 0, failures)
     n, bits = cid.size, min(2 * p, 7)
     rows = 1 << bits
     keys, unit, anti, upper = _sweep_tables(p)
-    covered = cid >= 0
-    partial = not covered.all()
     flat = [np.empty(rows * n, dtype=t) for t in (cid.dtype, bool, bool)]
     checked = 0
     for r0 in range(0, n, rows):
@@ -231,9 +225,6 @@ def verify_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
         high = [b for b in range(bits, 2 * p) if r0 >> b & 1]
         np.bitwise_xor(anti[:, r0:], np.logical_xor.reduce(unit[high, r0:]), out=a)
         a[:, :rows] &= upper  # the diagonal block keeps y > x
-        if partial:  # an uncovered key is neither x nor y
-            a &= covered[r0 : r0 + rows, None]
-            a &= covered[r0:]
         prod ^= cid[r0:]
         np.not_equal(prod, cid[r0 : r0 + rows, None], out=bad)
         bad &= a

@@ -135,13 +135,13 @@ def test_criterion_4_quaternion_closure():
                 q = qap_of(c)
                 report = verify_closure(q)
                 assert report.ok, f"{c.label}: {report.failures}"
-                assert q.is_partition()
+                assert q.partition_fault() is None
         # 200 sampled subalgebras at p = 4
         rng = random.Random(20240)
         pool = list(atlas(4).members())
         for c in rng.sample(pool, 200):
             q = build_qap(c, verify=False)
-            assert verify_closure(q).ok and q.is_partition()
+            assert verify_closure(q).ok and q.partition_fault() is None
         # fault injection: a single flipped label must be caught
         q = qap_of(parse_label("C^{110}_{[001,100]}"))
         for flip in range(1, 8):

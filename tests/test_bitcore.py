@@ -266,7 +266,6 @@ UNREAD_METHODS_ON_PURPOSE = {
     "BitWord.is_zero": "public BitWord predicate; tests read it on a spinor's zeta",
     "ConjugatePair.is_degrade": "the paper's degrade pair (empty W-hat), checked by tests",
     "QAPartition.cell_of": "public lookup of a spinor's cell; tests build sequences with it",
-    "QAPartition.is_partition": "the yes/no form of partition_fault, checked by tests",
     "Spinor.make": "the public constructor from zeta and alpha words that README and tests use",
     "Spinor.display": "README's hermitian-norm text form of a spinor",
     "GaussianMatrix.scaled": "reference-only: tests scale realized products by it (ROADMAP item 4)",
@@ -339,6 +338,27 @@ def test_a_realization_fault_fails_the_oracle_under_python_O():
     ))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "oracle FAIL: 0 exact matrix checks\nrealization fault: S[01|01] is not a monomial matrix\n", ""
+    )
+
+
+def test_a_partition_fault_fails_verify_under_python_O():
+    """verify_closure's partition check is a report, not an assert, so a
+    cell-id array whose keys name no cell fails verify with asserts
+    stripped, although the closure law holds on every pair of it."""
+    proc = _run_optimized("-c", (
+        "import sys, numpy as np, qap.cli\n"
+        "from qap.partition import QAPartition, build_qap\n"
+        "from qap.spinor import omega\n"
+        "def tampered_qap(c, verify=True):\n"
+        "    q = build_qap(c, verify)\n"
+        "    keys = np.arange(q.cid.size, dtype=q.cid.dtype)\n"
+        "    cid = q.cid ^ (omega(keys, 1, q.p) << (q.p + 1))\n"
+        "    return QAPartition(q.cartan, q.maxbi, cid)\n"
+        "qap.cli.build_qap = tampered_qap\n"
+        "sys.exit(qap.cli.main(['verify', '--p', '2']))\n"
+    ))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "closure FAILED for C_[00]: S[00|01] has cell id 11, which names no cell\n", ""
     )
 
 

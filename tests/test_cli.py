@@ -570,7 +570,7 @@ def test_failed_command_leaves_no_new_out_file(capsys, tmp_path):
 
 def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
     # key 0 moved out of the center breaks no closure triple; verify must
-    # still fail, naming the cell that holds it
+    # still fail, at the partition check, naming the cell that holds it
     import qap.cli
     from qap.partition import QAPartition, build_qap
 
@@ -583,16 +583,14 @@ def test_identity_outside_the_center_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(qap.cli, "build_qap", tampered_qap)
     code, out = run(capsys, "verify", "--p", "3")
     assert code == 1
-    assert out == (
-        "closure FAILED for C_[000]: "
-        "['identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1']\n"
-    )
+    assert out == "closure FAILED for C_[000]: center S[000|000] lies in B:1/eps:0\n"
 
 
 def test_partition_fault_with_closure_intact_exits_1(capsys, monkeypatch):
     # flipping index bit p on every key that anti-commutes with S[01|00] is
-    # XOR-linear and zero on the center, so closure and the identity check
-    # pass; verify must still fail, naming the first key outside every cell
+    # XOR-linear and zero on the center, so the closure law holds on every
+    # pair; verify must still fail, at the partition check that runs before
+    # the sweep, naming the first key outside every cell
     import qap.cli
     from qap.partition import QAPartition, build_qap
     from qap.spinor import omega
@@ -606,7 +604,7 @@ def test_partition_fault_with_closure_intact_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(qap.cli, "build_qap", tampered_qap)
     code, out = run(capsys, "verify", "--p", "2")
     assert code == 1
-    assert out == "partition FAILED for C_[00]: S[00|01] has cell id 11, which names no cell\n"
+    assert out == "closure FAILED for C_[00]: S[00|01] has cell id 11, which names no cell\n"
 
 
 @pytest.mark.parametrize(

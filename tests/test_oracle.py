@@ -209,13 +209,22 @@ def realization_witness(fault: str | None, p: int) -> str | None:
     return None
 
 
+def both_checks(p: int, max_failures: int = 1) -> tuple[OracleReport, OracleReport]:
+    """The two checks on one certificate, as run_oracle runs them, or the
+    realization fault that stops the run in place of each."""
+    cert = oracle._certified(p)
+    if isinstance(cert, OracleReport):
+        return cert, cert
+    return check_products(cert, max_failures), check_conjugations(cert, max_failures)
+
+
 @pytest.mark.parametrize("max_failures", [1, 3])
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("fault", [None, *FAULTS])
 def test_batched_oracle_matches_reference(monkeypatch, fault, p, max_failures):
     if fault is not None:
         FAULTS[fault](monkeypatch, p)
-    got = (check_products(p, max_failures), check_conjugations(p, max_failures))
+    got = both_checks(p, max_failures)
     want = (reference_products(p, max_failures), reference_conjugations(p, max_failures))
     witness = realization_witness(fault, p)
     if witness is not None:
@@ -234,7 +243,7 @@ def test_batched_oracle_matches_reference(monkeypatch, fault, p, max_failures):
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_each_fault_is_caught_by_the_right_check(monkeypatch, fault):
     FAULTS[fault](monkeypatch, 2)
-    products, conjugations = check_products(2, 9), check_conjugations(2, 9)
+    products, conjugations = both_checks(2, 9)
     if fault == "conjugate_phase":
         assert products.ok and not conjugations.ok
     elif fault in ("matrix_entry", "matrix_sign", "matrix_negated", "commutes_flip"):
@@ -248,14 +257,14 @@ def test_a_fault_in_the_shared_commutation_rule_is_caught(monkeypatch):
     connector use, so one flipped pair there fails the product check."""
     s0, t0 = _pair(2)
     plant(monkeypatch, "omega", lambda real: lambda x, y, p: real(x, y, p) ^ at(x, y, s0, t0))
-    report = check_products(2)
+    report = check_products(oracle._certified(2))
     assert not report.ok
     assert report.failures[0] == f"commutation mismatch at {s0}, {t0}"
 
 
 def test_p3_product_injection_names_its_first_witness(monkeypatch):
     inject_product_phase(monkeypatch, S("S[001|011]"), S("S[010|101]"))
-    report = check_products(3)
+    report = check_products(oracle._certified(3))
     # (alpha << 3 | zeta) is 25 for the left factor and 42 for the right one
     assert report == OracleReport(
         False, 25 * 64 + 42 + 1, ["product mismatch at S[001|011] * S[010|101]"]
@@ -268,10 +277,11 @@ def test_p3_product_injection_names_its_first_witness(monkeypatch):
 def test_p3_conjugation_injection_names_its_first_witness(monkeypatch):
     inject_conjugate_phase(monkeypatch, S("S[011|110]"), S("S[101|001]"))
     # h index 6 << 3 | 3 = 51, spinor index 1 << 3 | 5 = 13, inverted factor last
-    assert check_conjugations(3, max_failures=4) == OracleReport(
+    cert = oracle._certified(3)
+    assert check_conjugations(cert, max_failures=4) == OracleReport(
         False, 2 * 16**3, ["conjugation mismatch: h'[011|110] on S[101|001]"]
     )
-    assert check_conjugations(3) == OracleReport(
+    assert check_conjugations(cert) == OracleReport(
         False, 51 * 128 + 2 * 13 + 2, ["conjugation mismatch: h'[011|110] on S[101|001]"]
     )
 
@@ -279,10 +289,11 @@ def test_p3_conjugation_injection_names_its_first_witness(monkeypatch):
 def test_fewer_failures_than_the_limit_still_fail(monkeypatch):
     """A run that stops short of max_failures must not report a pass."""
     inject_product_phase(monkeypatch, S("S[001|011]"), S("S[010|101]"))
-    report = check_products(3, max_failures=5)
+    cert = oracle._certified(3)
+    report = check_products(cert, max_failures=5)
     assert report == OracleReport(False, 4096, ["product mismatch at S[001|011] * S[010|101]"])
     assert str(report).startswith("oracle FAIL: 4096 exact matrix checks\n")
-    assert not report.merge(check_conjugations(3)).ok
+    assert not report.merge(check_conjugations(cert)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +314,7 @@ def test_only_a_realization_fault_is_reported_as_one(monkeypatch, fault, realiza
     monkeypatch.setattr(GaussianMatrix, "__matmul__", lambda a, b: products.append(1) or real(a, b))
     if fault is not None:
         FAULTS[fault](monkeypatch, 2)
-    got = (check_products(2, 3), check_conjugations(2, 3))
+    got = both_checks(2, 3)
     assert products == []
     witness = realization_witness(fault, 2)
     assert (witness is not None) == realization
@@ -323,9 +334,10 @@ def test_an_h_matrix_fault_fails_the_conjugation_check(monkeypatch, p, max_failu
     h and compares no rule, and the reference fails too."""
     target = _pair(p)[0]
     monkeypatch.setattr(qap.transform, "realize", sign_fault(target, qap.transform.realize))
-    assert check_products(p) == OracleReport(True, 16**p)
+    cert = oracle._certified(p)
+    assert check_products(cert) == OracleReport(True, 16**p)
     h = BasicTransform(key_of(target), p)
-    assert check_conjugations(p, max_failures) == OracleReport(
+    assert check_conjugations(cert, max_failures) == OracleReport(
         False, 0, [f"realization fault: sqrt(2) {h} is not I + i^c {target}"]
     )
     assert not reference_conjugations(p, max_failures).ok
@@ -345,10 +357,11 @@ def test_the_monomial_form_needs_units_in_a_permutation_pattern():
     assert oracle._monomial(doubled) == 5 and oracle._monomial(repeated) == 5
 
 
-def test_a_passing_oracle_builds_no_word_objects_and_one_stack_per_check(monkeypatch):
-    """Each check realizes the 4^p keys in one call, the conjugation check
-    gates all 4^p h matrices in one more, and witnesses print from keys, so
-    a pass constructs no BitWord and no Spinor."""
+def test_a_passing_oracle_builds_no_word_objects_and_one_stack_per_run(monkeypatch):
+    """A run realizes the 4^p keys in one call and certifies that stack once
+    for both checks, the conjugation check gates all 4^p h matrices in one
+    more, and witnesses print from keys, so a pass constructs no BitWord
+    and no Spinor."""
     made = []
     for cls in (BitWord, Spinor):
         real = cls.__post_init__
@@ -358,7 +371,7 @@ def test_a_passing_oracle_builds_no_word_objects_and_one_stack_per_check(monkeyp
     monkeypatch.setattr(oracle, "realize", lambda keys, p: stacks.append(keys.tolist()) or realize(keys, p))
     monkeypatch.setattr(oracle, "h_matrices", lambda keys, p: gates.append(keys.tolist()) or h_matrices(keys, p))
     assert run_oracle(2) == OracleReport(True, 3 * 16**2)
-    assert made == [] and stacks == [list(range(16))] * 2 and gates == [list(range(16))]
+    assert made == [] and stacks == [list(range(16))] and gates == [list(range(16))]
 
 
 def test_a_monomial_stack_off_the_pauli_group_is_a_realization_fault(monkeypatch):
@@ -374,7 +387,7 @@ def test_a_monomial_stack_off_the_pauli_group_is_a_realization_fault(monkeypatch
 
     monkeypatch.setattr(oracle, "realize", realize)
     witness = "realization fault: S[01|01] is not in the Pauli group"
-    assert check_products(2) == check_conjugations(2) == OracleReport(False, 0, [witness])
+    assert oracle._certified(2) == OracleReport(False, 0, [witness])
     assert str(run_oracle(2)) == f"oracle FAIL: 0 exact matrix checks\n{witness}"
 
 
@@ -462,7 +475,7 @@ def allrow_products(p: int, max_failures: int = 1) -> OracleReport:
     cert = oracle._certified(p)
     if isinstance(cert, OracleReport):
         return cert
-    keys, _, (col, ph) = cert
+    _, keys, _, (col, ph) = cert
     x, y = keys[:, None], keys[None, :]
     e, body = qap.spinor.key_product(x, y, p)
     mx, my = (col[:, None], ph[:, None]), (col[None], ph[None])
@@ -492,7 +505,7 @@ def allrow_conjugations(p: int, max_failures: int = 1) -> OracleReport:
     cert = oracle._certified(p)
     if isinstance(cert, OracleReport):
         return cert
-    keys, stack, mono = cert
+    _, keys, stack, mono = cert
     n_keys = len(keys)
     coeff = 1 + 3 * qap.spinor.key_self_parity(keys, p)
     odd = (coeff == 4)[:, None, None]
@@ -529,6 +542,6 @@ def allrow_conjugations(p: int, max_failures: int = 1) -> OracleReport:
 def test_the_p_plus_1_row_checks_equal_the_all_row_reference(monkeypatch, p, fault):
     if fault is not None:
         FAULTS[fault](monkeypatch, p)
-    got = (check_products(p, 3), check_conjugations(p, 3))
+    got = both_checks(p, 3)
     assert got == (allrow_products(p, 3), allrow_conjugations(p, 3))
     assert got[0].merge(got[1]).ok == (fault is None)

@@ -26,7 +26,7 @@ from qap.partition import (
     split_by_commutation,
     verify_closure,
 )
-from qap.spinor import Spinor, key_text
+from qap.spinor import Spinor
 from qap.subalgebra import (
     BiSubalgebra,
     CartanSubalgebra,
@@ -190,7 +190,7 @@ def test_build_qap_structure():
     assert len(q.cells) == 16
     assert q.cells[(0, 1)] == intrinsic_cartan(3).elements
     assert len(q.cells[(0, 0)]) == 0
-    assert q.is_partition()
+    assert q.partition_fault() is None
     for i in range(1, 8):
         for eps in (0, 1):
             assert len(q.cells[(i, eps)]) == 4
@@ -415,11 +415,17 @@ def within_cell_anti_pairs(q: QAPartition) -> int:
 
 
 def injections(q: QAPartition, rng: random.Random):
-    """Every single flip, then one moved key and one dropped key, each as a
-    tampered partition.  The identity key 0 commutes with everything, so
-    moving or dropping it breaks no closure triple; it is never picked."""
+    """Every single flip, one swap of two keys between two non-center cells,
+    then one moved key and one dropped key, each as a tampered partition.
+    Flips and swaps keep every cell at its size, so they reach the closure
+    sweep; a move or a drop stops at the partition check before it.  The
+    identity key 0 commutes with everything, so moving or dropping it
+    breaks no closure triple; it is never picked."""
     for i in range(1, 1 << q.p):
         yield f"flip B:{i}", flipped(q, i)
+    ka, kb = rng.sample([k for k in sorted(q.cells) if k[0]], 2)
+    x, y = (rng.choice(sorted(q.cells[k].keys)) for k in (ka, kb))
+    yield f"swap {x} {ka}<->{y} {kb}", retagged(retagged(q, [x], kb), [y], ka)
     occupied = sorted(k for k, cell in q.cells.items() if len(cell) > 0)
     src = rng.choice(occupied)
     dst = rng.choice([k for k in sorted(q.cells) if k != src])
@@ -430,17 +436,33 @@ def injections(q: QAPartition, rng: random.Random):
     yield f"drop {dropped} from {src}", retagged(q, [dropped], None)
 
 
+def reaches_sweep(q: QAPartition, what: str) -> bool:
+    """Whether q passes the partition check, which only a move or a drop
+    fails; such a q is reported by its partition fault alone, with 0
+    pairs checked, at any limit."""
+    fault = q.partition_fault()
+    assert (fault is None) != bool(re.search(r" (move|drop) ", what)), what
+    if fault is None:
+        return True
+    for limit in (1, 3, 1 << (4 * q.p)):
+        assert verify_closure(q, limit) == ClosureReport(False, 0, [fault]), what
+    return False
+
+
 def assert_sweep_matches_reference(q: QAPartition, what: str, full: bool = True) -> bool:
     """ok always agrees and is returned; checked_pairs agrees on a pass.
     A failing run stops at an order-dependent pair, so with `full` both
     run to the end: the sweep reports every violating pair once, the loop
-    reports a pair inside one cell in both orders and counts it twice."""
+    reports a pair inside one cell in both orders and counts it twice.
+    A partition fault stops the sweep before any pair, and fails."""
+    if not reaches_sweep(q, what):
+        return False
     fast, slow = verify_closure(q), reference_closure(q)
     assert fast.ok == slow.ok, what
     if fast.ok:
         assert fast.checked_pairs == slow.checked_pairs, what
         return True
-    assert len(fast.failures) == 1, what
+    assert len(fast.failures) == 1 and fast.checked_pairs > 0, what
     assert_genuine(q, fast.failures[0])
     if not full:
         return False
@@ -469,8 +491,8 @@ def test_sweep_matches_reference_on_every_partition_to_p3():
 
 
 def test_sweep_matches_reference_on_p4_partitions_and_injections():
-    # 50 seeded partitions, each with all 15 single flips, one moved key and
-    # one dropped key; a flip makes thousands of witnesses at p = 4, so the
+    # 50 seeded partitions, each with all 15 single flips, one swap, one
+    # moved key and one dropped key; a flip makes thousands of witnesses at p = 4, so the
     # run-to-the-end comparison of flips is left to the p = 3 test
     rng = random.Random(4)
     for c in rng.sample(list(atlas(4).members()), 50):
@@ -490,11 +512,6 @@ def row_block_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
     product's cell gathered pair by pair."""
     p, cid, max_failures = q.p, q.cid, max(max_failures, 1)
     failures: list[str] = []
-    if cid[0] != 1:
-        where = cell_label(divmod(int(cid[0]), 2)) if cid[0] >= 0 else "no cell"
-        failures.append(f"identity {key_text(0, p)} lies in {where}, not in B:0/eps:1")
-        if max_failures == 1:
-            return ClosureReport(False, 0, failures)
     keys = np.flatnonzero(cid >= 0).astype(np.min_scalar_type(cid.size))
     checked = 0
     for r0 in range(0, len(keys), 32):
@@ -514,7 +531,10 @@ def row_block_closure(q: QAPartition, max_failures: int = 1) -> ClosureReport:
 
 def assert_sweep_matches_row_blocks(q: QAPartition, what: str, full: bool = True) -> None:
     """The same report, witness texts and stop-point count included, at a
-    limit of one failure, of three and, with `full`, of every pair."""
+    limit of one failure, of three and, with `full`, of every pair, on a
+    partition that reaches the sweep."""
+    if not reaches_sweep(q, what):
+        return
     for limit in (1, 3, 1 << (4 * q.p))[: 3 if full else 2]:
         new, old = verify_closure(q, limit), row_block_closure(q, limit)
         assert (new.ok, new.checked_pairs, new.failures) == (
@@ -548,14 +568,14 @@ def test_doubled_sweep_matches_row_blocks_on_p4_partitions():
 
 
 def test_doubled_sweep_matches_row_blocks_at_p5():
-    # one partition per kind, each with three seeded flips, a move and a
-    # drop: at p = 5 the sweep takes 128-row blocks and masks uncovered keys
+    # one partition per kind, each with three seeded flips, a swap, a move
+    # and a drop: at p = 5 the sweep takes 128-row blocks
     rng = random.Random(6)
     for c in seeded_cartans(5, 6, 6):
         q = build_qap(c, verify=False)
         assert_sweep_matches_row_blocks(q, c.label)
-        *flips, moved, dropped = injections(q, rng)
-        for what, tampered in (*rng.sample(flips, 3), moved, dropped):
+        *flips, swapped, moved, dropped = injections(q, rng)
+        for what, tampered in (*rng.sample(flips, 3), swapped, moved, dropped):
             full = not what.startswith("flip")
             assert_sweep_matches_row_blocks(tampered, f"{c.label} {what}", full)
 
@@ -585,25 +605,24 @@ def test_cached_sweep_tables_report_what_fresh_tables_report():
 
 def test_identity_outside_the_center_fails_with_its_cell():
     # key 0 commutes with everything, so no anti-commuting pair reaches it:
-    # the pair law alone passes it moved to (1,0), with 1008 pairs checked
+    # the pair law alone passes it moved to (1,0), so the partition check
+    # before the sweep names its cell, with 0 pairs checked at any limit
     q = qap_of(parse_label("C^{0}_{[100]}"))
     dropped = retagged(q, [0], None)
     moved = retagged(q, [0], (1, 0))
     assert reference_closure(moved).ok
-    witness = "identity S[000|000] lies in B:1/eps:0, not in B:0/eps:1"
-    report = verify_closure(moved)
-    assert (report.ok, report.checked_pairs, report.failures) == (False, 0, [witness])
-    report = verify_closure(moved, max_failures=5)
-    assert (report.ok, report.checked_pairs, report.failures) == (False, 1008, [witness])
+    witness = "center S[000|000] lies in B:1/eps:0"
+    for limit in (1, 5):
+        assert verify_closure(moved, limit) == ClosureReport(False, 0, [witness])
     report = verify_closure(dropped)
-    assert report.failures == ["identity S[000|000] lies in no cell, not in B:0/eps:1"]
+    assert report.failures == ["S[000|000] has cell id -1, which names no cell"]
 
 
-def test_is_partition_checks_the_center_and_every_cell_size():
+def test_partition_fault_checks_the_center_and_every_cell_size():
     # moving key 0 keeps 64 distinct keys in all, with 7 and 5 in the two cells
     q = qap_of(parse_label("C^{0}_{[100]}"))
-    assert q.is_partition()
-    assert not retagged(q, [0], (1, 0)).is_partition()
+    assert q.partition_fault() is None
+    assert retagged(q, [0], (1, 0)).partition_fault() is not None
 
 
 def test_partition_fault_names_the_failed_check_and_a_witness():
@@ -627,13 +646,39 @@ def test_partition_fault_names_the_failed_check_and_a_witness():
 
 
 def test_dropped_key_never_reads_as_the_degrade_cell():
-    # an uncovered spinor must fail as a product, not pass as cell (0,0)
+    # an uncovered spinor must fail as a key in no cell, not pass as cell (0,0)
     q = qap_of(intrinsic_cartan(3))
     for ck in sorted(q.cells):
-        for k in sorted(q.cells[ck].keys - {0}):
+        for k in sorted(q.cells[ck].keys):
             report = verify_closure(retagged(q, [k], None))
-            assert not report.ok
-            assert report.failures[0].endswith(f"-> {spinor_of_key(k, 3)} not in {cell_label(ck)}")
+            witness = f"{spinor_of_key(k, 3)} has cell id -1, which names no cell"
+            assert report == ClosureReport(False, 0, [witness])
+
+
+def closure_intact(q: QAPartition) -> QAPartition:
+    """q with index bit p flipped on every key that anti-commutes with key 1:
+    the flip is XOR-linear and zero on the center, so the closure law holds
+    on every pair, but the flipped cell ids name no cell."""
+    keys = np.arange(q.cid.size, dtype=q.cid.dtype)
+    return QAPartition(q.cartan, q.maxbi, q.cid ^ (omega(keys, 1, q.p) << (q.p + 1)))
+
+
+@pytest.mark.parametrize("p,witness", [
+    (2, "S[00|01] has cell id 11, which names no cell"),
+    (5, "S[00000|00001] has cell id 67, which names no cell"),
+])
+def test_a_closure_intact_tamper_fails_at_the_partition_check(monkeypatch, p, witness):
+    c = parse_label(f"C_[{'0' * p}]")
+    tampered = closure_intact(build_qap(c, verify=False))
+    x, y, cid = np.arange(4**p)[:, None], np.arange(4**p), tampered.cid
+    assert (cid[x ^ y] == cid[x] ^ cid[y])[omega(x, y, p) == 1].all()
+    assert verify_closure(tampered, 1 << (4 * p)) == ClosureReport(False, 0, [witness])
+    # build_qap gates table, qap, coqa and connect on the same report
+    real = partition.QAPartition
+    monkeypatch.setattr(partition, "QAPartition", lambda *args: closure_intact(real(*args)))
+    with pytest.raises(InvariantError) as info:
+        build_qap(c)
+    assert str(info.value) == f"cell labeling of {c.label} breaks closure: {witness}"
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -665,12 +710,13 @@ def test_conjugate_partition_inclusions_are_cells_of_the_sweep():
 
 
 def test_conjugate_partition_faults_are_caught_by_the_sweep():
-    # move one spinor of W(B_i) into W-hat(B_i): it breaks an inclusion,
-    # and the sweep names a pair of cells from that inclusion
+    # swap one spinor of W(B_i) with one of W-hat(B_i): every cell keeps its
+    # size, the swap breaks an inclusion, and the sweep names a pair of
+    # cells from that inclusion
     q = qap_of(intrinsic_cartan(3))
     for i in range(1, 8):
-        moved = min(q.cells[(i, 1)].keys)
-        tampered = retagged(q, [moved], (i, 0))
+        x, y = min(q.cells[(i, 1)].keys), min(q.cells[(i, 0)].keys)
+        tampered = retagged(retagged(q, [x], (i, 0)), [y], (i, 1))
         looped = reference_closure(tampered, max_failures=99).failures
         assert any(f.startswith("conjugate-partition") for f in looped)
         report = verify_closure(tampered, max_failures=1 << 12)
