@@ -1,14 +1,14 @@
 """Every Cartan subalgebra of su(2^p), enumerated from its label C^{eps}_{[a_1...a_k]}:
 a reduced echelon alpha basis plus a symmetric parity matrix, with no search and no
 dedupe.  The atlas holds one (N, p) array of basis keys per shell, spanned by XOR doubling
-over the parities; the local lift, classification and JSONL export read those arrays, and
-a member becomes a CartanSubalgebra only where the public API hands one out.
+over the parities; the local lift and classification read those arrays, and the JSONL
+export writes each shell from them as fixed-width byte rows of one buffer.  A member becomes
+a CartanSubalgebra only where the public API hands one out.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -325,22 +325,46 @@ def nonlocal_connector(
     return circuit, target
 
 
+@lru_cache(maxsize=None)
+def _element_bytes(p: int) -> np.ndarray:
+    """Row x: key x as a JSON string and the list separator after it, '"S[zeta|alpha]", ',
+    2p + 8 ASCII bytes; built once per p, read-only and shared."""
+    text = "".join([f'"{t}", ' for t in key_texts(p)])
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(1 << 2 * p, 2 * p + 8)
+
+
 def atlas_jsonl(atlas: CartanAtlas) -> str:
-    """One JSON object per subalgebra, keys sorted: label, kind, parity
-    strings, canonical element list, spanned ascending from the basis."""
-    p, lines = atlas.p, []
-    texts = np.array([json.dumps(t) for t in key_texts(p)], dtype=object)
+    """One JSON object per subalgebra, keys sorted: label, kind, parity strings, canonical
+    element list, spanned ascending from the basis.  Every line of a shell has one width, so
+    a shell is an (N, width) block of one byte buffer, written a field at a time: the element
+    texts gathered from the per-key byte table, eps_mu, eps_se and the superscript as '0'/'1'
+    bytes of one parity code (the off-diagonal, diagonal and all pairs r <= s), the alpha
+    words' bits likewise, and the constant text by broadcast."""
+    p, table = atlas.p, _element_bytes(atlas.p)
+    head, span_width = np.frombuffer(b'{"elements": [', np.uint8), table.shape[1] << p
+    words = "".join([f"{a:0{p}b}," for a in range(1 << p)]).encode()  # alpha a's word, a comma
+    words = np.frombuffer(words, np.uint8).reshape(1 << p, p + 1)
+    shells = []
     for k, basis in atlas.by_kind.items():
-        gens, upper = basis[:, :k][:, ::-1], [(r, s) for r in range(k) for s in range(r, k)]
-        # eps_se, eps_mu and superscript: one text table per kind, read by parity code
-        tables = ([(r, r) for r in range(k)], [(r, s) for r, s in upper if r < s], upper)
-        se, mu, sup = (np.array(_bit_texts(len(t)), dtype=object)[_codes(gens, p, t)].tolist()
-                       for t in tables)
-        spans, last = texts[gf2_span(basis[:, ::-1])].tolist(), None
-        for elements, alphas, s, m, superscript in zip(spans, (gens >> p).tolist(), se, mu, sup):
-            if alphas != last:  # one alpha basis's members are adjacent: format it once
-                last = alphas  # the label around a '|' superscript; the 0th kind has none
-                before, _, after = label_text(p, "|", alphas).partition("|")
-            lines.append(f'{{"elements": [{", ".join(elements)}], "eps_mu": "{m}", '
-                         f'"eps_se": "{s}", "kind": {k}, "label": "{before}{superscript}{after}"}}')
-    return "\n".join(lines) + "\n"
+        n, gens = len(basis), basis[:, :k][:, ::-1]
+        upper = [(r, s) for r in range(k) for s in range(r, k)]
+        code = _codes(gens, p, upper).astype("<u4").view(np.uint8).reshape(n, 4)
+        sup = np.unpackbits(code, axis=1, count=len(upper), bitorder="little") + 48  # ord("0")
+        diagonal = np.array([r == s for r, s in upper], dtype=bool)
+        alphas = words.take(gens >> p, axis=0).reshape(n, k * (p + 1))[:, :-1]
+        label = [b"C^{", sup, b"}_{[", alphas, b"]}"] if k else [label_text(p, "", []).encode()]
+        fields = [b'], "eps_mu": "', sup[:, ~diagonal], b'", "eps_se": "', sup[:, diagonal],
+                  f'", "kind": {k}, "label": "'.encode(), *label, b'"}\n']
+        fields = [np.frombuffer(f, np.uint8)[None] if isinstance(f, bytes) else f for f in fields]
+        shells.append((basis, fields, len(head) + span_width - 2 + sum(f.shape[1] for f in fields)))
+    buf, at = np.empty(sum(len(basis) * width for basis, _, width in shells), np.uint8), 0
+    for basis, fields, width in shells:
+        rows = buf[at : at + len(basis) * width].reshape(len(basis), width)
+        at += rows.size
+        rows[:, : len(head)] = head
+        elements = table.take(gf2_span(basis[:, ::-1]), axis=0)  # table[...] is 10x slower
+        rows[:, len(head) : len(head) + span_width] = elements.reshape(len(basis), span_width)
+        x = len(head) + span_width - 2  # the last element's ", " gives way to the next field
+        for f in fields:
+            rows[:, x : x + f.shape[1]], x = f, x + f.shape[1]
+    return str(buf, "ascii")

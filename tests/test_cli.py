@@ -117,11 +117,13 @@ def test_enumerate_jsonl(capsys):
 
 
 # sha256 of `qap enumerate --p <p>` stdout: the atlas JSONL, member order
-# included, stays byte-identical
+# included, stays byte-identical; p = 5 is the CI pin too
 ENUMERATE_SHA256 = {
+    1: "5f2e452a6ec103e87fb35e3d0539bf77c78391a80dfe3095785f2f8c56ba1f16",
     2: "66114dd3582815296112e37558f23f8e3f08d6dd37c2ad7e5c41fc6e27bd0238",
     3: "b0f28a076700c14d3639c6ea3d89fbe3f11491bcdf6d0d1ddfcbf5a5d751b830",
     4: "9426423536fd88560195343920a2fa1e71620576a66111fe88a4ec98cfe9a98a",
+    5: "a0668f180f98c48c7f88b46815503f5da9cb47394a93d2fd675ae83bab41be21",
 }
 
 

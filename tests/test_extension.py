@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import random
 import re
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from qap import cli, extension
 from qap.bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span, parity
 from qap.extension import (
     CartanAtlas,
+    _bit_texts,
+    _codes,
     class_codes,
     class_connector,
     class_sizes,
@@ -27,12 +30,13 @@ from qap.extension import (
     nonlocal_connector,
 )
 from qap.partition import build_qap
-from qap.spinor import Spinor, key_product
+from qap.spinor import Spinor, key_product, key_texts
 from qap.subalgebra import (
     CartanSubalgebra,
     SpinorSet,
     intrinsic_cartan,
     is_cartan,
+    label_text,
     parse_label,
 )
 from qap.transform import BasicTransform, SymbolicCircuit, apply_to_cartan
@@ -253,14 +257,18 @@ def reference_codes(gens: np.ndarray, p: int, pairs: list[tuple[int, int]]) -> n
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_codes_equal_the_per_pair_reference(p):
-    """Every shell's eps_se, eps_mu and superscript tables, as atlas_jsonl reads them;
-    k = 0 (and k = 1 for eps_mu) has no pairs."""
+    """Every shell's eps_se, eps_mu and superscript codes; k = 0 (and k = 1 for eps_mu) has
+    no pairs.  atlas_jsonl reads only the superscript code: eps_se and eps_mu are its bits at
+    the diagonal and off-diagonal pairs, in order."""
     for k, basis in atlas(p).by_kind.items():
         gens, upper = basis[:, :k][:, ::-1], [(r, s) for r in range(k) for s in range(r, k)]
+        sup = extension._codes(gens, p, upper)
         for pairs in ([(r, r) for r in range(k)], [(r, s) for r, s in upper if r < s], upper):
             got = extension._codes(gens, p, pairs)
             assert (got.dtype, got.shape) == (np.int32, (len(gens),)), (p, k, pairs)
             assert np.array_equal(got, reference_codes(gens, p, pairs)), (p, k, pairs)
+            subset = sum(((sup >> upper.index(q) & 1) << t for t, q in enumerate(pairs)), 0 * sup)
+            assert np.array_equal(got, subset), (p, k, pairs)
 
 
 def test_fills_that_carry_another_pivot_fail_the_dual_check(monkeypatch):
@@ -498,8 +506,6 @@ def test_nonlocal_connector_cases(atlas2):
 
 
 def test_atlas_export_jsonl():
-    import json
-
     from qap.extension import atlas_jsonl
 
     lines = atlas_jsonl(atlas(2)).strip().splitlines()
@@ -507,6 +513,60 @@ def test_atlas_export_jsonl():
     row = json.loads(lines[0])
     assert set(row) == {"label", "kind", "eps_se", "eps_mu", "elements"}
     assert row["kind"] == 0 and len(row["elements"]) == 4
+
+
+def reference_jsonl(atlas: CartanAtlas) -> str:
+    """atlas_jsonl one f-string per member, from text tables: the element texts by key,
+    the parity strings by code, the label once per alpha basis."""
+    p, lines = atlas.p, []
+    texts = np.array([json.dumps(t) for t in key_texts(p)], dtype=object)
+    for k, basis in atlas.by_kind.items():
+        gens, upper = basis[:, :k][:, ::-1], [(r, s) for r in range(k) for s in range(r, k)]
+        # eps_se, eps_mu and superscript: one text table per kind, read by parity code
+        tables = ([(r, r) for r in range(k)], [(r, s) for r, s in upper if r < s], upper)
+        se, mu, sup = (np.array(_bit_texts(len(t)), dtype=object)[_codes(gens, p, t)].tolist()
+                       for t in tables)
+        spans, last = texts[gf2_span(basis[:, ::-1])].tolist(), None
+        for elements, alphas, s, m, superscript in zip(spans, (gens >> p).tolist(), se, mu, sup):
+            if alphas != last:  # one alpha basis's members are adjacent: format it once
+                last = alphas  # the label around a '|' superscript; the 0th kind has none
+                before, _, after = label_text(p, "|", alphas).partition("|")
+            lines.append(f'{{"elements": [{", ".join(elements)}], "eps_mu": "{m}", '
+                         f'"eps_se": "{s}", "kind": {k}, "label": "{before}{superscript}{after}"}}')
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(got: str, want: str) -> Optional[tuple[int, str, str]]:
+    """(index, got, wanted) of the first line that differs, or None if the texts are equal;
+    pytest's own diff of two texts this long runs for minutes."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_atlas_jsonl_equals_the_per_member_reference(p):
+    """Byte for byte; and every line of a shell has one width, which the byte rows rely on."""
+    want = reference_jsonl(atlas(p))
+    assert first_difference(extension.atlas_jsonl(atlas(p)), want) is None
+    lines, at = want.splitlines(keepends=True), 0
+    for k, basis in atlas(p).by_kind.items():
+        assert len({len(line) for line in lines[at : at + len(basis)]}) == 1, (p, k)
+        at += len(basis)
+    assert at == len(lines)
+
+
+def test_a_forged_element_table_fails_the_reference(monkeypatch):
+    """Key 5 at p = 2, S[01|01], printed with its first zeta bit flipped."""
+    forged = extension._element_bytes(2).copy()
+    assert bytes(forged[5]) == b'"S[01|01]", '
+    forged[5, 3] ^= 1
+    monkeypatch.setattr(extension, "_element_bytes", lambda p: forged)
+    got, want = extension.atlas_jsonl(atlas(2)), reference_jsonl(atlas(2))
+    assert first_difference(got, want) is not None
+    restored = [text.replace("S[11|01]", "S[01|01]") for text in (got, want)]
+    assert first_difference(*restored) is None  # and nothing else moved
 
 
 # -- label data against the reference derivation --------------------------------
