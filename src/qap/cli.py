@@ -13,7 +13,7 @@ import random
 import re
 import sys
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import extension, oracle, partition, transform
 from .extension import enumerate_all
@@ -47,22 +47,30 @@ TABLE_ALIASES = {
 DEFAULT_P, DEFAULT_SEED, DEFAULT_N = 3, 0, 100
 
 
-def _emit(cfg: argparse.Namespace, text: str) -> None:
-    """Write the output to stdout or the --out file; a failed write or
+def _emit(cfg: argparse.Namespace, text: str | Iterable[str]) -> None:
+    """Write the output, one text or its pieces in order, to stdout or the
+    --out file, then a newline unless it ends with one; a failed write or
     close, such as on a full disk, is a usage error."""
-    text = text if text.endswith("\n") else text + "\n"
     try:
         if not cfg.out:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
             sys.stdout.flush()
             return
         with _open_out(cfg.out, "w") as fh:
-            fh.write(text)
+            _write(fh, text)
     except OSError as exc:
         if not cfg.out:
             _drop_stdout()
         where = f"--out {cfg.out}" if cfg.out else "stdout"
         raise SystemExit2(f"cannot write {where}: {exc.strerror or exc}") from None
+
+
+def _write(fh, text: str | Iterable[str]) -> None:
+    last = ""
+    for last in [text] if isinstance(text, str) else text:
+        fh.write(last)
+    if not last.endswith("\n"):
+        fh.write("\n")
 
 
 def _drop_stdout() -> None:
@@ -204,10 +212,21 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
     before, after, sep = ('"', '": ', ", ") if cfg.fmt == "json" else ("" if n else "-", ": ", "\n")
     lead = [before + format(i | 1 << n - n // 2, "b")[1:] for i in range(1 << n - n // 2)]
     tail = [format(i | 1 << n // 2, "b")[1:] + after for i in range(1 << n // 2)]
-    body = sep.join([f"{a}{b}{s}" for a, row in zip(lead, sizes.reshape(len(lead), -1))
-                     for b, s in zip(tail, row.tolist()) if s])
-    _emit(cfg, f'{{"classes": {{{body}}}, "expected": {want}, "ok": {json.dumps(ok)}}}'
-          if cfg.fmt == "json" else f"{body}\n{classes} classes (expected {want}), members {total}")
+    rows = sizes.reshape(len(lead), -1)
+
+    def text() -> Iterator[str]:  # 64 rows of sizes a piece: 65 536 lines at p = 7
+        yield '{"classes": {' if cfg.fmt == "json" else ""
+        gap = ""
+        for at in range(0, len(lead), 64):
+            block = sep.join([f"{a}{b}{s}" for a, row in zip(lead[at : at + 64], rows[at : at + 64].tolist())
+                              for b, s in zip(tail, row) if s])
+            if block:
+                yield gap + block
+                gap = sep
+        yield (f'}}, "expected": {want}, "ok": {json.dumps(ok)}}}' if cfg.fmt == "json"
+               else f"\n{classes} classes (expected {want}), members {total}")
+
+    _emit(cfg, text())
     return PASS if ok else FAIL
 
 

@@ -43,7 +43,7 @@ def count_total(p: int) -> int:
 @dataclass
 class CartanAtlas:
     """Every Cartan subalgebra of su(2^p) by kind: row i of by_kind[k] is a kind-k
-    member's reduced echelon basis keys, descending; rows ascend as bases read ascending."""
+    member's reduced echelon basis keys, descending; rows strictly ascend as bases read ascending."""
 
     p: int
     by_kind: dict[int, np.ndarray]
@@ -70,7 +70,8 @@ class CartanAtlas:
             i -= len(keys)
 
 
-def _label_rows(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@lru_cache(maxsize=None)
+def _label_rows(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """[(base, toggles) for k in 0..p], shapes (B, p) and (B, k(k+1)/2, k), of the kind-k
     alpha bases: choose pivot bits b_i, fill the non-pivot bits below each.  All at once, over
     the (B, 2^p) span of the rows' column words: entry x is the syndrome (a_i . x)_i, and the
@@ -80,7 +81,7 @@ def _label_rows(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     kernel is orthogonal to every row, parity matrix eps gives row j the reduced phase XOR_i
     eps_ij u_i.  The base row (eps = 0) is the rows << p, descending, then the kernel; toggling
     eps_rs (r <= s, superscript order) XORs u_s into phase r and u_r into phase s.  Keys <
-    4^7 fit int16."""
+    4^7 fit int16.  Built once per p, read-only and shared."""
     heads, packed, ends = [0], [0], [1]  # kind 0; a basis packs its c-th row at bit c p
     for k in range(1, p + 1):
         for piv in itertools.combinations(range(p), k):
@@ -109,12 +110,37 @@ def _label_rows(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
         pick = [[k - 1 - s if i == r else k - 1 - r if i == s else p for i in range(k - 1, -1, -1)]
                 for r in range(k) for s in range(r, k)]
         out.append((base[start:end], units[start:end, np.array(pick, np.intp).reshape(len(pick), k)]))
-    return out
+    for table in itertools.chain(*out):
+        table.setflags(write=False)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shell_rows(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """_label_rows(p) in key order: a kind's alpha bases by their kernel columns (the kernel fixes
+    the rows), each one's toggles Gauss-Jordan reduced over all 2p k bits, column c's bit b at
+    2p c + b, by ascending leading bit (a zero toggle first).  A leading bit is 0 in the base row
+    and the other toggles, so span entry i ascends with i.  Built once per p, read-only, shared."""
+    out = []
+    for k, (base, toggles) in enumerate(_label_rows(p)):
+        order = np.lexsort(base.T)
+        base, toggles, (n, t) = base[order], toggles[order], toggles.shape[:2]
+        lead, free, at = np.full((n, t), -1), np.ones((n, t), dtype=bool), np.arange(n)
+        for pos in range(2 * p * k - 1, -1, -1):  # the last column's top bit leads
+            has = (toggles[:, :, pos // (2 * p)] >> pos % (2 * p) & 1).astype(bool)
+            pick = (has & free).argmax(axis=1)
+            found = (has & free)[at, pick]
+            lead[at[found], pick[found]], free[at[found], pick[found]], has[at, pick] = pos, False, False
+            toggles ^= (has & found[:, None])[:, :, None] * toggles[at, pick][:, None]
+        out.append((base, np.take_along_axis(toggles, lead.argsort(axis=1, kind="stable")[:, :, None], axis=1)))
+    for table in itertools.chain(*out):
+        table.setflags(write=False)
+    return tuple(out)
 
 
 def _check_shell(p: int, k: int, keys: np.ndarray) -> None:
-    """A sorted kind-k shell holds count_kind(p, k) distinct members, each p keys with
-    distinct leading bits, descending, the first k with alpha: read from one (p, N) copy."""
+    """A kind-k shell holds count_kind(p, k) members, strictly ascending from the last key, so
+    distinct, each p keys with distinct leading bits, descending, the first k with alpha."""
     if len(keys) != count_kind(p, k):
         raise InvariantError(f"shell {k}: {len(keys)} members, not {count_kind(p, k)}")
     cols = np.ascontiguousarray(keys.T)  # a's leading bit is above b's iff a & ~b > b
@@ -124,25 +150,29 @@ def _check_shell(p: int, k: int, keys: np.ndarray) -> None:
     if bad.any():
         row = keys[bad.argmax()].tolist()
         raise InvariantError(f"shell {k}: {row} is not a kind-{k} basis of distinct leading bits")
-    repeated = (cols[:, 1:] == cols[:, :-1]).all(axis=0)
-    if repeated.any():
-        raise InvariantError(f"shell {k}: basis {keys[repeated.argmax()].tolist()} appears twice")
+    up, tie = np.zeros(len(keys) - 1, dtype=bool), np.ones(len(keys) - 1, dtype=bool)
+    for col in cols[::-1]:
+        up, tie = up | tie & (col[1:] > col[:-1]), tie & (col[1:] == col[:-1])
+    if not up.all():
+        row = keys[up.argmin() + 1]
+        why = "appears twice" if (keys == row).all(axis=1).sum() > 1 else "is below the one before it"
+        raise InvariantError(f"shell {k}: basis {row.tolist()} {why}")
 
 
 def enumerate_all(p: int) -> CartanAtlas:
-    """Every Cartan subalgebra of su(2^p) from its label: a shell is each alpha
-    basis's base row XOR the span of its toggle vectors, sorted by ascending basis,
-    the element-list order (two ascending element lists first differ at index 2^j,
-    j the first ascending basis row that differs), and checked, the total too."""
+    """Every Cartan subalgebra of su(2^p) from its label: a shell is each alpha basis's
+    base row XOR the span of its toggles, built by _shell_rows in ascending basis order,
+    the element-list order (two ascending element lists first differ at index 2^j, j the
+    first ascending basis row that differs), with no sort; checked, the total too."""
     if not 1 <= p <= ENUMERATION_MAX_P:
         raise ValueError(f"enumeration guarded to p <= {ENUMERATION_MAX_P}")
     by_kind: dict[int, np.ndarray] = {}
-    for k, (base, toggles) in enumerate(_label_rows(p)):
+    for k, (base, toggles) in enumerate(_shell_rows(p)):
         n, t = toggles.shape[:2]
         phases = gf2_span(toggles.transpose(0, 2, 1).reshape(n * k, t)).reshape(n, k, 1 << t)
         keys = np.repeat(base, 1 << t, axis=0)
         keys[:, :k] ^= phases.transpose(0, 2, 1).reshape(n << t, k)
-        by_kind[k] = keys = keys[np.lexsort(keys.T)]
+        by_kind[k] = keys
         _check_shell(p, k, keys)
     atlas = CartanAtlas(p, by_kind)
     if atlas.total != count_total(p):

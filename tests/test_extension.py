@@ -271,7 +271,19 @@ def test_codes_equal_the_per_pair_reference(p):
             assert np.array_equal(got, subset), (p, k, pairs)
 
 
-def test_fills_that_carry_another_pivot_fail_the_dual_check(monkeypatch):
+@pytest.fixture
+def cold_label_tables():
+    """The cached label tables, emptied before and after the test: an injection builds them
+    afresh instead of reading a warm table, and no forged table outlives the test."""
+    tables = (extension._label_rows, extension._shell_rows)
+    for table in tables:
+        table.cache_clear()
+    yield tables
+    for table in tables:
+        table.cache_clear()
+
+
+def test_fills_that_carry_another_pivot_fail_the_dual_check(monkeypatch, cold_label_tables):
     """Bit 0 XORed into every packed fill puts pivot 0 into a basis's top row:
     [1, 3] is the first kind-2 basis at p = 4 and is no longer reduced."""
     real = extension.gf2_span
@@ -317,17 +329,113 @@ def repeat_an_alpha_basis(base, toggles):
     (give_a_kernel_row_an_alpha_bit, "not a kind-2 basis"),
     (repeat_an_alpha_basis, "appears twice"),
 ])
-def test_a_corrupted_toggle_or_a_forged_row_fails_enumeration(monkeypatch, mutate, match):
+def test_a_corrupted_toggle_or_a_forged_row_fails_enumeration(monkeypatch, cold_label_tables,
+                                                              mutate, match):
     real = extension._label_rows
 
     def corrupted(p):
-        shells = real(p)
+        shells = [tuple(table.copy() for table in shell) for shell in real(p)]  # cached: read-only
         mutate(*shells[2])
         return shells
 
     monkeypatch.setattr(extension, "_label_rows", corrupted)
     with pytest.raises(InvariantError, match=match):
         enumerate_all(4)
+
+
+def sorted_shell(keys: np.ndarray) -> np.ndarray:
+    """The member-level sort that enumerate_all ran on every shell before it built them in
+    key order: by the last basis key, then the one before it, and so on."""
+    return keys[np.lexsort(keys.T)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_every_shell_is_built_sorted_and_strictly_ascending(p):
+    for k, keys in enumerate_all(p).by_kind.items():
+        assert np.array_equal(keys, sorted_shell(keys)), (p, k)
+        assert (keys[1:] != keys[:-1]).any(axis=1).all(), (p, k)  # sorted, so ascending
+
+
+def test_enumeration_sorts_alpha_bases_not_members(monkeypatch, cold_label_tables):
+    real, sorted_rows = np.lexsort, []
+
+    def counted(keys, *args, **kwargs):
+        sorted_rows.append(np.shape(keys)[-1])
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    enumerate_all(5)
+    assert sorted_rows == [len(base) for base, _ in extension._label_rows(5)]
+    enumerate_all(5)  # the ordered table is built once per p
+    assert len(sorted_rows) == 6
+
+
+def forge_shell_rows(monkeypatch, forge) -> None:
+    """extension._shell_rows with forge(p, shells) applied to a writable copy."""
+    real = extension._shell_rows
+
+    def forged(p):
+        shells = [[table.copy() for table in shell] for shell in real(p)]
+        forge(p, shells)
+        return shells
+
+    monkeypatch.setattr(extension, "_shell_rows", forged)
+
+
+def unreduced_toggles(p, shells):
+    """Each kind's bases in key order with their toggles as _label_rows holds them: in
+    superscript order, not reduced."""
+    for k, (base, toggles) in enumerate(extension._label_rows(p)):
+        order = np.lexsort(base.T)
+        shells[k] = base[order], toggles[order]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_unreduced_toggles_fail_the_order_check(monkeypatch, cold_label_tables, p):
+    forge_shell_rows(monkeypatch, unreduced_toggles)
+    witness = r"2: basis \[136, 64, 2, 1\]" if p == 4 else r"\d+: basis \[[\d, ]+\]"
+    with pytest.raises(InvariantError, match=rf"^shell {witness} is below the one before it$"):
+        enumerate_all(p)
+
+
+@pytest.mark.parametrize("basis", [0, 5, 34])
+def test_two_swapped_rows_or_a_repeated_row_fail_the_order_check(monkeypatch, cold_label_tables,
+                                                                 basis):
+    """Shell 2 at p = 4 has eight rows per alpha basis, toggle j at bit j of the row index: two
+    swapped toggles swap rows 1 and 2 of the basis, and a zero toggle 0 repeats row 0."""
+    rows = enumerate_all(4).by_kind[2][basis * 8 : basis * 8 + 8].tolist()
+
+    def swap(p, shells):
+        shells[2][1][basis, [0, 1]] = shells[2][1][basis, [1, 0]]
+
+    def repeat(p, shells):
+        shells[2][1][basis, 0] = 0
+
+    forge_shell_rows(monkeypatch, swap)
+    with pytest.raises(InvariantError, match=re.escape(f"shell 2: basis {rows[1]} is below the one before it")):
+        enumerate_all(4)
+    forge_shell_rows(monkeypatch, repeat)
+    with pytest.raises(InvariantError, match=re.escape(f"shell 2: basis {rows[0]} appears twice")):
+        enumerate_all(4)
+
+
+def test_cached_label_tables_give_what_fresh_tables_give(cold_label_tables):
+    # the label tables are built once per p and kept read-only; calls interleaved over
+    # p = 3, 4 and 5 give exactly the shells and class sizes that fresh tables give
+    calls = [p for p in (3, 4, 5) for _ in range(3)]
+    random.Random(32).shuffle(calls)
+    fresh = []
+    for p in calls:
+        for table in cold_label_tables:
+            table.cache_clear()
+        fresh.append((enumerate_all(p).by_kind, class_sizes(p)))
+    for p, (shells, sizes) in zip(calls, fresh):
+        got = enumerate_all(p).by_kind
+        assert all(np.array_equal(got[k], shells[k]) for k in range(p + 1)), p
+        assert np.array_equal(class_sizes(p), sizes), p
+    assert [table.cache_info().currsize for table in cold_label_tables] == [3, 3]
+    for table in cold_label_tables:
+        assert not any(array.flags.writeable for shell in table(4) for array in shell)
 
 
 def test_atlas_commands_build_no_subalgebra(monkeypatch, capsys):
