@@ -60,7 +60,7 @@ def _emit(cfg: argparse.Namespace, text: str | Iterable[str]) -> None:
             _write(fh, text)
     except OSError as exc:
         if not cfg.out:
-            _drop_stdout()
+            _drop(sys.stdout)
         where = f"--out {cfg.out}" if cfg.out else "stdout"
         raise SystemExit2(f"cannot write {where}: {exc.strerror or exc}") from None
 
@@ -73,17 +73,26 @@ def _write(fh, text: str | Iterable[str]) -> None:
         fh.write("\n")
 
 
-def _drop_stdout() -> None:
-    """Point the failed stdout's descriptor at the null device.  Its buffer
-    keeps the unwritten text, and the interpreter's flush at exit would fail
-    again and turn the exit status into 120."""
+def _drop(stream) -> None:
+    """Point a failed stdout's or stderr's descriptor at the null device.  Its
+    buffer keeps the unwritten text, and the interpreter's flush at exit would
+    fail again and turn the exit status into 120."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (OSError, ValueError):  # an in-process stream with no descriptor
         return
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
+
+
+def _report(line: str) -> None:
+    """Write main's one error line to stderr; a stderr that cannot take it, on a
+    full disk or a pipe closed early, is dropped, so main's exit code stands."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _drop(sys.stderr)
 
 
 def _open_out(path: str, mode: str):
@@ -352,10 +361,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise SystemExit2(f"{cfg.command} is guarded to 1 <= p <= {GUARDS[cfg.command]}")
         return cfg.run(cfg)
     except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return USAGE
     except (AssertionError, ValueError) as exc:  # a ValueError here is a library fault
-        print(f"invariant failure: {exc}", file=sys.stderr)
+        _report(f"invariant failure: {exc}")
         return FAIL
     finally:  # a file the probe made is still empty only if nothing was written
         if probed and os.path.isfile(cfg.out) and not os.path.getsize(cfg.out):

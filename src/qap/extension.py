@@ -11,14 +11,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bitcore import InvariantError, gf2_span, parity
 from .spinor import key_texts
 from .subalgebra import CartanSubalgebra, label_text
-from .transform import BasicTransform, SymbolicCircuit, apply_to_cartan
+from .transform import BasicTransform, SymbolicCircuit
 
 ENUMERATION_MAX_P = 6
 MEMBERS_MAX_P = 5  # member objects and the JSONL: 4 922 775 of them at p = 6
@@ -197,22 +197,6 @@ def _bit_texts(n: int) -> tuple[str, ...]:
 # local equivalence
 
 
-class ParityStrings(NamedTuple):
-    se: str
-    mu: str
-
-
-def mutual_parity(c: CartanSubalgebra) -> ParityStrings:
-    """Self- and mutual-parity strings of a top-kind subalgebra over the
-    ascending unit-vector basis: the parity table's diagonal, then its
-    upper triangle row by row."""
-    if c.kind != c.p:
-        raise ValueError("mutual parity is defined on the top kind; lift first")
-    rows = ["".join(map(str, row)) for row in c.parity_table]
-    se = "".join([row[i] for i, row in enumerate(rows)])
-    return ParityStrings(se, "".join([row[i + 1 :] for i, row in enumerate(rows)]))
-
-
 def lift_keys(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, lifted) of the local lift of every row of an (N, p) array of
     bases.  units masks the words e_j off the pivots of its reduced alpha
@@ -252,13 +236,6 @@ def local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:
     units, lifted = lift_keys(np.array([c.basis_keys]), p)
     factors = (BasicTransform(1 << (p + j), p) for j in range(p) if units[0] >> j & 1)
     return SymbolicCircuit(tuple(factors)), CartanSubalgebra.from_basis(p, lifted[0].tolist())
-
-
-def se_normalizer(se: str) -> SymbolicCircuit:
-    """Diagonal single-bit factors flipping the marked self parities;
-    se[i] belongs to the ascending basis word with value 2^i."""
-    p = len(se)
-    return SymbolicCircuit(tuple(BasicTransform(1 << i, p) for i in range(p) if se[i] == "1"))
 
 
 def class_codes(basis: np.ndarray, p: int) -> np.ndarray:
@@ -305,54 +282,6 @@ def class_sizes(p: int) -> np.ndarray:
         span = gf2_span(images[:, ~diagonal]) ^ code[:, :1]
         sizes += np.bincount(span.ravel(), minlength=1 << n) << k
     return sizes.reshape((2,) * n).transpose().ravel()  # key order reads code bits downward
-
-
-def class_connector(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra, str]:
-    """(circuit, representative, class key): the local circuit carrying c
-    onto the zero-self-parity representative of its class."""
-    lift_circ, lifted = local_lift(c)
-    se, mu = mutual_parity(lifted)
-    norm = se_normalizer(se)
-    circuit = lift_circ.then(norm)
-    rep = apply_to_cartan(norm, lifted)
-    rep_se, rep_mu = mutual_parity(rep)
-    if rep_se != "0" * c.p or rep_mu != mu:
-        raise InvariantError("self-parity normalization went wrong")
-    return circuit, rep, mu
-
-
-def nonlocal_connector(
-    c1: CartanSubalgebra, c2: CartanSubalgebra
-) -> tuple[SymbolicCircuit, CartanSubalgebra]:
-    """Diagonal circuit carrying one top-kind subalgebra onto another:
-    one two-bit factor per differing mutual parity (each also flips the
-    two touched self parities), then single-bit self-parity fixups.
-    The result is verified by conjugation before returning."""
-    p = c1.p
-    if c1.p != c2.p:
-        raise ValueError("width mismatch")
-    se1 = mutual_parity(c1).se
-    se2, mu2 = mutual_parity(c2)
-    flips = [0] * p
-    factors = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            if c1.parity_table[i][j] != c2.parity_table[i][j]:
-                factors.append(BasicTransform((1 << i) | (1 << j), p))
-                flips[i] ^= 1
-                flips[j] ^= 1
-    for i in range(p):
-        if int(se1[i]) ^ flips[i] ^ int(se2[i]):
-            factors.append(BasicTransform(1 << i, p))
-    circuit = SymbolicCircuit(tuple(factors))
-    target = apply_to_cartan(circuit, c1)
-    if target != c2:
-        got = mutual_parity(target)
-        raise InvariantError(
-            f"connector verification failed: reached se={got.se} mu={got.mu}, "
-            f"wanted se={se2} mu={mu2}"
-        )
-    return circuit, target
 
 
 @lru_cache(maxsize=None)

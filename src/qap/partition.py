@@ -29,7 +29,6 @@ import numpy as np
 from .bitcore import InvariantError, gf2_rank
 from .spinor import Spinor, key_of, key_text, key_texts, omega
 from .subalgebra import (
-    BiSubalgebra,
     CartanSubalgebra,
     MaxBiGroup,
     SpinorSet,
@@ -37,33 +36,6 @@ from .subalgebra import (
 )
 
 CellKey = tuple[int, int]  # (bi-subalgebra index in MaxBiGroup, epsilon)
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """The subspace commuting with one maximal bi-subalgebra, bisected."""
-
-    determinant: BiSubalgebra
-    w: SpinorSet
-    w_hat: SpinorSet
-
-    @property
-    def is_degrade(self) -> bool:
-        return len(self.w_hat) == 0
-
-
-def conjugate_pair_of(c: CartanSubalgebra, b: BiSubalgebra) -> ConjugatePair:
-    """The coset of c whose commutant in c is b, bisected by b; the half
-    holding the coset's smallest spinor, its leader, is returned as w:
-    w = leader + b and w_hat = leader + (c - b)."""
-    if b.parent != c:
-        raise ValueError("bi-subalgebra does not belong to this Cartan subalgebra")
-    if not b.is_maximal():
-        raise ValueError("not a maximal bi-subalgebra")
-    g = all_maximal(c)
-    i = g.index_of(b)
-    w, w_hat = (g.leaders[i] ^ g.keys[half] for half in (g.comm[i], ~g.comm[i]))
-    return ConjugatePair(b, SpinorSet(c.p, w.tolist()), SpinorSet(c.p, w_hat.tolist()))
 
 
 class QAPartition:
@@ -99,9 +71,6 @@ class QAPartition:
         if not 0 <= key < self.cid.size or self.cid[key] < 0:
             raise KeyError(f"{s} lies in no cell at p={self.p}")
         return divmod(int(self.cid[key]), 2)
-
-    def pair(self, i: int) -> ConjugatePair:
-        return ConjugatePair(self.maxbi.members[i], self.cells[(i, 1)], self.cells[(i, 0)])
 
     def partition_fault(self) -> str | None:
         """The first partition check that fails, with one witness, or None:
@@ -273,33 +242,6 @@ def coquotient_view(q: QAPartition, cell: CellKey) -> CoQuotientView:
     return CoQuotientView(
         center=cell, degrade=(cell, (0, 0)), irregular=((0, 1), (l, 1 - e)), regular=regular
     )
-
-
-def split_by_commutation(w1: SpinorSet, w2: SpinorSet) -> tuple[SpinorSet, SpinorSet]:
-    """Split w1 into the two sub-cosets singled out by w2.
-
-    The pairwise bi-additives of w2 form the determining bi-subalgebra
-    B_2; w1 splits by the coset rule into {s : s0+s in B_2} (s0 the
-    smallest member, returned first) and the rest.  Every spinor of w2
-    then commutes with one sub-coset entirely and anti-commutes with the
-    other; that uniformity is validated before returning.
-    """
-    p = w1.p
-    if not w1.keys or not w2.keys:
-        raise ValueError("both inputs must be non-empty")
-    b2 = {x ^ y for x in w2.keys for y in w2.keys}
-    s0 = min(w1.keys)
-    aligned = frozenset(k for k in w1.keys if (s0 ^ k) in b2)
-    rest = w1.keys - aligned
-    for y in w2.keys:
-        for half in (aligned, rest):
-            flags = {omega(y, x, p) for x in half}
-            if len(flags) > 1:
-                raise ValueError(
-                    f"{key_text(y, p)} relates non-uniformly to a sub-coset; "
-                    "inputs are not conditioned subspaces of one partition"
-                )
-    return SpinorSet(p, aligned), SpinorSet(p, rest)
 
 
 @dataclass(frozen=True)

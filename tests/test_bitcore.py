@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import itertools
 import os
 import pathlib
@@ -251,11 +252,7 @@ def test_package_modules_use_every_name_they_import():
 
 # top-level names outside qap.__all__ that nothing else in the package reads
 UNREFERENCED_ON_PURPOSE = {
-    "split_by_commutation": "the paper's coset splitting rule for W^eps(B), checked by tests",
-    "conjugate_pair_of": "the paper's conjugate pair of one bi-subalgebra, checked by tests",
-    "class_connector": "the paper's local connector onto a class representative, checked by tests",
-    "nonlocal_connector": "the paper's diagonal connector between top-kind subalgebras, checked by tests",
-    "phase_type_generator_keys": "perfbench/tracing.py wraps it by name",
+    "phase_type_generator_keys": "perfbench/tracing.py wraps it by name; see test_traced_names_resolve",
     "h_matrix": "the one-transform case of h_matrices, used by tests; perfbench/tracing.py counts it",
 }
 
@@ -264,13 +261,14 @@ UNREFERENCED_ON_PURPOSE = {
 # reads, dunders aside: public API or reference code for the tests
 UNREAD_METHODS_ON_PURPOSE = {
     "BitWord.is_zero": "public BitWord predicate; tests read it on a spinor's zeta",
-    "ConjugatePair.is_degrade": "the paper's degrade pair (empty W-hat), checked by tests",
     "QAPartition.cell_of": "public lookup of a spinor's cell; tests build sequences with it",
     "Spinor.make": "the public constructor from zeta and alpha words that README and tests use",
     "Spinor.display": "README's hermitian-norm text form of a spinor",
     "GaussianMatrix.scaled": "reference-only: tests scale realized products by it (ROADMAP item 4)",
     "CartanSubalgebra.alpha_group": "the paper's group of binary partitionings, checked by tests",
     "CartanSubalgebra.phase_block": "the paper's phase block of one alpha, checked by tests",
+    "BiSubalgebra.is_maximal": "public predicate of a bi-subalgebra in qap.__all__; tests read it",
+    "MaxBiGroup.index_of": "public lookup of a member's index in G(C), in qap.__all__; tests read it",
 }
 
 
@@ -301,6 +299,23 @@ def test_package_defines_only_what_it_exports_or_reads():
     }
     assert sorted(unread_methods - set(UNREAD_METHODS_ON_PURPOSE)) == []
     assert sorted(set(UNREAD_METHODS_ON_PURPOSE) - unread_methods) == []
+
+
+def test_traced_names_resolve(monkeypatch):
+    """perfbench/tracing.py wraps every SPANNED and COUNTED target by name when
+    a traced run installs; a deleted or renamed one would crash that run."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for target in tracing.SPANNED + tracing.COUNTED:
+        module, name, *method = target.split(".")
+        owner = vars(importlib.import_module(f"qap.{module}"))
+        if name not in owner or method and method[0] not in vars(owner[name]):
+            missing.append(target)
+    assert missing == []
 
 
 def _run_optimized(*args: str) -> subprocess.CompletedProcess:

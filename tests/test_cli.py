@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qap
+from qap.bitcore import InvariantError
 from qap.cli import main
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
@@ -486,8 +487,8 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
         assert "Traceback" not in captured.err
 
 
-class FullStdout(io.StringIO):
-    """A stdout on a full disk: the write or only the flush fails."""
+class FullStream(io.StringIO):
+    """A stdout or stderr on a full disk: the write or only the flush fails."""
 
     def __init__(self, failing: str):
         super().__init__()
@@ -505,7 +506,7 @@ class FullStdout(io.StringIO):
 
 @pytest.mark.parametrize("failing", ["write", "flush"])
 def test_failed_stdout_write_is_usage_error(capsys, monkeypatch, failing):
-    monkeypatch.setattr("sys.stdout", FullStdout(failing))
+    monkeypatch.setattr("sys.stdout", FullStream(failing))
     assert main(["count", "--p", "3"]) == 2
     err = capsys.readouterr().err
     assert err == "error: cannot write stdout: No space left on device\n"
@@ -535,6 +536,32 @@ def test_full_stdout_exits_2_in_a_real_process(unbuffered):
         )
     assert run.returncode == 2
     assert run.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("label,code", [("C_[0,0]", 2), ("C_[000]", 1)], ids=["usage", "invariant"])
+def test_failed_stderr_write_keeps_the_exit_code(monkeypatch, label, code):
+    def fail(c, verify=True):
+        raise InvariantError("injected")
+
+    monkeypatch.setattr("qap.cli.build_qap", fail)
+    monkeypatch.setattr("sys.stderr", FullStream("write"))
+    assert main(["table", label]) == code
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv,both", [(("table", "C_[0,0]"), False), (("count", "--p", "3"), True)],
+    ids=["stderr", "stdout-and-stderr"],
+)
+def test_full_stderr_exits_2_in_a_real_process(argv, both):
+    # the error line fails to write too, and so would its flush at exit
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qap.__file__).parent.parent))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "qap", *argv],
+            stdout=full if both else subprocess.DEVNULL, stderr=full, env=env, timeout=60,
+        )
+    assert run.returncode == 2
 
 
 def test_out_is_checked_before_the_work(capsys, monkeypatch, tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import atlas
+from paper_reference import class_connector, mutual_parity, nonlocal_connector, ref_basis, ref_parity_table
 from qap import cli, extension
 from qap.bitcore import InvariantError, gf2_echelon, gf2_nullspace, gf2_reduce, gf2_span, parity
 from qap.extension import (
@@ -18,7 +19,6 @@ from qap.extension import (
     _bit_texts,
     _codes,
     class_codes,
-    class_connector,
     class_sizes,
     classify_local,
     count_kind,
@@ -26,11 +26,9 @@ from qap.extension import (
     enumerate_all,
     lift_keys,
     local_lift,
-    mutual_parity,
-    nonlocal_connector,
 )
 from qap.partition import build_qap
-from qap.spinor import Spinor, key_product, key_texts
+from qap.spinor import Spinor, key_texts
 from qap.subalgebra import (
     CartanSubalgebra,
     SpinorSet,
@@ -682,16 +680,6 @@ def test_a_forged_element_table_fails_the_reference(monkeypatch):
 # Members carry the basis and parity table their label walk produced, and the
 # local lift runs on p basis keys.  The reference below derives all of it from
 # the 2^p element keys, as the subalgebra did before it stored its label data.
-
-
-def ref_basis(c: CartanSubalgebra) -> tuple[int, ...]:
-    return tuple(gf2_echelon(c.elements.keys))
-
-
-def ref_parity_table(c: CartanSubalgebra) -> tuple[tuple[int, ...], ...]:
-    p = c.p
-    gens = [g for g in reversed(ref_basis(c)) if g >> p]
-    return tuple(tuple(key_product(gj, gi, p)[0] >> 1 for gj in gens) for gi in gens)
 
 
 def ref_local_lift(c: CartanSubalgebra) -> tuple[SymbolicCircuit, CartanSubalgebra]:

@@ -9,26 +9,23 @@ import numpy as np
 import pytest
 
 from conftest import atlas, qap_of
+from paper_reference import conjugate_pair, split_by_commutation
 from qap import partition
 from qap.bitcore import InvariantError
 from qap.partition import (
     CellKey,
     ClosureReport,
-    ConjugatePair,
     DecompositionSequence,
     QAPartition,
     build_qap,
     cell_label,
-    conjugate_pair_of,
     coquotient_view,
     qap_to_json,
     render_table,
-    split_by_commutation,
     verify_closure,
 )
 from qap.spinor import Spinor
 from qap.subalgebra import (
-    BiSubalgebra,
     CartanSubalgebra,
     SpinorSet,
     all_maximal,
@@ -71,20 +68,10 @@ def commutator_lands_in(q: QAPartition, a, b, t) -> bool:
 # -- conjugate pairs ----------------------------------------------------------
 
 
-def test_degrade_pair():
-    c = intrinsic_cartan(3)
-    g = all_maximal(c)
-    pair = conjugate_pair_of(c, g.members[0])
-    assert pair.is_degrade
-    assert pair.w == c.elements and len(pair.w_hat) == 0
-
-
 def test_intrinsic_pair_row():
-    c = intrinsic_cartan(3)
-    g = all_maximal(c)
-    pair = conjugate_pair_of(c, g.members[1])
-    assert strs(pair.w) == ["S[000|001]", "S[010|001]", "S[100|001]", "S[110|001]"]
-    assert strs(pair.w_hat) == ["S[001|001]", "S[011|001]", "S[101|001]", "S[111|001]"]
+    q = qap_of(intrinsic_cartan(3))
+    assert strs(q.cells[(1, 1)]) == ["S[000|001]", "S[010|001]", "S[100|001]", "S[110|001]"]
+    assert strs(q.cells[(1, 0)]) == ["S[001|001]", "S[011|001]", "S[101|001]", "S[111|001]"]
 
 
 def test_kind2_pair_row():
@@ -100,10 +87,10 @@ def test_kind2_pair_row():
 
 def test_pair_invariants(atlas3):
     for c in list(atlas3.members())[::17]:
-        g = all_maximal(c)
-        for b in g.members[1:]:
-            pair = conjugate_pair_of(c, b)
-            union = pair.w.keys | pair.w_hat.keys
+        q = qap_of(c)
+        for i, b in enumerate(q.maxbi.members[1:], 1):
+            w, w_hat = q.cells[(i, 1)].keys, q.cells[(i, 0)].keys
+            union = w | w_hat
             # commutes with the determinant, anti-commutes with the rest
             for x in union:
                 assert not any(omega(x, k, 3) for k in b.elements.keys)
@@ -112,12 +99,12 @@ def test_pair_invariants(atlas3):
             leader = min(union)
             assert union == {leader ^ k for k in c.elements.keys}
             # halves obey the coset rule; cross products leave it
-            for x, y in itertools.combinations(pair.w.keys, 2):
+            for x, y in itertools.combinations(w, 2):
                 assert (x ^ y) in b.elements.keys
-            for x in pair.w.keys:
-                assert not any(omega(x, y, 3) for y in pair.w.keys)
-                assert all(omega(x, y, 3) for y in pair.w_hat.keys)
-                for y in pair.w_hat.keys:
+            for x in w:
+                assert not any(omega(x, y, 3) for y in w)
+                assert all(omega(x, y, 3) for y in w_hat)
+                for y in w_hat:
                     assert (x ^ y) not in b.elements.keys
 
 
@@ -126,7 +113,7 @@ def test_pair_matches_bruteforce_scan(atlas3):
     # bisect from the smallest member by the coset rule
     for c in list(atlas3.members())[::31]:
         g = all_maximal(c)
-        for b in g.members[1:4]:
+        for i, b in enumerate(g.members[1:4], 1):
             scan = [
                 k
                 for k in range(1 << 6)
@@ -135,9 +122,7 @@ def test_pair_matches_bruteforce_scan(atlas3):
             ]
             s0 = min(scan)
             w_scan = {k for k in scan if (s0 ^ k) in b.elements.keys}
-            pair = conjugate_pair_of(c, b)
-            assert pair.w.keys == w_scan
-            assert pair.w_hat.keys == set(scan) - w_scan
+            assert conjugate_pair(c, i) == (w_scan, set(scan) - w_scan)
 
 
 def test_pairs_of_distinct_determinants_are_disjoint(atlas3):
@@ -150,36 +135,13 @@ def test_pairs_of_distinct_determinants_are_disjoint(atlas3):
             assert not (a & b)
 
 
-def ref_conjugate_pair_of(c, b) -> ConjugatePair:
-    """Reference: read the pair off a whole unverified partition, the cells of
-    pair i with the one holding the leader first."""
-    q = build_qap(c, verify=False)
-    i = q.maxbi.members.index(b)
-    e = int(q.cid[q.maxbi.leaders[i]]) & 1
-    return ConjugatePair(b, q.cells[(i, e)], q.cells[(i, e ^ 1)])
-
-
 def test_pairs_read_from_the_group_match_the_partition_cells():
     members = [c for p in (1, 2, 3) for c in atlas(p).members()]
     for c in members + seeded_cartans(5, 6, 23):
-        for b in all_maximal(c).members:
-            want, got = ref_conjugate_pair_of(c, b), conjugate_pair_of(c, b)
-            assert (got.w.keys, got.w_hat.keys) == (want.w.keys, want.w_hat.keys), c.label
-            assert got.w.p == c.p and got.w_hat.p == c.p and got.determinant is b
-
-
-def test_pair_needs_matching_parent():
-    c1 = intrinsic_cartan(3)
-    c2 = parse_label("C^{1}_{[100]}")
-    b = all_maximal(c2).members[1]
-    with pytest.raises(ValueError):
-        conjugate_pair_of(c1, b)
-
-
-def test_pair_needs_a_maximal_bi_subalgebra():
-    c = intrinsic_cartan(3)
-    with pytest.raises(ValueError, match="^not a maximal bi-subalgebra$"):
-        conjugate_pair_of(c, BiSubalgebra(SpinorSet(3, [0, 1]), c))
+        q = build_qap(c, verify=False)
+        for i in range(1 << c.p):
+            e = int(q.cid[q.maxbi.leaders[i]]) & 1
+            assert conjugate_pair(c, i) == (q.cells[(i, e)].keys, q.cells[(i, e ^ 1)].keys), c.label
 
 
 # -- full partitions ----------------------------------------------------------
@@ -210,7 +172,6 @@ def test_cells_are_read_from_the_cell_id_array():
     assert not q.cid.flags.writeable
     assert all(q.cell_of(k) == ck for ck, cell in q.cells.items() for k in cell.keys)
     assert sorted(k for cell in q.cells.values() for k in cell.keys) == list(range(64))
-    assert q.pair(3) == ConjugatePair(q.maxbi.members[3], q.cells[(3, 1)], q.cells[(3, 0)])
     with pytest.raises(KeyError):
         retagged(q, [5], None).cell_of(5)
 

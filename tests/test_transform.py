@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import atlas, qap_of
+from paper_reference import nonlocal_connector
 from qap import transform
 from qap.bitcore import BitWord, InvariantError, gf2_echelon, solve_affine
-from qap.extension import local_lift, nonlocal_connector
+from qap.extension import local_lift
 from qap.partition import DecompositionSequence, QAPartition
 from qap.spinor import (
     GaussianMatrix, PhasedSpinor, Spinor, key_of, pack, realize, self_parity, spinor_of_key,
